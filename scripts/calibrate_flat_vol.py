@@ -10,7 +10,6 @@ Example:
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -19,16 +18,10 @@ from rslv_lab.dupire import VolSurface
 from rslv_lab.particles import SimPlan, price_calls, simulate
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
-from rslv_lab.stats import normal_cdf
+from rslv_lab.stats import bs_call
 
 
-def bs_call(s0, k, sigma, T, r=0.0):
-    d1 = (math.log(s0 / k) + (r + 0.5 * sigma * sigma) * T) / (sigma * math.sqrt(T))
-    d2 = d1 - sigma * math.sqrt(T)
-    return s0 * normal_cdf(d1) - k * math.exp(-r * T) * normal_cdf(d2)
-
-
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lambda", dest="lam", default="0.25,4")
     ap.add_argument("--switch-rate", type=float, default=1.0)
@@ -39,7 +32,7 @@ def main() -> int:
     ap.add_argument("--dt", type=float, default=1e-3)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--strikes", default="0.8,0.9,1.0,1.1,1.2")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     lam = np.array([float(v) for v in args.lam.split(",")])
     d = lam.size

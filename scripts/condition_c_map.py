@@ -14,27 +14,25 @@ import sys
 
 import numpy as np
 
+from rslv_lab.cli import write_csv
 from rslv_lab.condition_c import (coercivity_certificate, criterion_d3,
                                   grid_search_diag, recover_alpha_from_point)
 from rslv_lab.regime_model import RegimeModel
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lambda", dest="lam", default="1,2,3,5,10")
     ap.add_argument("--n", type=int, default=200)
     ap.add_argument("--out", default="points.csv")
     ap.add_argument("--samples", type=int, default=100_000,
                     help="sampling budget for the certificate")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     lam = np.array([float(v) for v in args.lam.split(",")])
     model = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
     report = grid_search_diag(model, args.n)
-    with open(args.out, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in report.points:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    write_csv(args.out, "x,y", report.points)
     print(f"{report.points.shape[0]} passing points at n={args.n} -> {args.out}")
     if lam.size == 3:
         rep = criterion_d3(lam)

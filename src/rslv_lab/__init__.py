@@ -7,9 +7,9 @@ simulator (particles) and statistical verification helpers (stats).
 """
 
 from .regime_model import (
-    RegimeModel, IntensityTable, StateVector, HorizonConfig, Measure,
+    RegimeModel, IntensityTable, HorizonConfig, Measure,
     coeff_matrix_m, coeff_matrix_a, coeff_matrix_m_eps, coeff_matrix_a_eps,
-    ratio_r, ratio_r_eps, heat_kernel, heat_kernel_convolve,
+    ratio_r, ratio_r_eps, heat_kernel,
 )
 from .condition_c import (
     GammaCandidate, CoercivityCertificate, D3Report, GridSearchReport,
@@ -22,11 +22,12 @@ from .fokker_planck import (
     SpatialGrid, PDSConfig, GridSolution, NumericalError,
     mollify_initial, solve_fbm, solve_jump_fbm, solve_rslv, solve_lv,
 )
-from .dupire import VolSurface, ArbitrageError, eval_sigma_tilde, dupire_from_calls
+from .dupire import VolSurface, ArbitrageError, dupire_from_calls
 from .particles import (
-    SimPlan, ParticleEnsemble, SimResult,
-    cond_expect_f2, init_ensemble, step, simulate, price_calls,
+    SimPlan, SimResult, cond_expect_f2, init_ensemble, simulate, price_calls,
 )
-from .stats import TestReport, normal_cdf, ks_statistic, l1_hist_distance, moments, mc_stderr
+from .stats import (
+    TestReport, normal_cdf, bs_call, ks_statistic, l1_hist_distance, moments, mc_stderr,
+)
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from .particles import SimPlan, price_calls, simulate
 from .regime_model import (HorizonConfig, IntensityTable, Measure,
                            RegimeModel, a_eps_batch)
 from .condition_c import sample_domain_states
-from .stats import TestReport, ks_statistic, l1_hist_distance, moments, normal_cdf
+from .stats import (TestReport, bs_call, ks_statistic, l1_hist_distance,
+                    moments, normal_cdf)
 
 __all__ = ["CriterionResult", "AcceptanceContext", "CRITERIA", "SUITES",
            "run_criteria", "format_result"]
@@ -49,12 +50,6 @@ class CriterionResult:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
-
-
-def _bs_call(s0: float, k: float, sigma: float, T: float, r: float = 0.0) -> float:
-    d1 = (math.log(s0 / k) + (r + 0.5 * sigma * sigma) * T) / (sigma * math.sqrt(T))
-    d2 = d1 - sigma * math.sqrt(T)
-    return s0 * normal_cdf(d1) - k * math.exp(-r * T) * normal_cdf(d2)
 
 
 class AcceptanceContext:
@@ -341,10 +336,10 @@ def criterion_11_calibration(ctx: AcceptanceContext) -> CriterionResult:
                    initial=Measure.point(0.0), surface=VolSurface.constant(0.2))
     reports = []
     for k, price, se in price_calls(res.X[-1], [0.8, 1.0, 1.2], r=0.0, T=1.0):
-        ref = _bs_call(1.0, k, 0.2, 1.0)
+        ref = bs_call(1.0, k, 0.2, 1.0)
         reports.append(TestReport.check(abs(price - ref), 3.0 * se, N_PARTICLES,
                                         f"K={k}: |price - BS| within 3 stderr"))
-    ref_atm = _bs_call(1.0, 1.0, 0.2, 1.0)
+    ref_atm = bs_call(1.0, 1.0, 0.2, 1.0)
     reports.append(TestReport.check(abs(ref_atm - BS_ATM_REF), 1e-12, 1,
                                     "ATM oracle equals the frozen reference"))
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,8 @@ Subcommands: check-c, solve-fbm, solve-rslv, solve-lv, solve-jump,
 simulate-fbm, simulate-rslv, simulate-jump, dupire-build, verify.
 Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
 verification; 2 invalid input or configuration; 3 numerical failure.
-RSLV_LAB_THREADS caps the internal worker count.
+RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
+minimum (condition_c.sample_quadratic_min); nothing else is threaded here.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .condition_c import (CertificateError, criterion_d3, criterion_diag,
                           criterion_identity, grid_search_diag,
                           satisfies_condition_c)
 from .dupire import ArbitrageError, VolSurface, dupire_from_calls
-from .fokker_planck import (NumericalError, PDSConfig, SpatialGrid,
-                            l1_grid_distance, solve_fbm, solve_jump_fbm,
-                            solve_lv, solve_rslv, write_snapshots)
+from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
+                            SpatialGrid, l1_grid_distance, solve_fbm,
+                            solve_jump_fbm, solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import HorizonConfig, Measure, RegimeModel
 
-__all__ = ["main", "ConfigError"]
+__all__ = ["main", "ConfigError", "write_csv", "write_snapshots"]
 
 _FLOAT_FMT = "%.17g"
 
@@ -138,11 +139,53 @@ def _out_dir(cfg: dict, args) -> str:
     return out
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def write_csv(path: str, header: str, rows) -> None:
+    """One header line, then each row's values at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+
+
+def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot") -> dict:
+    """CSV per output time (columns x, p_1..p_d, sum, heat_ref) plus metadata.
+
+    ``reference`` is an optional callable (t, x_array) -> density used to
+    fill the heat_ref column; it defaults to zeros.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    files = []
+    d = sol.d
+    header = "x," + ",".join(f"p_{i+1}" for i in range(d)) + ",sum,heat_ref"
+    for k, t in enumerate(sol.times):
+        ref = (reference(float(t), sol.grid.x) if reference is not None
+               else np.zeros(sol.grid.m))
+        cols = [sol.grid.x] + [sol.p[k, i] for i in range(d)] + \
+               [sol.total_density(k), np.asarray(ref, dtype=float)]
+        name = f"{prefix}_{k:04d}.csv"
+        write_csv(os.path.join(out_dir, name), header, zip(*cols))
+        files.append({"time": float(t), "file": name})
+    diag = sol.diagnostics
+    meta = {
+        "grid": {"L": sol.grid.L, "m": sol.grid.m, "h": sol.grid.h},
+        "times": [float(t) for t in sol.times],
+        "snapshots": files,
+        "diagnostics": {
+            "masses": diag.masses.tolist(),
+            "min_value": diag.min_value.tolist(),
+            "l2": diag.l2.tolist(),
+            "boundary_mass": diag.boundary_mass.tolist(),
+            "max_mass_drift": diag.max_mass_drift,
+            "max_energy_increase": diag.max_energy_increase,
+            "boundary_warning": diag.boundary_warning,
+            "n_steps": diag.n_steps,
+            "dt": diag.dt,
+            "wall_time": diag.wall_time,
+        },
+    }
+    with open(os.path.join(out_dir, f"{prefix}_metadata.json"), "w") as fh:
+        json.dump(meta, fh, indent=2)
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +250,15 @@ def _cmd_check_c(args) -> int:
         return 0 if ok else 1
 
     # grid method
+    out = args.out or "points.csv"
     if lam.size < 3:
+        write_csv(out, "x,y", [])          # no plane to search for d = 2
         ok = criterion_identity(model)
         print("grid method on d=2 delegates to the identity criterion: "
               + ("SATISFIED" if ok else "NOT-SATISFIED"))
         return 0 if ok else 1
     report = grid_search_diag(model, args.n)
-    out = args.out or "points.csv"
-    _write_csv(out, "x,y", report.points)
+    write_csv(out, "x,y", report.points)
     if report.fallback:
         verdict = "SATISFIED" if report.satisfied else "NOT-SATISFIED"
         print(f"degenerate multiset, decided by {report.fallback}: {verdict}")
@@ -303,8 +347,8 @@ def _cmd_simulate(args, mode: str) -> int:
     res = simulate(model, plan, horizon, initial=initial, surface=surface)
     for k, t in enumerate(res.times):
         rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
-        _write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
-                   "particle_id,X,Y,qv", rows)
+        write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
+                  "particle_id,X,Y,qv", rows)
     diag = {
         "mode": mode,
         "times": res.times.tolist(),
@@ -319,7 +363,7 @@ def _cmd_simulate(args, mode: str) -> int:
     }
     if mode == "rslv" and cfg.get("strikes"):
         prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=horizon.T)
-        _write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
+        write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
         diag["prices_file"] = "prices.csv"
     with open(os.path.join(out, f"simulate_{mode}_diagnostics.json"), "w") as fh:
         json.dump(diag, fh, indent=2)
@@ -370,6 +414,11 @@ def _cmd_verify(args) -> int:
                   f"(choose from {sorted(acceptance.SUITES)})", file=sys.stderr)
             return 2
         names = acceptance.SUITES[args.suite]
+    unknown = [name for name in names if name not in acceptance.CRITERIA]
+    if unknown:
+        print(f"error: unknown criteria {', '.join(unknown)} "
+              f"(choose from {', '.join(acceptance.CRITERIA)})", file=sys.stderr)
+        return 2
     results = acceptance.run_criteria(names)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
@@ -422,11 +471,6 @@ _MODE_BY_COMMAND = {"simulate-fbm": "fake_bm", "simulate-rslv": "rslv",
 
 
 def main(argv=None) -> int:
-    workers = os.environ.get("RSLV_LAB_THREADS")
-    if workers is not None:
-        # cap BLAS pools too so one command never oversubscribes the host
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, workers)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

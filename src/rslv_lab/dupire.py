@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["VolSurface", "ArbitrageError", "DupireBuildReport",
-           "eval_sigma_tilde", "dupire_from_calls"]
+           "dupire_from_calls"]
 
 
 class ArbitrageError(ValueError):
@@ -38,8 +38,7 @@ class VolSurface:
     kind is one of "constant", "parametric" (a callable of (t, x)) or
     "tabulated" (bilinear interpolation on a rectangular (t, x) grid with
     clamped extrapolation).  Every evaluation is clamped to
-    [sigma_low, sigma_high].  h0 and chi record the Hoelder-in-time
-    constants declared or estimated for the surface.
+    [sigma_low, sigma_high].
     """
 
     kind: str
@@ -50,8 +49,6 @@ class VolSurface:
     t_nodes: np.ndarray | None = None
     x_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
-    h0: float = 0.0
-    chi: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.sigma_low <= self.sigma_high:
@@ -81,25 +78,19 @@ class VolSurface:
     @classmethod
     def constant(cls, value: float, sigma_low: float = 0.01, sigma_high: float = 2.0) -> "VolSurface":
         return cls(kind="constant", value=value, sigma_low=sigma_low,
-                   sigma_high=sigma_high, h0=0.0, chi=1.0)
+                   sigma_high=sigma_high)
 
     @classmethod
-    def parametric(cls, fn: Callable, sigma_low: float = 0.01, sigma_high: float = 2.0,
-                   h0: float = 0.0, chi: float = 1.0) -> "VolSurface":
-        return cls(kind="parametric", fn=fn, sigma_low=sigma_low, sigma_high=sigma_high,
-                   h0=h0, chi=chi)
+    def parametric(cls, fn: Callable, sigma_low: float = 0.01,
+                   sigma_high: float = 2.0) -> "VolSurface":
+        return cls(kind="parametric", fn=fn, sigma_low=sigma_low, sigma_high=sigma_high)
 
     @classmethod
     def tabulated(cls, t_nodes, x_nodes, values, sigma_low: float = 0.01,
                   sigma_high: float = 2.0) -> "VolSurface":
-        t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
-        v = np.asarray(values, dtype=float)
-        h0 = 0.0
-        if t.size > 1:
-            dt = np.diff(t)[:, None]
-            h0 = float(np.max(np.abs(np.diff(v, axis=0)) / dt))
-        return cls(kind="tabulated", t_nodes=t, x_nodes=x_nodes, values=v,
-                   sigma_low=sigma_low, sigma_high=sigma_high, h0=h0, chi=1.0)
+        return cls(kind="tabulated", t_nodes=np.atleast_1d(np.asarray(t_nodes, dtype=float)),
+                   x_nodes=x_nodes, values=values, sigma_low=sigma_low,
+                   sigma_high=sigma_high)
 
     def sigma(self, t, x):
         """Clamped sigma_tilde(t, x); accepts scalars or arrays in x."""
@@ -138,7 +129,7 @@ class VolSurface:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "sigma_low": self.sigma_low,
-               "sigma_high": self.sigma_high, "h0": self.h0, "chi": self.chi}
+               "sigma_high": self.sigma_high}
         if self.kind == "constant":
             out["value"] = self.value
         elif self.kind == "tabulated":
@@ -168,11 +159,6 @@ class VolSurface:
     def load(cls, path) -> "VolSurface":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def eval_sigma_tilde(surface: VolSurface, t: float, x):
-    """sigma_tilde(t, x) = sigma(t, e^x), clamped to the surface bounds."""
-    return surface.sigma(t, x)
 
 
 @dataclass(frozen=True)

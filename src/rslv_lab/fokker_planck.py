@@ -17,9 +17,7 @@ node so every step is one banded solve.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -41,7 +39,6 @@ __all__ = [
     "solve_rslv",
     "solve_lv",
     "l1_grid_distance",
-    "write_snapshots",
 ]
 
 
@@ -92,7 +89,6 @@ class PDSConfig:
     dt: float
     eps_reg: float | None = None
     sigma_mollify: float = 0.0
-    scheme: str = "semi-implicit"
     mass_lumping: bool = False
     n_outputs: int = 11
     output_times: tuple | None = None
@@ -102,8 +98,6 @@ class PDSConfig:
             raise ValueError("time step must be positive")
         if self.eps_reg is not None and not self.eps_reg > 0:
             raise ValueError("regularisation must be positive")
-        if self.scheme != "semi-implicit":
-            raise ValueError("only the semi-implicit scheme is implemented")
 
 
 @dataclass
@@ -145,6 +139,14 @@ class GridSolution:
         return self.p[k]
 
 
+def _per_regime(mu, d: int) -> list:
+    """``mu`` as one measure per regime: a single measure is shared by all d."""
+    mus = [mu] * d if isinstance(mu, Measure) else list(mu)
+    if len(mus) != d:
+        raise ValueError("need one measure per regime")
+    return mus
+
+
 def mollify_initial(mu, sigma: float, grid: SpatialGrid, alpha) -> np.ndarray:
     """Initial rows p0_i = alpha_i * (mu_i * h_{sigma^2}) sampled on the grid.
 
@@ -152,14 +154,8 @@ def mollify_initial(mu, sigma: float, grid: SpatialGrid, alpha) -> np.ndarray:
     Atomic measures require sigma > 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    d = alpha.size
-    if isinstance(mu, Measure):
-        mus = [mu] * d
-    else:
-        mus = list(mu)
-        if len(mus) != d:
-            raise ValueError("need one measure per regime")
-    return np.stack([alpha[i] * mus[i].density_on(grid.x, sigma) for i in range(d)])
+    mus = _per_regime(mu, alpha.size)
+    return np.stack([a * m.density_on(grid.x, sigma) for a, m in zip(alpha, mus)])
 
 
 def _default_eps(lam: np.ndarray, grid: SpatialGrid) -> float:
@@ -179,9 +175,7 @@ def _project_initial(mu, sigma: float, grid: SpatialGrid, alpha,
     if lumped:
         return mollify_initial(mu, sigma, grid, alpha)
     d = alpha.size
-    mus = [mu] * d if isinstance(mu, Measure) else list(mu)
-    if len(mus) != d:
-        raise ValueError("need one measure per regime")
+    mus = _per_regime(mu, d)
     m, h = grid.m, grid.h
     gp, gw = np.polynomial.legendre.leggauss(5)
     tq = 0.5 * (gp + 1.0)
@@ -405,48 +399,3 @@ def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:
     """Trapezoid L1 distance between two nodal functions on the grid."""
     return float(np.trapezoid(np.abs(np.asarray(f) - np.asarray(g)), grid.x))
-
-
-def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot") -> dict:
-    """CSV per output time (columns x, p_1..p_d, sum, heat_ref) plus metadata.
-
-    ``reference`` is an optional callable (t, x_array) -> density used to
-    fill the heat_ref column; it defaults to zeros.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-    d = sol.d
-    header = "x," + ",".join(f"p_{i+1}" for i in range(d)) + ",sum,heat_ref"
-    for k, t in enumerate(sol.times):
-        ref = (reference(float(t), sol.grid.x) if reference is not None
-               else np.zeros(sol.grid.m))
-        cols = [sol.grid.x] + [sol.p[k, i] for i in range(d)] + \
-               [sol.total_density(k), np.asarray(ref, dtype=float)]
-        name = f"{prefix}_{k:04d}.csv"
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        files.append({"time": float(t), "file": name})
-    diag = sol.diagnostics
-    meta = {
-        "grid": {"L": sol.grid.L, "m": sol.grid.m, "h": sol.grid.h},
-        "times": [float(t) for t in sol.times],
-        "snapshots": files,
-        "diagnostics": {
-            "masses": diag.masses.tolist(),
-            "min_value": diag.min_value.tolist(),
-            "l2": diag.l2.tolist(),
-            "boundary_mass": diag.boundary_mass.tolist(),
-            "max_mass_drift": diag.max_mass_drift,
-            "max_energy_increase": diag.max_energy_increase,
-            "boundary_warning": diag.boundary_warning,
-            "n_steps": diag.n_steps,
-            "dt": diag.dt,
-            "wall_time": diag.wall_time,
-        },
-    }
-    with open(os.path.join(out_dir, f"{prefix}_metadata.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-    return meta

@@ -19,21 +19,21 @@ the Gaussian stream (e.g. jump_fbm with q = 0 reproduces fake_bm paths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dupire import VolSurface
+from .fokker_planck import NumericalError
 from .regime_model import Measure, RegimeModel
+from .stats import mc_stderr
 
 __all__ = [
     "SimPlan",
-    "ParticleEnsemble",
     "Regression",
     "SimResult",
     "cond_expect_f2",
     "init_ensemble",
-    "step",
     "simulate",
     "price_calls",
 ]
@@ -77,27 +77,6 @@ class SimPlan:
             raise ValueError("jump dynamics need an intensity table")
 
 
-@dataclass
-class ParticleEnsemble:
-    """N particles (X, Y) with accumulated quadratic variation.
-
-    Y is 1-based (values in 1..d).  The RNG streams ride along so that
-    repeated stepping stays deterministic for a given seed.
-    """
-
-    X: np.ndarray
-    Y: np.ndarray
-    qv: np.ndarray
-    seed: int
-    t: float = 0.0
-    _gauss: np.random.Generator | None = field(default=None, repr=False)
-    _jump: np.random.Generator | None = field(default=None, repr=False)
-
-    @property
-    def N(self) -> int:
-        return self.X.size
-
-
 @dataclass(frozen=True)
 class Regression:
     """Piecewise-linear conditional-expectation estimate on a fixed grid."""
@@ -117,37 +96,42 @@ def _make_rngs(seed: int):
 
 
 def init_ensemble(model: RegimeModel, plan: SimPlan,
-                  initial: Measure | None = None) -> ParticleEnsemble:
-    """Draw (X_0, Y_0) with X ~ initial (default point mass at 0), Y ~ alpha."""
+                  initial: Measure | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (X_0, Y_0) with X ~ initial (default point mass at 0), Y ~ alpha.
+
+    Y is 1-based (values in 1..d).  Both come from the first of the seed's
+    three streams.
+    """
     initial = initial if initial is not None else Measure.point(0.0)
-    init_rng, gauss_rng, jump_rng = _make_rngs(plan.seed)
+    init_rng = _make_rngs(plan.seed)[0]
     y = init_rng.choice(model.d, size=plan.n_particles, p=model.alpha) + 1
     x = initial.sample(plan.n_particles, init_rng)
-    return ParticleEnsemble(X=np.asarray(x, dtype=float), Y=y.astype(np.int64),
-                            qv=np.zeros(plan.n_particles), seed=plan.seed,
-                            t=0.0, _gauss=gauss_rng, _jump=jump_rng)
+    return np.asarray(x, dtype=float), y.astype(np.int64)
 
 
-def cond_expect_f2(ensemble: ParticleEnsemble, plan: SimPlan,
+def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
                    model: RegimeModel) -> Regression:
     """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax].
 
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
     kernel sums are accumulated by linear binning onto the regression grid
     (grid spans the sample range +/- 4 bandwidths).  Nodes with vanishing
-    kernel mass take the ensemble mean of f^2(Y).
+    kernel mass take the ensemble mean of f^2(Y).  A non-finite spread of X
+    raises FloatingPointError.
     """
-    if ensemble.N < 100:
+    if x.size < 100:
         raise ValueError("need at least 100 particles for the kernel estimate")
-    x = ensemble.X
-    lam_y = model.lam[ensemble.Y - 1]
+    lam_y = model.lam[y - 1]
     mean_lam = float(lam_y.mean())
-    sd = float(x.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(x.std())
+    if not math.isfinite(sd):
+        raise FloatingPointError("ensemble spread is no longer finite")
     G = plan.regression_grid
     if sd < 1e-12:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
         return Regression(grid=grid, values=np.full(2, _clamp(mean_lam, model)))
-    delta = plan.bandwidth_c * sd * ensemble.N ** (-0.2)
+    delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
     hi = float(x.max()) + 4.0 * delta
     grid = np.linspace(lo, hi, G)
@@ -191,52 +175,6 @@ def _thinning(x, y, model, dt, rng) -> np.ndarray:
     return y
 
 
-def step(ensemble: ParticleEnsemble, plan: SimPlan, model: RegimeModel,
-         surface: VolSurface | None = None, r: float = 0.0) -> ParticleEnsemble:
-    """One Euler-Maruyama step with the conditional expectation frozen at the
-    current ensemble; returns the advanced ensemble."""
-    plan.validate(model)
-    if plan.mode == "rslv" and surface is None:
-        raise ValueError("rslv dynamics need a volatility surface")
-    if ensemble._gauss is None or ensemble._jump is None:
-        raise ValueError("ensemble was not created by init_ensemble")
-    x = ensemble.X.copy()
-    y = ensemble.Y.copy()
-    qv = ensemble.qv.copy()
-    _advance_one(x, y, qv, ensemble.t, model, plan, surface, r,
-                 ensemble._gauss, ensemble._jump)
-    return ParticleEnsemble(X=x, Y=y, qv=qv, seed=ensemble.seed,
-                            t=ensemble.t + plan.dt,
-                            _gauss=ensemble._gauss, _jump=ensemble._jump)
-
-
-def _advance_one(x, y, qv, t, model, plan, surface, r, gauss_rng, jump_rng) -> float:
-    step_idx = int(round(t / plan.dt)) + 1
-    ens = ParticleEnsemble(X=x, Y=y, qv=qv, seed=plan.seed, t=t)
-    reg = cond_expect_f2(ens, plan, model)
-    lam_y = model.lam[y - 1]
-    ehat = np.clip(reg(x), model.lam_min, model.lam_max)
-    ratio = lam_y / ehat
-    if plan.mode == "rslv":
-        s = np.asarray(surface.sigma(t, x), dtype=float)
-        diff2 = ratio * s * s
-        drift = r - 0.5 * diff2
-    else:
-        diff2 = ratio
-        drift = None
-    dw = gauss_rng.normal(size=x.size) * math.sqrt(plan.dt)
-    if drift is not None:
-        x += drift * plan.dt
-    x += np.sqrt(diff2) * dw
-    qv += diff2 * plan.dt
-    if plan.uses_jumps and model.q is not None:
-        y[:] = _thinning(x, y, model, plan.dt, jump_rng)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(
-            f"particle positions are no longer finite (step {step_idx})")
-    return float(ratio.mean())
-
-
 @dataclass
 class SimResult:
     """Checkpoint samples plus per-step self-consistency diagnostics."""
@@ -261,8 +199,10 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
              surface: VolSurface | None = None) -> SimResult:
     """Run the particle system to the horizon, recording the checkpoints.
 
-    Deterministic for a given (seed, plan, model): identical inputs give
-    bit-identical trajectories.
+    Each step is one Euler-Maruyama step with the conditional expectation
+    frozen at the current ensemble.  Deterministic for a given (seed, plan,
+    model): identical inputs give bit-identical trajectories.  Non-finite
+    positions or ensemble spread raise NumericalError with the step index.
     """
     plan.validate(model)
     if plan.mode == "rslv" and surface is None:
@@ -270,15 +210,14 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     T = horizon.T
     r = getattr(horizon, "r", 0.0)
     n_steps = max(1, int(round(T / plan.dt)))
-    dt_plan = SimPlan(dt=T / n_steps, n_particles=plan.n_particles,
-                      mode=plan.mode, bandwidth_c=plan.bandwidth_c,
-                      regression_grid=plan.regression_grid,
-                      checkpoints=plan.checkpoints, seed=plan.seed)
-    ens = init_ensemble(model, dt_plan, initial)
-    x, y, qv = ens.X, ens.Y, ens.qv
+    plan = replace(plan, dt=T / n_steps)
+    dt = plan.dt
+    x, y = init_ensemble(model, plan, initial)
+    _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
+    qv = np.zeros(plan.n_particles)
     check_steps = {}
-    for tc in dt_plan.checkpoints:
-        k = int(round(float(tc) / dt_plan.dt))
+    for tc in plan.checkpoints:
+        k = int(round(float(tc) / dt))
         if not 0 <= k <= n_steps:
             raise ValueError(f"checkpoint {tc} outside the horizon")
         check_steps.setdefault(k, float(tc))
@@ -296,8 +235,27 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
 
     record(0)
     for n in range(n_steps):
-        ratios[n] = _advance_one(x, y, qv, n * dt_plan.dt, model, dt_plan,
-                                 surface, r, ens._gauss, ens._jump)
+        try:
+            reg = cond_expect_f2(x, y, plan, model)
+        except FloatingPointError as exc:
+            raise NumericalError(str(exc), n + 1) from exc
+        lam_y = model.lam[y - 1]
+        ehat = np.clip(reg(x), model.lam_min, model.lam_max)
+        ratio = lam_y / ehat
+        if plan.mode == "rslv":
+            s = np.asarray(surface.sigma(n * dt, x), dtype=float)
+            diff2 = ratio * s * s
+            x += (r - 0.5 * diff2) * dt
+        else:
+            diff2 = ratio
+        dw = gauss_rng.normal(size=x.size) * math.sqrt(dt)
+        x += np.sqrt(diff2) * dw
+        qv += diff2 * dt
+        if plan.uses_jumps and model.q is not None:
+            y[:] = _thinning(x, y, model, dt, jump_rng)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("particle positions are no longer finite", n + 1)
+        ratios[n] = float(ratio.mean())
         record(n + 1)
 
     return SimResult(times=np.asarray(times), X=np.asarray(xs),
@@ -306,26 +264,18 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
                      seed=plan.seed)
 
 
-def price_calls(ensemble_or_x, strikes, r: float, T: float | None = None):
-    """Discounted call prices and standard errors from terminal samples.
+def price_calls(x, strikes, r: float, T: float | None = None):
+    """Discounted call prices and standard errors from terminal log-prices.
 
-    Accepts a ParticleEnsemble (using its clock for discounting) or a raw
-    array of terminal log-prices together with T.  Returns a list of
-    (strike, price, stderr) triples.
+    Returns a list of (strike, price, stderr) triples, discounted over the
+    maturity T.
     """
-    if isinstance(ensemble_or_x, ParticleEnsemble):
-        x = ensemble_or_x.X
-        t = ensemble_or_x.t if T is None else T
-    else:
-        x = np.asarray(ensemble_or_x, dtype=float)
-        if T is None:
-            raise ValueError("need the maturity T for discounting")
-        t = T
-    disc = math.exp(-r * t)
-    s = np.exp(x)
+    if T is None:
+        raise ValueError("need the maturity T for discounting")
+    disc = math.exp(-r * T)
+    s = np.exp(np.asarray(x, dtype=float))
     out = []
     for k in np.atleast_1d(np.asarray(strikes, dtype=float)):
         payoff = np.maximum(s - k, 0.0)
-        se = payoff.std(ddof=1) / math.sqrt(payoff.size) if payoff.size > 1 else 0.0
-        out.append((float(k), disc * float(payoff.mean()), disc * float(se)))
+        out.append((float(k), disc * float(payoff.mean()), disc * mc_stderr(payoff)))
     return out

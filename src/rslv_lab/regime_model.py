@@ -10,7 +10,7 @@ functions of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "RegimeModel",
     "IntensityTable",
-    "StateVector",
     "HorizonConfig",
     "Measure",
     "coeff_matrix_m",
@@ -30,7 +29,6 @@ __all__ = [
     "ratio_r_eps",
     "ratio_r_eps_batch",
     "heat_kernel",
-    "heat_kernel_convolve",
 ]
 
 _ALPHA_TOL = 1e-12
@@ -170,9 +168,6 @@ class RegimeModel:
             out["q"] = self.q.to_dict()
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "RegimeModel":
         q = data.get("q")
@@ -182,33 +177,20 @@ class RegimeModel:
             q=None if q is None else IntensityTable.from_dict(q),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "RegimeModel":
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A point rho of the sub-density domain D = (R+)^d \\ {0}."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        require_in_domain(rho)
-        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
 class HorizonConfig:
-    """Finite time horizon T > 0 and constant risk-free rate r."""
+    """Finite time horizon T > 0 and constant, finite risk-free rate r."""
 
     T: float
     r: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("time horizon must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("time horizon must be positive and finite")
+        if not math.isfinite(self.r):
+            raise ValueError("risk-free rate must be finite")
 
 
 def require_in_domain(rho: np.ndarray) -> None:
@@ -355,11 +337,6 @@ class Measure:
     def has_atoms(self) -> bool:
         return self.kind in ("point", "mixture")
 
-    def total_mass(self) -> float:
-        if self.has_atoms:
-            return float(self.weights.sum())
-        return float(np.trapezoid(self.weights, self.xs))
-
     def convolve_heat(self, t: float, x_grid: np.ndarray) -> np.ndarray:
         """Density of mu * h_t on the grid (trapezoid quadrature for tabulated mu)."""
         if t <= 0:
@@ -422,8 +399,3 @@ class Measure:
         if kind == "tabulated":
             return cls.tabulated(data["x"], data["density"])
         raise ValueError(f"unknown measure kind {kind!r}")
-
-
-def heat_kernel_convolve(mu: Measure, t: float, x_grid) -> np.ndarray:
-    """(mu * h_t) evaluated on x_grid; integrates to mu's mass up to quadrature error."""
-    return mu.convolve_heat(t, np.asarray(x_grid, dtype=float))

@@ -1,5 +1,6 @@
-"""Statistical verification utilities: normal CDF, KS statistic, moment and
-histogram checks, Monte Carlo standard errors, and a small report type."""
+"""Statistical verification utilities: normal CDF, Black-Scholes calls, KS
+statistic, moment and histogram checks, Monte Carlo standard errors, and a
+small report type."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from scipy.special import erfc
 __all__ = [
     "TestReport",
     "normal_cdf",
+    "bs_call",
     "ks_statistic",
     "l1_hist_distance",
     "Moments",
@@ -50,6 +52,13 @@ def normal_cdf(x):
     scalar = np.ndim(x) == 0
     out = 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if scalar else out
+
+
+def bs_call(s0: float, k: float, sigma: float, T: float, r: float = 0.0) -> float:
+    """Black-Scholes price of a call with strike k and maturity T on spot s0."""
+    d1 = (math.log(s0 / k) + (r + 0.5 * sigma * sigma) * T) / (sigma * math.sqrt(T))
+    d2 = d1 - sigma * math.sqrt(T)
+    return s0 * normal_cdf(d1) - k * math.exp(-r * T) * normal_cdf(d2)
 
 
 def ks_statistic(samples, cdf: Callable) -> float:

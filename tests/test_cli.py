@@ -77,6 +77,13 @@ class TestCheckC:
     def test_invalid_lambda(self):
         assert cli.main(["check-c", "--lambda", "1,-2", "--method", "identity"]) == 2
 
+    def test_grid_d2_writes_header_only_points(self, tmp_path):
+        out = tmp_path / "points.csv"
+        code = cli.main(["check-c", "--lambda", "1,9", "--method", "grid",
+                         "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == "x,y\n"
+
 
 class TestSolveCommands:
     def test_solve_fbm_outputs(self, tmp_path):
@@ -144,6 +151,35 @@ class TestSimulateCommands:
         assert rows[0] == "K,price,stderr"
         assert len(rows) == 4
 
+    def test_infinite_rate_is_a_config_error(self, tmp_path, capsys):
+        cfg = small_sim_config(tmp_path, extra={
+            "horizon": {"T": 0.1, "r": float("inf")},
+            "surface": {"kind": "constant", "value": 0.2}})
+        assert cli.main(["simulate-rslv", str(cfg)]) == 2
+        assert "rate must be finite" in capsys.readouterr().err
+
+    def test_overflowing_spread_is_a_numerical_failure(self, tmp_path, capsys):
+        # each step moves every particle by r * dt = 1e306, so the ensemble
+        # mean overflows at the second step
+        cfg = small_sim_config(tmp_path, extra={
+            "horizon": {"T": 0.1, "r": 1e308},
+            "surface": {"kind": "constant", "value": 0.2}})
+        assert cli.main(["simulate-rslv", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "spread is no longer finite (step 2)" in err
+
+    def test_overflowing_positions_are_a_numerical_failure(self, tmp_path, capsys):
+        # one step of r * dt = 2e308 leaves every position infinite
+        cfg = small_sim_config(tmp_path, extra={
+            "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]},
+            "horizon": {"T": 2.0, "r": 1e308},
+            "sim": {"dt": 2.0, "n_particles": 500, "checkpoints": [2.0], "seed": 5},
+            "surface": {"kind": "constant", "value": 0.2}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["simulate-rslv", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "positions are no longer finite (step 1)" in err
+
     def test_jump_step_bound_is_a_config_error(self, tmp_path):
         cfg = small_sim_config(tmp_path)
         data = json.loads(cfg.read_text())
@@ -183,3 +219,9 @@ class TestVerify:
 
     def test_unknown_suite(self):
         assert cli.main(["verify", "--suite", "nonsense"]) == 2
+
+    def test_unknown_criterion(self, capsys):
+        assert cli.main(["verify", "--criteria", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown criteria c99")
+        assert err.count("\n") == 1

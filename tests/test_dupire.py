@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from rslv_lab.dupire import (ArbitrageError, VolSurface, dupire_from_calls,
-                             eval_sigma_tilde)
+from rslv_lab.dupire import ArbitrageError, VolSurface, dupire_from_calls
 from rslv_lab.stats import normal_cdf
 
 
@@ -18,7 +17,7 @@ def bs_grid(s0, vol, r, ts, ks):
 class TestSurface:
     def test_constant_everywhere(self):
         s = VolSurface.constant(0.2)
-        assert eval_sigma_tilde(s, 0.3, 1.7) == pytest.approx(0.2)
+        assert s.sigma(0.3, 1.7) == pytest.approx(0.2)
         np.testing.assert_allclose(s.sigma(0.0, np.linspace(-3, 3, 7)), 0.2)
         assert s.dsigma_dx(0.1, 0.5) == 0.0
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
 from rslv_lab.fokker_planck import (PDSConfig, SpatialGrid,
                                     l1_grid_distance, mollify_initial,
                                     solve_fbm, solve_jump_fbm, solve_lv,
-                                    solve_rslv, write_snapshots)
+                                    solve_rslv)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rslv_lab.particles import (ParticleEnsemble, SimPlan, cond_expect_f2,
-                                init_ensemble, price_calls, simulate, step)
+from rslv_lab.particles import (SimPlan, cond_expect_f2, init_ensemble,
+                                price_calls, simulate)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -21,18 +21,18 @@ class TestCondExpect:
     def test_single_regime_is_constant(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
-        ens = init_ensemble(model, plan)
-        ens.Y[:] = 2
-        ens.X[:] = np.linspace(-1, 1, ens.N)
-        reg = cond_expect_f2(ens, plan, model)
+        x, y = init_ensemble(model, plan)
+        y[:] = 2
+        x[:] = np.linspace(-1, 1, x.size)
+        reg = cond_expect_f2(x, y, plan, model)
         np.testing.assert_allclose(reg(np.linspace(-1, 1, 7)), 4.0, atol=1e-12)
 
     def test_equal_levels_are_constant(self):
         model = RegimeModel(lam=[2.0, 2.0], alpha=[0.5, 0.5])
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
-        ens = init_ensemble(model, plan)
-        ens.X[:] = np.linspace(-1, 1, ens.N)
-        reg = cond_expect_f2(ens, plan, model)
+        x, y = init_ensemble(model, plan)
+        x[:] = np.linspace(-1, 1, x.size)
+        reg = cond_expect_f2(x, y, plan, model)
         np.testing.assert_allclose(reg(np.array([-0.5, 0.0, 0.5])), 2.0, atol=1e-12)
 
     def test_independent_regimes_give_the_mean(self):
@@ -43,8 +43,7 @@ class TestCondExpect:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
-        ens = ParticleEnsemble(X=x, Y=y, qv=np.zeros(x.size), seed=5)
-        reg = cond_expect_f2(ens, plan, model)
+        reg = cond_expect_f2(x, y, plan, model)
         lam_y = model.lam[y - 1]
         sd_f2 = lam_y.std()
         delta = plan.bandwidth_c * x.std() * plan.n_particles ** (-0.2)
@@ -58,18 +57,25 @@ class TestCondExpect:
     def test_needs_enough_particles(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=100, seed=1)
-        ens = init_ensemble(model, plan)
-        small = ParticleEnsemble(X=ens.X[:50], Y=ens.Y[:50], qv=ens.qv[:50], seed=1)
+        x, y = init_ensemble(model, plan)
         with pytest.raises(ValueError):
-            cond_expect_f2(small, plan, model)
+            cond_expect_f2(x[:50], y[:50], plan, model)
 
     def test_degenerate_spread_falls_back_to_the_mean(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=1000, seed=2)
-        ens = init_ensemble(model, plan)   # all particles at X = 0
-        reg = cond_expect_f2(ens, plan, model)
-        expected = model.lam[ens.Y - 1].mean()
+        x, y = init_ensemble(model, plan)   # all particles at X = 0
+        reg = cond_expect_f2(x, y, plan, model)
+        expected = model.lam[y - 1].mean()
         assert reg(0.0) == pytest.approx(expected, abs=1e-12)
+
+    def test_non_finite_spread_is_a_floating_point_error(self):
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
+        x, y = init_ensemble(model, plan)
+        x[:] = 1e308                       # the mean overflows
+        with pytest.raises(FloatingPointError):
+            cond_expect_f2(x, y, plan, model)
 
 
 class TestStepAndSimulate:
@@ -108,15 +114,14 @@ class TestStepAndSimulate:
         # from a point mass the first-step normaliser is the ensemble mean,
         # so the qv slopes take exactly two values close to 0.4 and 1.6
         model = model_14()
-        plan = SimPlan(dt=1e-3, n_particles=20_000, seed=12)
-        ens = init_ensemble(model, plan)
-        advanced = step(ens, plan, model)
-        slopes = np.unique(advanced.qv / plan.dt)
+        plan = SimPlan(dt=1e-3, n_particles=20_000, checkpoints=(0.0, 1e-3), seed=12)
+        res = simulate(model, plan, HorizonConfig(T=plan.dt))
+        np.testing.assert_array_equal(res.times, [0.0, plan.dt])
+        slopes = np.unique(res.qv[1] / plan.dt)
         assert slopes.size == 2
         np.testing.assert_allclose(slopes, [0.4, 1.6], atol=0.02)
-        assert advanced.t == pytest.approx(plan.dt)
         # qv never decreases
-        assert np.all(advanced.qv >= ens.qv)
+        assert np.all(res.qv[1] >= res.qv[0])
 
     def test_gyongy_self_consistency(self):
         model = model_14()
@@ -149,10 +154,10 @@ class TestStepAndSimulate:
         rates[2:, 1, 0] = 5.0
         q = IntensityTable(rates=rates, x=xs)
         model = model_14(q=q)
-        plan = SimPlan(dt=1e-2, n_particles=1000, mode="jump_fbm", seed=13)
-        ens = init_ensemble(model, plan, Measure.point(-5.0))
-        advanced = step(ens, plan, model)
-        np.testing.assert_array_equal(advanced.Y, ens.Y)
+        plan = SimPlan(dt=1e-2, n_particles=1000, mode="jump_fbm",
+                       checkpoints=(0.0, 1e-2), seed=13)
+        res = simulate(model, plan, HorizonConfig(T=plan.dt), Measure.point(-5.0))
+        np.testing.assert_array_equal(res.Y[1], res.Y[0])
 
     def test_simulate_checkpoint_access(self):
         plan = SimPlan(dt=1e-2, n_particles=500, checkpoints=(0.05, 0.1), seed=2)
@@ -189,9 +194,6 @@ class TestPlanValidation:
         plan = SimPlan(dt=1e-2, n_particles=500, mode="rslv", seed=0)
         with pytest.raises(ValueError):
             simulate(model_14(q=SYM_Q), plan, HorizonConfig(T=0.1))
-        ens = init_ensemble(model_14(q=SYM_Q), plan)
-        with pytest.raises(ValueError):
-            step(ens, plan, model_14(q=SYM_Q))
 
     def test_jump_mode_needs_rates(self):
         plan = SimPlan(dt=1e-2, n_particles=500, mode="jump_fbm", seed=0)

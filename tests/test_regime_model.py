@@ -1,13 +1,15 @@
 """Coefficient fields, ratios, heat kernel and domain types."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rslv_lab.regime_model import (
-    HorizonConfig, IntensityTable, Measure, RegimeModel, StateVector,
+    HorizonConfig, IntensityTable, Measure, RegimeModel,
     coeff_matrix_a, coeff_matrix_a_eps, coeff_matrix_m, coeff_matrix_m_eps,
-    heat_kernel_convolve, ratio_r, ratio_r_eps,
+    ratio_r, ratio_r_eps,
 )
 
 INV_SQRT_2PI = 0.3989422804014327
@@ -134,20 +136,20 @@ class TestRatios:
 
 class TestHeatKernel:
     def test_point_mass_at_origin(self):
-        val = heat_kernel_convolve(Measure.point(0.0), 1.0, np.array([0.0]))
+        val = Measure.point(0.0).convolve_heat(1.0, np.array([0.0]))
         assert val[0] == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
     def test_unit_mass(self):
         x = np.linspace(-8, 8, 2001)
         for t in (0.25, 1.0, 2.0):
-            dens = heat_kernel_convolve(Measure.point(0.0), t, x)
+            dens = Measure.point(0.0).convolve_heat(t, x)
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-6)
 
     def test_gaussian_convolution_identity(self):
         x = np.linspace(-10, 10, 4001)
         sigma2 = 0.5
         mu = Measure.tabulated(x, np.exp(-x * x / (2 * sigma2)) / np.sqrt(2 * np.pi * sigma2))
-        out = heat_kernel_convolve(mu, 0.75, x)
+        out = mu.convolve_heat(0.75, x)
         v = sigma2 + 0.75
         ref = np.exp(-x * x / (2 * v)) / np.sqrt(2 * np.pi * v)
         np.testing.assert_allclose(out, ref, atol=1e-6)
@@ -155,7 +157,7 @@ class TestHeatKernel:
     def test_mixture_is_a_gaussian_mixture(self):
         mu = Measure.mixture([-1.0, 2.0], [0.25, 0.75])
         x = np.linspace(-8, 10, 1801)
-        out = heat_kernel_convolve(mu, 0.5, x)
+        out = mu.convolve_heat(0.5, x)
         ref = (0.25 * np.exp(-(x + 1.0) ** 2) + 0.75 * np.exp(-(x - 2.0) ** 2)) \
             / np.sqrt(np.pi)
         np.testing.assert_allclose(out, ref, atol=1e-14)
@@ -163,7 +165,7 @@ class TestHeatKernel:
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
-            heat_kernel_convolve(Measure.point(0.0), 0.0, np.array([0.0]))
+            Measure.point(0.0).convolve_heat(0.0, np.array([0.0]))
 
 
 class TestMeasure:
@@ -203,12 +205,16 @@ class TestModelTypes:
         with pytest.raises(ValueError):
             HorizonConfig(T=0.0)
         with pytest.raises(ValueError):
-            StateVector(np.array([0.0, 0.0]))
+            HorizonConfig(T=1.0, r=float("inf"))
+        with pytest.raises(ValueError):
+            HorizonConfig(T=float("nan"))
+        with pytest.raises(ValueError):
+            coeff_matrix_m(np.zeros(2), RegimeModel(lam=[1.0, 2.0], alpha=[0.5, 0.5]))
 
     def test_json_round_trip(self):
         q = IntensityTable(rates=np.array([[0.0, 2.0], [1.0, 0.0]]))
         m = RegimeModel(lam=[1.0, 4.0], alpha=[0.25, 0.75], q=q)
-        again = RegimeModel.from_json(m.to_json())
+        again = RegimeModel.from_dict(json.loads(json.dumps(m.to_dict())))
         np.testing.assert_array_equal(again.lam, m.lam)
         np.testing.assert_array_equal(again.alpha, m.alpha)
         np.testing.assert_array_equal(again.q.rates, m.q.rates)

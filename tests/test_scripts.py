@@ -1,0 +1,43 @@
+"""Smoke runs of the experiment scripts through their main()."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from rslv_lab import cli
+from rslv_lab.stats import bs_call
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_condition_c_map_points_match_check_c(tmp_path):
+    script = load_script("condition_c_map")
+    points = tmp_path / "map.csv"
+    assert script.main(["--lambda", "1,2,3,5,10", "--n", "60", "--samples", "2000",
+                        "--out", str(points)]) == 0
+    grid = tmp_path / "grid.csv"
+    assert cli.main(["check-c", "--lambda", "1,2,3,5,10", "--method", "grid",
+                     "--n", "60", "--out", str(grid)]) == 0
+    assert points.read_bytes() == grid.read_bytes()
+    assert len(points.read_text().splitlines()) > 1
+
+
+def test_calibrate_flat_vol_prints_the_ladder(capsys):
+    script = load_script("calibrate_flat_vol")
+    code = script.main(["--n", "2000", "--T", "0.1", "--strikes", "0.9,1.0,1.1"])
+    assert code in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert [float(r[0]) for r in rows] == [0.9, 1.0, 1.1]
+    for k, price, se, ref, _ in rows:
+        assert float(ref) == pytest.approx(bs_call(1.0, float(k), 0.2, 0.1), abs=1e-5)
+        assert float(se) > 0
+    assert lines[-1].startswith("largest |pull| =")
