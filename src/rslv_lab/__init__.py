@@ -20,7 +20,7 @@ from .condition_c import (
 )
 from .fokker_planck import (
     SpatialGrid, PDSConfig, GridSolution, NumericalError,
-    mollify_initial, solve_fbm, solve_jump_fbm, solve_rslv, solve_lv,
+    solve_fbm, solve_jump_fbm, solve_rslv, solve_lv,
 )
 from .dupire import VolSurface, ArbitrageError, dupire_from_calls
 from .particles import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_banded
 
-__all__ = ["block_tridiag_to_banded", "solve_block_tridiag", "block_tridiag_matvec"]
+__all__ = ["block_tridiag_to_banded", "solve_block_tridiag"]
 
 
 def block_tridiag_to_banded(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -40,11 +40,3 @@ def solve_block_tridiag(diag, lower, upper, rhs: np.ndarray) -> np.ndarray:
     x = solve_banded((kl, ku), ab, rhs.reshape(m * d))
     return x.reshape(m, d)
 
-
-def block_tridiag_matvec(diag, lower, upper, v: np.ndarray) -> np.ndarray:
-    """Apply the block-tridiagonal operator to v of shape (m, d)."""
-    out = np.einsum("mij,mj->mi", diag, v)
-    if diag.shape[0] > 1:
-        out[1:] += np.einsum("mij,mj->mi", lower, v[:-1])
-        out[:-1] += np.einsum("mij,mj->mi", upper, v[1:])
-    return out

@@ -57,48 +57,54 @@ def _require(cfg: dict, key: str, kind=dict):
     return value
 
 
-def _model_from(cfg: dict) -> RegimeModel:
+def _section(name: str, raw, build, known=None):
+    """``build(raw)`` for one config section, whose faults become ConfigError.
+
+    Keys outside ``known`` are refused, so a misspelt or retired key fails.
+    """
+    if known is not None:
+        unknown = sorted(set(raw) - known)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in the {name!r} section: "
+                              + ", ".join(unknown))
     try:
-        return RegimeModel.from_dict(_require(cfg, "model"))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
+        return build(raw)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"invalid {name} section: {detail}") from exc
+
+
+def _model_from(cfg: dict) -> RegimeModel:
+    return _section("model", _require(cfg, "model"), RegimeModel.from_dict,
+                    known={"lambda", "alpha", "q"})
 
 
 def _horizon_from(cfg: dict) -> HorizonConfig:
-    raw = _require(cfg, "horizon")
-    try:
-        return HorizonConfig(T=float(raw["T"]), r=float(raw.get("r", 0.0)))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid horizon: {exc}") from exc
+    return _section("horizon", _require(cfg, "horizon"), lambda raw: HorizonConfig(
+        T=float(raw["T"]), r=float(raw.get("r", 0.0))), known={"T", "r"})
 
 
 def _grid_from(cfg: dict) -> SpatialGrid:
-    raw = _require(cfg, "grid")
-    try:
-        return SpatialGrid(L=float(raw["L"]), m=int(raw["m"]))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    return _section("grid", _require(cfg, "grid"), lambda raw: SpatialGrid(
+        L=float(raw["L"]), m=int(raw["m"])), known={"L", "m"})
 
 
 def _pds_from(cfg: dict) -> PDSConfig:
-    raw = _require(cfg, "pds")
-    try:
+    def build(raw):
         return PDSConfig(
             dt=float(raw["dt"]),
             eps_reg=None if raw.get("eps_reg") is None else float(raw["eps_reg"]),
             sigma_mollify=float(raw.get("sigma_mollify", 0.0)),
-            mass_lumping=bool(raw.get("mass_lumping", False)),
             n_outputs=int(raw.get("n_outputs", 11)),
             output_times=None if raw.get("output_times") is None
             else tuple(float(t) for t in raw["output_times"]),
         )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid pds section: {exc}") from exc
+    return _section("pds", _require(cfg, "pds"), build, known={
+        "dt", "eps_reg", "sigma_mollify", "n_outputs", "output_times"})
 
 
 def _plan_from(cfg: dict, mode: str) -> SimPlan:
-    raw = _require(cfg, "sim")
-    try:
+    def build(raw):
         return SimPlan(
             dt=float(raw["dt"]),
             n_particles=int(raw["n_particles"]),
@@ -108,29 +114,21 @@ def _plan_from(cfg: dict, mode: str) -> SimPlan:
             checkpoints=tuple(float(t) for t in raw.get("checkpoints", [1.0])),
             seed=int(raw.get("seed", cfg.get("seed", 0))),
         )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid sim section: {exc}") from exc
+    return _section("sim", _require(cfg, "sim"), build, known={
+        "dt", "n_particles", "bandwidth_c", "regression_grid", "checkpoints", "seed"})
 
 
 def _initial_from(cfg: dict) -> Measure:
-    raw = cfg.get("initial", {"kind": "point", "x": 0.0})
-    try:
-        return Measure.from_dict(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid initial measure: {exc}") from exc
+    return _section("initial", cfg.get("initial", {"kind": "point", "x": 0.0}),
+                    Measure.from_dict)
 
 
 def _surface_from(cfg: dict, base: str) -> VolSurface:
-    raw = _require(cfg, "surface")
-    try:
+    def build(raw):
         if "file" in raw:
-            path = raw["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base, path)
-            return VolSurface.load(path)
+            return VolSurface.load(os.path.join(base, raw["file"]))
         return VolSurface.from_dict(raw)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(f"invalid surface: {exc}") from exc
+    return _section("surface", _require(cfg, "surface"), build)
 
 
 def _out_dir(cfg: dict, args) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,17 +34,15 @@ class ArbitrageError(ValueError):
 class VolSurface:
     """Bounded local-volatility function on log-price coordinates.
 
-    kind is one of "constant", "parametric" (a callable of (t, x)) or
-    "tabulated" (bilinear interpolation on a rectangular (t, x) grid with
-    clamped extrapolation).  Every evaluation is clamped to
-    [sigma_low, sigma_high].
+    kind is "constant" (one value everywhere) or "tabulated" (bilinear
+    interpolation on a rectangular (t, x) grid with clamped extrapolation).
+    Every evaluation is clamped to [sigma_low, sigma_high].
     """
 
     kind: str
     sigma_low: float = 0.01
     sigma_high: float = 2.0
     value: float = 0.0
-    fn: Callable | None = None
     t_nodes: np.ndarray | None = None
     x_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -56,9 +53,6 @@ class VolSurface:
         if self.kind == "constant":
             if not self.value > 0:
                 raise ValueError("constant surface needs a positive value")
-        elif self.kind == "parametric":
-            if self.fn is None:
-                raise ValueError("parametric surface needs a callable")
         elif self.kind == "tabulated":
             t = np.asarray(self.t_nodes, dtype=float)
             x = np.asarray(self.x_nodes, dtype=float)
@@ -81,11 +75,6 @@ class VolSurface:
                    sigma_high=sigma_high)
 
     @classmethod
-    def parametric(cls, fn: Callable, sigma_low: float = 0.01,
-                   sigma_high: float = 2.0) -> "VolSurface":
-        return cls(kind="parametric", fn=fn, sigma_low=sigma_low, sigma_high=sigma_high)
-
-    @classmethod
     def tabulated(cls, t_nodes, x_nodes, values, sigma_low: float = 0.01,
                   sigma_high: float = 2.0) -> "VolSurface":
         return cls(kind="tabulated", t_nodes=np.atleast_1d(np.asarray(t_nodes, dtype=float)),
@@ -97,8 +86,6 @@ class VolSurface:
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             raw = np.full(x.shape, self.value) if x.ndim else self.value
-        elif self.kind == "parametric":
-            raw = self.fn(t, x)
         else:
             raw = self._bilinear(float(t), x)
         out = np.clip(raw, self.sigma_low, self.sigma_high)
@@ -121,10 +108,7 @@ class VolSurface:
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.zeros(x.shape) if x.ndim else 0.0
-        if self.kind == "tabulated":
-            step = 0.5 * float(np.min(np.diff(self.x_nodes)))
-        else:
-            step = 1e-5
+        step = 0.5 * float(np.min(np.diff(self.x_nodes)))
         return (self.sigma(t, x + step) - self.sigma(t, x - step)) / (2.0 * step)
 
     def to_dict(self) -> dict:
@@ -132,12 +116,10 @@ class VolSurface:
                "sigma_high": self.sigma_high}
         if self.kind == "constant":
             out["value"] = self.value
-        elif self.kind == "tabulated":
+        else:
             out["t"] = self.t_nodes.tolist()
             out["x"] = self.x_nodes.tolist()
             out["values"] = self.values.tolist()
-        else:
-            raise ValueError("parametric surfaces are not serialisable")
         return out
 
     def save(self, path) -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "Diagnostics",
     "GridSolution",
     "NumericalError",
-    "mollify_initial",
     "solve_fbm",
     "solve_jump_fbm",
     "solve_rslv",
@@ -89,7 +88,6 @@ class PDSConfig:
     dt: float
     eps_reg: float | None = None
     sigma_mollify: float = 0.0
-    mass_lumping: bool = False
     n_outputs: int = 11
     output_times: tuple | None = None
 
@@ -134,9 +132,32 @@ class GridSolution:
 
     def at_time(self, t: float) -> np.ndarray:
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
+        if abs(self.times[k] - t) > time_tolerance(t):
             raise KeyError(f"no recorded output near t={t}")
         return self.p[k]
+
+
+def time_tolerance(t: float) -> float:
+    """How far a recorded time may lie from the time t that names it."""
+    return 1e-9 + 1e-6 * max(1.0, abs(t))
+
+
+def step_at(t: float, T: float, n_steps: int) -> int:
+    """Index k of the step time k * T / n_steps that t names.
+
+    A requested time must be finite, lie in [0, T] and be within
+    time_tolerance(t) of a step time; anything else raises ValueError.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"requested time {t} is not finite")
+    dt = T / n_steps
+    k = int(round(t / dt))
+    if not 0 <= k <= n_steps:
+        raise ValueError(f"requested time {t} lies outside [0, {T}]")
+    if abs(k * dt - t) > time_tolerance(t):
+        raise ValueError(f"requested time {t} is not on the step grid (dt = {dt})")
+    return k
 
 
 def _per_regime(mu, d: int) -> list:
@@ -147,33 +168,18 @@ def _per_regime(mu, d: int) -> list:
     return mus
 
 
-def mollify_initial(mu, sigma: float, grid: SpatialGrid, alpha) -> np.ndarray:
-    """Initial rows p0_i = alpha_i * (mu_i * h_{sigma^2}) sampled on the grid.
-
-    ``mu`` is a single measure (shared x-law) or one measure per regime.
-    Atomic measures require sigma > 0.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    mus = _per_regime(mu, alpha.size)
-    return np.stack([a * m.density_on(grid.x, sigma) for a, m in zip(alpha, mus)])
-
-
 def _default_eps(lam: np.ndarray, grid: SpatialGrid) -> float:
     return 1e-10 * float(lam.min()) / (2.0 * grid.L)
 
 
-def _project_initial(mu, sigma: float, grid: SpatialGrid, alpha,
-                     lumped: bool = False) -> np.ndarray:
-    """Orthogonal L2 projection of the mollified initial rows onto the hat basis.
+def _project_initial(mu, sigma: float, grid: SpatialGrid, alpha) -> np.ndarray:
+    """L2 projection of the rows alpha_i * (mu_i * h_{sigma^2}) onto the hat basis.
 
+    ``mu`` is a single measure (shared x-law) or one measure per regime.
     Element-wise Gauss-Legendre quadrature of the load vector followed by one
-    tridiagonal mass solve per distinct measure.  With mass lumping the
-    projection degenerates to nodal sampling, so plain mollify_initial values
-    are returned instead.
+    tridiagonal mass solve per distinct measure.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if lumped:
-        return mollify_initial(mu, sigma, grid, alpha)
     d = alpha.size
     mus = _per_regime(mu, d)
     m, h = grid.m, grid.h
@@ -203,13 +209,8 @@ def _project_initial(mu, sigma: float, grid: SpatialGrid, alpha,
     return rows
 
 
-def _mass_apply(u: np.ndarray, h: float, lumped: bool) -> np.ndarray:
+def _mass_apply(u: np.ndarray, h: float) -> np.ndarray:
     """(W u) for the P1 mass matrix, acting nodewise on (m, d) arrays."""
-    if lumped:
-        out = h * u.copy()
-        out[0] *= 0.5
-        out[-1] *= 0.5
-        return out
     out = np.empty_like(u)
     out[1:-1] = (h / 6.0) * (u[:-2] + 4.0 * u[1:-1] + u[2:])
     out[0] = (h / 6.0) * (2.0 * u[0] + u[1])
@@ -221,24 +222,21 @@ def _output_steps(T: float, dt: float, config: PDSConfig):
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     if config.output_times is not None:
-        times = np.asarray(config.output_times, dtype=float)
-    else:
-        times = np.linspace(0.0, T, max(2, config.n_outputs))
-    steps = np.unique(np.clip(np.round(times / dt_eff).astype(int), 0, n_steps))
+        return n_steps, dt_eff, {step_at(t, T, n_steps) for t in config.output_times}
+    times = np.linspace(0.0, T, max(2, config.n_outputs))
+    steps = np.clip(np.round(times / dt_eff).astype(int), 0, n_steps)
     return n_steps, dt_eff, set(int(s) for s in steps)
 
 
 def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
-             horizon, config: PDSConfig, system: str,
+             horizon, config: PDSConfig,
              surface: VolSurface | None = None, q_table=None) -> GridSolution:
+    """Step p0 to the horizon; a surface adds the rate and leverage drifts."""
     d = lam.size
     m, h = grid.m, grid.h
     x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
     eps = config.eps_reg if config.eps_reg is not None else _default_eps(lam, grid)
     n_steps, dt, out_steps = _output_steps(horizon.T, config.dt, config)
-    lumped = config.mass_lumping
-    with_drift = system in ("rslv", "lv")
-    r = horizon.r if with_drift else 0.0
     eye = np.eye(d)
 
     U = np.ascontiguousarray(p0.T, dtype=float)          # (m, d)
@@ -246,53 +244,45 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         raise ValueError("initial data must have shape (d, m)")
 
     # static mass blocks
-    if lumped:
-        mass_diag = np.full(m, h)
-        mass_diag[0] = mass_diag[-1] = 0.5 * h
-        mass_off = 0.0
-    else:
-        mass_diag = np.full(m, 2.0 * h / 3.0)
-        mass_diag[0] = mass_diag[-1] = h / 3.0
-        mass_off = h / 6.0
+    mass_diag = np.full(m, 2.0 * h / 3.0)
+    mass_diag[0] = mass_diag[-1] = h / 3.0
+    mass_off = h / 6.0
 
     # exchange coupling, transposed so rows act on the test-function regime
-    if q_table is not None:
-        if q_table.is_constant:
-            c_mid = np.broadcast_to(q_table.value(0.0).T, (m - 1, d, d))
-            c_node = np.broadcast_to(q_table.value(0.0).T, (m, d, d))
-        else:
-            c_mid = np.stack([q_table.value(v).T for v in x_mid])
-            c_node = np.stack([q_table.value(v).T for v in grid.x])
+    if q_table is None:
+        c_mid = None
+    elif q_table.is_constant:
+        c_mid = np.broadcast_to(q_table.value(0.0).T, (m - 1, d, d))
     else:
-        c_mid = c_node = None
+        c_mid = np.stack([q_table.value(v).T for v in x_mid])
 
     tw = grid.trapezoid_weights()
     records, rec_times = [], []
     masses, minvals, l2s, bmasses = [], [], [], []
     max_drift = 0.0
     max_energy_inc = -math.inf
-    boundary_warning = False
 
-    def record(t):
+    def record(t, wu):
         rec_times.append(t)
         records.append(U.T.copy())
         masses.append(tw @ U)
         minvals.append(float(U.min()))
-        wu = _mass_apply(U, h, lumped)
         l2s.append(np.sqrt(np.maximum(np.einsum("md,md->d", U, wu), 0.0)))
         u_tot = U.sum(axis=1)
         bmasses.append(0.5 * h * (u_tot[0] + u_tot[1] + u_tot[-2] + u_tot[-1]))
 
-    record(0.0)
+    # W U serves the energy, the L2 norms and the next right-hand side
+    WU = _mass_apply(U, h)
+    record(0.0, WU)
     wall = time.perf_counter()
     total_mass = float((tw @ U).sum())
-    energy = float(np.einsum("md,md->", U, _mass_apply(U, h, lumped)))
+    energy = float(np.einsum("md,md->", U, WU))
 
     for step in range(n_steps):
         t_n = step * dt
         pm = 0.5 * (U[:-1] + U[1:])                      # (m-1, d)
         a_e = a_eps_batch(pm, lam, eps)
-        if with_drift:
+        if surface is not None:
             s_e = np.asarray(surface.sigma(t_n, x_mid), dtype=float)
             coef = (s_e * s_e)[:, None, None] * a_e
         else:
@@ -304,20 +294,16 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         off = mass_off * eye[None, :, :] - (dt / h) * coef
 
         if c_mid is not None:
-            if lumped:
-                lump = mass_diag[:, None, None]
-                diag -= dt * lump * c_node
-            else:
-                diag[:-1] -= dt * (h / 3.0) * c_mid
-                diag[1:] -= dt * (h / 3.0) * c_mid
-                off -= dt * (h / 6.0) * c_mid
+            diag[:-1] -= dt * (h / 3.0) * c_mid
+            diag[1:] -= dt * (h / 3.0) * c_mid
+            off -= dt * (h / 6.0) * c_mid
 
-        rhs = _mass_apply(U, h, lumped)
-        if with_drift:
+        rhs = WU
+        if surface is not None:
             ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
             r_e = ratio_r_eps_batch(pm, lam, eps)
             c_lev = 0.5 * r_e * s_e * (s_e + 2.0 * ds_e)            # (m-1,)
-            b_e = r - c_lev[:, None] * lam[None, :]                 # (m-1, d)
+            b_e = horizon.r - c_lev[:, None] * lam[None, :]         # (m-1, d)
             flux = b_e * pm
             rhs[:-1] -= dt * flux
             rhs[1:] += dt * flux
@@ -332,12 +318,13 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         new_mass = float((tw @ U).sum())
         max_drift = max(max_drift, abs(new_mass - total_mass) / max(abs(total_mass), 1e-300))
         total_mass = new_mass
-        new_energy = float(np.einsum("md,md->", U, _mass_apply(U, h, lumped)))
+        WU = _mass_apply(U, h)
+        new_energy = float(np.einsum("md,md->", U, WU))
         max_energy_inc = max(max_energy_inc, new_energy - energy)
         energy = new_energy
 
         if (step + 1) in out_steps:
-            record((step + 1) * dt)
+            record((step + 1) * dt, WU)
 
     bm = np.asarray(bmasses)
     boundary_warning = bool(np.any(bm > 1e-4))
@@ -362,9 +349,8 @@ def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
     """Driftless sub-density system for a constant-in-time regime variable."""
     if model.q is not None:
         raise ValueError("the driftless system has no jumps; use solve_jump_fbm")
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha,
-                          lumped=config.mass_lumping)
-    return _advance(model.lam, p0, grid, horizon, config, system="fbm")
+    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
+    return _advance(model.lam, p0, grid, horizon, config)
 
 
 def solve_jump_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
@@ -372,28 +358,23 @@ def solve_jump_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
     """Driftless system with regime exchange: adds (Qv, p) to the weak form."""
     if model.q is None:
         raise ValueError("jump system needs an intensity table")
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha,
-                          lumped=config.mass_lumping)
-    return _advance(model.lam, p0, grid, horizon, config, system="jump",
-                    q_table=model.q)
+    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
+    return _advance(model.lam, p0, grid, horizon, config, q_table=model.q)
 
 
 def solve_rslv(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
                horizon, surface: VolSurface, initial) -> GridSolution:
     """Full system with rate drift, leverage drift, scaled diffusion and jumps."""
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha,
-                          lumped=config.mass_lumping)
-    return _advance(model.lam, p0, grid, horizon, config, system="rslv",
+    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
+    return _advance(model.lam, p0, grid, horizon, config,
                     surface=surface, q_table=model.q)
 
 
 def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
              surface: VolSurface, initial) -> GridSolution:
     """Scalar local-volatility equation (the d = 1 reduction of the full system)."""
-    p0 = _project_initial(initial, config.sigma_mollify, grid, np.array([1.0]),
-                          lumped=config.mass_lumping)
-    return _advance(np.array([1.0]), p0, grid, horizon, config, system="lv",
-                    surface=surface)
+    p0 = _project_initial(initial, config.sigma_mollify, grid, np.array([1.0]))
+    return _advance(np.array([1.0]), p0, grid, horizon, config, surface=surface)
 
 
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dupire import VolSurface
-from .fokker_planck import NumericalError
+from .fokker_planck import NumericalError, step_at, time_tolerance
 from .regime_model import Measure, RegimeModel
 from .stats import mc_stderr
 
@@ -189,7 +189,7 @@ class SimResult:
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
+        if abs(self.times[k] - t) > time_tolerance(t):
             raise KeyError(f"no checkpoint near t={t}")
         return self.X[k], self.Y[k], self.qv[k]
 
@@ -201,8 +201,10 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
 
     Each step is one Euler-Maruyama step with the conditional expectation
     frozen at the current ensemble.  Deterministic for a given (seed, plan,
-    model): identical inputs give bit-identical trajectories.  Non-finite
-    positions or ensemble spread raise NumericalError with the step index.
+    model): identical inputs give bit-identical trajectories.  Checkpoints
+    must lie on the step grid k * T / n_steps (ValueError otherwise).
+    Non-finite positions or ensemble spread raise NumericalError with the
+    step index.
     """
     plan.validate(model)
     if plan.mode == "rslv" and surface is None:
@@ -217,10 +219,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in plan.checkpoints:
-        k = int(round(float(tc) / dt))
-        if not 0 <= k <= n_steps:
-            raise ValueError(f"checkpoint {tc} outside the horizon")
-        check_steps.setdefault(k, float(tc))
+        check_steps.setdefault(step_at(tc, T, n_steps), float(tc))
 
     times, xs, ys, qvs, occ = [], [], [], [], []
     ratios = np.empty(n_steps)

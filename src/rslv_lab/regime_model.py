@@ -309,6 +309,8 @@ class Measure:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if xs.shape != w.shape or xs.ndim != 1:
             raise ValueError("xs and weights must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(w))):
+            raise ValueError("measure locations and weights must be finite")
         if self.kind == "point" and xs.size != 1:
             raise ValueError("a point mass has a single location")
         if self.kind == "tabulated":

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rslv_lab.banded import (block_tridiag_matvec, block_tridiag_to_banded,
-                             solve_block_tridiag)
+from rslv_lab.banded import block_tridiag_to_banded, solve_block_tridiag
 
 
 def dense_from_blocks(diag, lower, upper):
@@ -37,14 +36,6 @@ def test_solve_matches_dense(m, d, seed):
     x = solve_block_tridiag(diag, lower, upper, rhs)
     ref = np.linalg.solve(dense_from_blocks(diag, lower, upper), rhs.reshape(-1))
     np.testing.assert_allclose(x.reshape(-1), ref, rtol=1e-9, atol=1e-9)
-
-
-def test_matvec_matches_dense():
-    rng = np.random.default_rng(5)
-    diag, lower, upper, rhs = random_system(rng, 7, 3)
-    out = block_tridiag_matvec(diag, lower, upper, rhs)
-    ref = dense_from_blocks(diag, lower, upper) @ rhs.reshape(-1)
-    np.testing.assert_allclose(out.reshape(-1), ref, rtol=1e-12, atol=1e-12)
 
 
 def test_banded_layout():

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rslv_lab import cli
 from rslv_lab.stats import normal_cdf
@@ -186,6 +187,42 @@ class TestSimulateCommands:
         data["model"]["q"] = [[0.0, 200.0], [200.0, 0.0]]
         cfg.write_text(json.dumps(data))
         assert cli.main(["simulate-jump", str(cfg)]) == 2
+
+
+# (command, section, entries merged into it): each one is a config error
+BAD_SECTIONS = [
+    pytest.param("solve-fbm", "pds", {"dt": None}, id="pds-null"),
+    pytest.param("solve-fbm", "pds", {"dt": [2e-3]}, id="pds-list"),
+    pytest.param("solve-fbm", "pds", {"mass_lumping": True}, id="pds-unknown-key"),
+    pytest.param("solve-fbm", "pds", {"output_times": [0.055]}, id="pds-off-grid-time"),
+    pytest.param("solve-fbm", "pds", {"output_times": [0.1, 5.0]}, id="pds-time-past-T"),
+    pytest.param("solve-fbm", "model", {"Q": [[0.0, 1.0], [1.0, 0.0]]},
+                 id="model-unknown-key"),
+    pytest.param("solve-fbm", "horizon", {"R": 0.05}, id="horizon-unknown-key"),
+    pytest.param("solve-fbm", "grid", {"L": None}, id="grid-null"),
+    pytest.param("solve-fbm", "grid", {"L": [6]}, id="grid-list"),
+    pytest.param("solve-fbm", "grid", {"nodes": 101}, id="grid-unknown-key"),
+    pytest.param("solve-fbm", "initial", {"x": float("inf")}, id="solve-infinite-point"),
+    pytest.param("simulate-fbm", "sim", {"dt": None}, id="sim-null"),
+    pytest.param("simulate-fbm", "sim", {"n_particles": [500]}, id="sim-list"),
+    pytest.param("simulate-fbm", "sim", {"n_particle": 500}, id="sim-unknown-key"),
+    pytest.param("simulate-fbm", "sim", {"checkpoints": [0.055]}, id="sim-off-grid-time"),
+    pytest.param("simulate-fbm", "sim", {"checkpoints": [5.0]}, id="sim-time-past-T"),
+    pytest.param("simulate-fbm", "initial", {"x": float("inf")},
+                 id="simulate-infinite-point"),
+]
+
+
+@pytest.mark.parametrize("command,section,entries", BAD_SECTIONS)
+def test_bad_section_is_a_config_error(tmp_path, capsys, command, section, entries):
+    make = small_solve_config if command.startswith("solve") else small_sim_config
+    path = make(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg[section].update(entries)
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDupireBuild:

@@ -6,9 +6,8 @@ import pytest
 from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
 from rslv_lab.fokker_planck import (PDSConfig, SpatialGrid,
-                                    l1_grid_distance, mollify_initial,
-                                    solve_fbm, solve_jump_fbm, solve_lv,
-                                    solve_rslv)
+                                    l1_grid_distance, solve_fbm,
+                                    solve_jump_fbm, solve_lv, solve_rslv)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -27,22 +26,20 @@ SYM_Q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
 class TestMollify:
     def test_point_mass_rows(self):
         grid = SpatialGrid(L=7.0, m=701)
-        rows = mollify_initial(Measure.point(0.0), 0.1, grid, [0.3, 0.7])
-        np.testing.assert_allclose(rows[0], 0.3 * gaussian(grid.x, 0.01), atol=1e-12)
-        tw = grid.trapezoid_weights()
-        np.testing.assert_allclose(rows @ tw, [0.3, 0.7], atol=1e-6)
+        dens = Measure.point(0.0).density_on(grid.x, 0.1)
+        np.testing.assert_allclose(dens, gaussian(grid.x, 0.01), atol=1e-12)
+        assert grid.trapezoid_weights() @ dens == pytest.approx(1.0, abs=1e-6)
 
     def test_tabulated_identity_without_mollification(self):
         grid = SpatialGrid(L=2.0, m=41)
         dens = np.maximum(1.0 - np.abs(grid.x), 0.0)
         mu = Measure.tabulated(grid.x, dens)
-        rows = mollify_initial(mu, 0.0, grid, [1.0])
-        np.testing.assert_allclose(rows[0], dens, atol=0)
+        np.testing.assert_allclose(mu.density_on(grid.x, 0.0), dens, atol=0)
 
     def test_atom_needs_width(self):
         grid = SpatialGrid(L=2.0, m=41)
         with pytest.raises(ValueError):
-            mollify_initial(Measure.point(0.0), 0.0, grid, [1.0])
+            Measure.point(0.0).density_on(grid.x, 0.0)
 
 
 class TestFbmSolver:
@@ -109,16 +106,6 @@ class TestFbmSolver:
         with pytest.raises(ValueError):
             solve_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.1),
                       Measure.point(0.0))
-
-    def test_lumped_mass_variant_runs(self):
-        grid = SpatialGrid(L=6.0, m=301)
-        cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=4, mass_lumping=True)
-        sol = solve_fbm(model_14(), cfg, grid, HorizonConfig(T=0.3), Measure.point(0.0))
-        worst = max(l1_grid_distance(grid, sol.total_density(k), gaussian(grid.x, 0.09 + t))
-                    for k, t in enumerate(sol.times) if t > 0)
-        assert worst <= 2e-2
-        masses = sol.diagnostics.masses
-        assert np.abs(masses - masses[0]).max() <= 1e-10
 
 
 class TestJumpSolver:

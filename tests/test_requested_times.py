@@ -1,0 +1,65 @@
+"""Requested output times and checkpoints are recorded exactly or rejected."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_fbm
+from rslv_lab.particles import SimPlan, simulate
+from rslv_lab.regime_model import HorizonConfig, Measure, RegimeModel
+
+MODEL = RegimeModel(lam=[1.0, 4.0], alpha=[0.5, 0.5])
+GRID = SpatialGrid(L=4.0, m=21)
+
+
+def on_step_grid(t, T, n_steps):
+    """t names a step time k * T / n_steps within the recording tolerance."""
+    tol = 1e-9 + 1e-6 * max(1.0, abs(t))
+    return any(abs(t - k * T / n_steps) <= tol for k in range(n_steps + 1))
+
+
+@st.composite
+def requests(draw):
+    """(T, dt, n_steps, times): times mix step times with arbitrary values."""
+    T = draw(st.floats(0.01, 1.0))
+    dt = draw(st.floats(T / 12, T))
+    n_steps = max(1, round(T / dt))
+    step_time = st.integers(0, n_steps).map(lambda k: k * T / n_steps)
+    anywhere = st.floats(-0.5, 2.0)
+    times = draw(st.lists(st.one_of(step_time, anywhere), min_size=1, max_size=4))
+    return T, dt, n_steps, times
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests())
+def test_grid_output_times_are_recorded_or_rejected(case):
+    T, dt, n_steps, times = case
+    cfg = PDSConfig(dt=dt, sigma_mollify=0.3, output_times=tuple(times))
+    hor = HorizonConfig(T=T)
+    if not all(on_step_grid(t, T, n_steps) for t in times):
+        with pytest.raises(ValueError):
+            solve_fbm(MODEL, cfg, GRID, hor, Measure.point(0.0))
+        return
+    sol = solve_fbm(MODEL, cfg, GRID, hor, Measure.point(0.0))
+    for t in times:
+        sol.at_time(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests())
+def test_checkpoints_are_recorded_at_their_step_or_rejected(case):
+    T, dt, n_steps, times = case
+    plan = SimPlan(dt=dt, n_particles=100, checkpoints=tuple(times), seed=7)
+    hor = HorizonConfig(T=T)
+    if not all(on_step_grid(t, T, n_steps) for t in times):
+        with pytest.raises(ValueError):
+            simulate(MODEL, plan, hor)
+        return
+    res = simulate(MODEL, plan, hor)
+    # the same seed recorded at every step tells which step each checkpoint holds
+    every = SimPlan(dt=dt, n_particles=100, seed=7,
+                    checkpoints=tuple(k * T / n_steps for k in range(n_steps + 1)))
+    ref = simulate(MODEL, every, hor)
+    for t in times:
+        k = round(t * n_steps / T)
+        np.testing.assert_array_equal(res.at_time(t)[0], ref.X[k])
