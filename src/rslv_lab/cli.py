@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain, islice
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .regime_model import HorizonConfig, Measure, RegimeModel
 __all__ = ["main", "ConfigError", "write_csv", "write_snapshots"]
 
 _FLOAT_FMT = "%.17g"
+_CSV_BLOCK = 4096
 
 
 class ConfigError(ValueError):
@@ -103,7 +105,8 @@ def _pds_from(cfg: dict) -> PDSConfig:
         "dt", "eps_reg", "sigma_mollify", "n_outputs", "output_times"})
 
 
-def _plan_from(cfg: dict, mode: str) -> SimPlan:
+def _plan_from(cfg: dict, mode: str, T: float) -> SimPlan:
+    """The ``sim`` section; without ``checkpoints`` the one checkpoint is T."""
     def build(raw):
         return SimPlan(
             dt=float(raw["dt"]),
@@ -111,7 +114,7 @@ def _plan_from(cfg: dict, mode: str) -> SimPlan:
             mode=mode,
             bandwidth_c=float(raw.get("bandwidth_c", 1.06)),
             regression_grid=int(raw.get("regression_grid", 400)),
-            checkpoints=tuple(float(t) for t in raw.get("checkpoints", [1.0])),
+            checkpoints=tuple(float(t) for t in raw.get("checkpoints", [T])),
             seed=int(raw.get("seed", cfg.get("seed", 0))),
         )
     return _section("sim", _require(cfg, "sim"), build, known={
@@ -138,11 +141,18 @@ def _out_dir(cfg: dict, args) -> str:
 
 
 def write_csv(path: str, header: str, rows) -> None:
-    """One header line, then each row's values at 17 significant digits."""
+    """One header line, then each row's values at 17 significant digits.
+
+    Rows are formatted _CSV_BLOCK at a time, with one ``%`` per block, so
+    the text in memory stays bounded; every row has as many values as the
+    first.
+    """
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+        while block := list(islice(rows, _CSV_BLOCK)):
+            line = ",".join([_FLOAT_FMT] * len(block[0])) + "\n"
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot") -> dict:
@@ -332,7 +342,7 @@ def _cmd_simulate(args, mode: str) -> int:
     cfg = _load_config(args.config)
     model = _model_from(cfg)
     horizon = _horizon_from(cfg)
-    plan = _plan_from(cfg, mode)
+    plan = _plan_from(cfg, mode, horizon.T)
     initial = _initial_from(cfg)
     out = _out_dir(cfg, args)
     base = os.path.dirname(os.path.abspath(args.config))

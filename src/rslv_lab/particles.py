@@ -62,6 +62,8 @@ class SimPlan:
             raise ValueError("need at least 100 particles")
         if self.regression_grid < 2:
             raise ValueError("regression grid needs at least two nodes")
+        if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0):
+            raise ValueError("bandwidth constant must be positive and finite")
 
     @property
     def uses_jumps(self) -> bool:
@@ -79,10 +81,15 @@ class SimPlan:
 
 @dataclass(frozen=True)
 class Regression:
-    """Piecewise-linear conditional-expectation estimate on a fixed grid."""
+    """Piecewise-linear conditional-expectation estimate on a fixed grid.
+
+    ``at_samples`` holds the estimate at the ensemble's own positions, clamped
+    to [lam_min, lam_max]: the values of ``np.clip(self(x), lam_min, lam_max)``.
+    """
 
     grid: np.ndarray
     values: np.ndarray
+    at_samples: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(x, self.grid, self.values)
@@ -116,8 +123,9 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
     kernel sums are accumulated by linear binning onto the regression grid
     (grid spans the sample range +/- 4 bandwidths).  Nodes with vanishing
-    kernel mass take the ensemble mean of f^2(Y).  A non-finite spread of X
-    raises FloatingPointError.
+    kernel mass take the ensemble mean of f^2(Y).  The estimate at the
+    particles themselves (``at_samples``) is read off the same bins.  A
+    non-finite spread of X raises FloatingPointError.
     """
     if x.size < 100:
         raise ValueError("need at least 100 particles for the kernel estimate")
@@ -130,7 +138,8 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     G = plan.regression_grid
     if sd < 1e-12:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
-        return Regression(grid=grid, values=np.full(2, _clamp(mean_lam, model)))
+        v = _clamp(mean_lam, model)
+        return Regression(grid=grid, values=np.full(2, v), at_samples=np.full(x.size, v))
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
     hi = float(x.max()) + 4.0 * delta
@@ -140,39 +149,85 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     pos = (x - lo) / step_w
     i0 = np.floor(pos).astype(np.int64)
     w1 = pos - i0
-    den = (np.bincount(i0, weights=1.0 - w1, minlength=G)
-           + np.bincount(i0 + 1, weights=w1, minlength=G))
-    num = (np.bincount(i0, weights=(1.0 - w1) * lam_y, minlength=G)
-           + np.bincount(i0 + 1, weights=w1 * lam_y, minlength=G))
+    w0 = 1.0 - w1
+    # bincount(i0 + 1, w) is bincount(i0, w) moved up one node, summed in the same order
+    den = np.bincount(i0, weights=w0, minlength=G)
+    den[1:] += np.bincount(i0, weights=w1, minlength=G - 1)
+    num = np.bincount(i0, weights=w0 * lam_y, minlength=G)
+    num[1:] += np.bincount(i0, weights=w1 * lam_y, minlength=G - 1)
 
     radius = max(1, int(math.ceil(6.0 * delta / step_w)))
     u = np.arange(-radius, radius + 1) * (step_w / delta)
     kern = np.exp(-0.5 * u * u)
-    den_s = np.convolve(den, kern, mode="same")
-    num_s = np.convolve(num, kern, mode="same")
+    # the middle G entries of the full convolution; mode="same" would return
+    # len(kern) entries once the kernel is longer than the grid
+    den_s = np.convolve(den, kern)[radius:radius + G]
+    num_s = np.convolve(num, kern)[radius:radius + G]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(den_s < 1e-300, mean_lam, num_s / np.maximum(den_s, 1e-300))
     vals = np.clip(vals, model.lam_min, model.lam_max)
-    return Regression(grid=grid, values=vals)
+    at_samples = _interp_binned(x, i0, grid, vals)
+    np.clip(at_samples, model.lam_min, model.lam_max, out=at_samples)
+    return Regression(grid=grid, values=vals, at_samples=at_samples)
+
+
+def _interp_binned(x, i0, grid, values) -> np.ndarray:
+    """np.interp(x, grid, values) for x inside the grid, from the bins i0.
+
+    i0 = floor((x - grid[0]) / step) can be one bin off the interval
+    grid[j] <= x < grid[j + 1] that np.interp's search finds, because
+    linspace rounds the nodes; it is moved by one where x < grid[i0] or
+    x >= grid[i0 + 1].  The arithmetic is np.interp's,
+    slope_j * (x - grid[j]) + values[j].  At a node np.interp returns
+    values[j] as it is, and so does this: the slopes are finite and the
+    values positive, so slope_j * 0 + values[j] == values[j].
+    """
+    left = grid.take(i0)
+    below = x < left
+    above = x >= grid[1:].take(i0)
+    j = i0
+    if below.any() or above.any():
+        j = i0 - below + above
+        left = grid.take(j)
+    slopes = np.diff(values) / np.diff(grid)
+    out = slopes.take(j)
+    out *= x - left
+    out += values.take(j)
+    return out
 
 
 def _clamp(v: float, model: RegimeModel) -> float:
     return min(max(v, model.lam_min), model.lam_max)
 
 
-def _thinning(x, y, model, dt, rng) -> np.ndarray:
-    """One-switch-per-step regime update; returns the new 1-based Y."""
-    rates = model.q.rates_from(y - 1, x)
-    rates = rates.copy()
-    rates[np.arange(y.size), y - 1] = 0.0
-    cum = np.cumsum(rates * dt, axis=1)
+def _switch_table(rates, regimes, dt) -> np.ndarray:
+    """Cumulative switching probabilities, one row per entry of ``regimes``.
+
+    Row k is cumsum_j(q_{i,j} dt) over the rate row ``rates[k]`` of regime
+    i = regimes[k], with q_{i,i} left out, so its last entry is the
+    probability of leaving i within dt.  ``rates`` is overwritten.
+    """
+    rates[np.arange(regimes.size), regimes] = 0.0
+    return np.cumsum(rates * dt, axis=1)
+
+
+def _thinning(x, y, model, dt, rng, table) -> None:
+    """One-switch-per-step regime update of the 1-based Y, in place.
+
+    ``table`` is the (d, d) switching table of a constant Q; without it each
+    particle's row is built from the intensities at its X.  One uniform is
+    drawn per particle either way.
+    """
+    rows = y - 1
     u = rng.random(y.size)
-    switch = u < cum[:, -1]
-    if np.any(switch):
-        target = np.argmax(u[:, None] < cum, axis=1) + 1
-        y = y.copy()
-        y[switch] = target[switch]
-    return y
+    if table is None:
+        cum = _switch_table(model.q.rates_from(rows, x), rows, dt)
+        switch = np.flatnonzero(u < cum[:, -1])
+        cum = cum[switch]
+    else:
+        switch = np.flatnonzero(u < table[:, -1].take(rows))
+        cum = table[rows[switch]]
+    y[switch] = np.argmax(u[switch, None] < cum, axis=1) + 1
 
 
 @dataclass
@@ -216,6 +271,9 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     dt = plan.dt
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
+    jumps = plan.uses_jumps and model.q is not None
+    table = (_switch_table(model.q.rates.copy(), np.arange(model.d), dt)
+             if jumps and model.q.is_constant else None)
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in plan.checkpoints:
@@ -238,9 +296,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
             reg = cond_expect_f2(x, y, plan, model)
         except FloatingPointError as exc:
             raise NumericalError(str(exc), n + 1) from exc
-        lam_y = model.lam[y - 1]
-        ehat = np.clip(reg(x), model.lam_min, model.lam_max)
-        ratio = lam_y / ehat
+        ratio = model.lam[y - 1] / reg.at_samples
         if plan.mode == "rslv":
             s = np.asarray(surface.sigma(n * dt, x), dtype=float)
             diff2 = ratio * s * s
@@ -250,8 +306,8 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
         dw = gauss_rng.normal(size=x.size) * math.sqrt(dt)
         x += np.sqrt(diff2) * dw
         qv += diff2 * dt
-        if plan.uses_jumps and model.q is not None:
-            y[:] = _thinning(x, y, model, dt, jump_rng)
+        if jumps:
+            _thinning(x, y, model, dt, jump_rng, table)
         if not np.all(np.isfinite(x)):
             raise NumericalError("particle positions are no longer finite", n + 1)
         ratios[n] = float(ratio.mean())

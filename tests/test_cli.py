@@ -136,6 +136,15 @@ class TestSimulateCommands:
         diag = json.loads((out / "simulate_fake_bm_diagnostics.json").read_text())
         assert diag["n_particles"] == 500
 
+    def test_checkpoint_defaults_to_the_horizon(self, tmp_path):
+        cfg = small_sim_config(tmp_path, extra={
+            "sim": {"dt": 1e-2, "n_particles": 500, "seed": 5}})      # T = 0.1
+        assert cli.main(["simulate-fbm", str(cfg)]) == 0
+        out = tmp_path / "sim"
+        diag = json.loads((out / "simulate_fake_bm_diagnostics.json").read_text())
+        assert diag["times"] == [0.1]
+        assert len((out / "checkpoint_00.csv").read_text().splitlines()) == 501
+
     def test_simulate_rerun_identical_rows(self, tmp_path):
         cfg = small_sim_config(tmp_path)
         assert cli.main(["simulate-jump", str(cfg)]) == 0
@@ -208,6 +217,7 @@ BAD_SECTIONS = [
     pytest.param("simulate-fbm", "sim", {"n_particle": 500}, id="sim-unknown-key"),
     pytest.param("simulate-fbm", "sim", {"checkpoints": [0.055]}, id="sim-off-grid-time"),
     pytest.param("simulate-fbm", "sim", {"checkpoints": [5.0]}, id="sim-time-past-T"),
+    pytest.param("simulate-fbm", "sim", {"bandwidth_c": 0.0}, id="sim-zero-bandwidth"),
     pytest.param("simulate-fbm", "initial", {"x": float("inf")},
                  id="simulate-infinite-point"),
 ]
@@ -262,3 +272,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown criteria c99")
         assert err.count("\n") == 1
+
+
+def test_write_csv_matches_row_by_row_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 2 * cli._CSV_BLOCK + 7           # two full blocks and a partial one
+    big = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    big[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.7976931348623157e308]
+    rows = list(zip(range(n), big, rng.integers(-5, 6, n), -rng.uniform(size=n)))
+    rows[3] = (2**60, -1, 0.1, 7)         # Python ints and floats beside numpy scalars
+    path = tmp_path / "rows.csv"
+    cli.write_csv(str(path), "i,a,b,c", iter(rows))
+    expected = "i,a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                     for row in rows)
+    assert path.read_text() == expected

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rslv_lab.particles import (SimPlan, cond_expect_f2, init_ensemble,
-                                price_calls, simulate)
+from rslv_lab.particles import (SimPlan, _switch_table, _thinning, cond_expect_f2,
+                                init_ensemble, price_calls, simulate)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -53,6 +54,18 @@ class TestCondExpect:
         n_eff = plan.n_particles * dens * delta * math.sqrt(math.pi)
         se = sd_f2 / np.sqrt(n_eff)
         assert np.all(np.abs(reg.values[inner] - 2.5) <= 3.0 * se + 1e-3)
+
+    def test_kernel_wider_than_the_grid(self):
+        # at c = 1000 the kernel spans more nodes than the grid has, and every
+        # node sees all particles with nearly equal weights: the global mean
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=2000, bandwidth_c=1e3, regression_grid=50)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(plan.n_particles)
+        y = rng.integers(1, 3, plan.n_particles)
+        reg = cond_expect_f2(x, y, plan, model)
+        assert reg.values.shape == reg.grid.shape == (50,)
+        np.testing.assert_allclose(reg.values, model.lam[y - 1].mean(), rtol=1e-3)
 
     def test_needs_enough_particles(self):
         model = model_14()
@@ -199,3 +212,87 @@ class TestPlanValidation:
         plan = SimPlan(dt=1e-2, n_particles=500, mode="jump_fbm", seed=0)
         with pytest.raises(ValueError):
             simulate(model_14(), plan, HorizonConfig(T=0.1))
+
+
+@st.composite
+def ensembles(draw):
+    """(x, y, plan, model) over d = 2..5, any scale and offset, N >= 100.
+
+    ``kind`` "nodes" moves ten particles onto nodes of the grid that their
+    own ensemble builds (the grid moves with them, so the move is repeated
+    until it settles); "point" puts every particle at one place, the
+    degenerate-spread branch.
+    """
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(100, 2000))
+    scale = draw(st.floats(1e-6, 1e3))
+    offset = draw(st.floats(-1e3, 1e3))
+    kind = draw(st.sampled_from(["spread", "nodes", "point"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = RegimeModel(lam=np.sort(rng.uniform(0.05, 10.0, d)),
+                        alpha=rng.dirichlet(np.ones(d)))
+    plan = SimPlan(dt=1e-2, n_particles=n, bandwidth_c=draw(st.floats(0.2, 3.0)),
+                   regression_grid=draw(st.integers(2, 600)))
+    x = offset + scale * rng.standard_normal(n)
+    y = rng.integers(1, d + 1, n)
+    if kind == "point":
+        x[:] = offset
+    elif kind == "nodes":
+        inner = np.argsort(x)[n // 4: n // 4 + 10]
+        for _ in range(10):
+            grid = cond_expect_f2(x, y, plan, model).grid
+            k = np.rint((x[inner] - grid[0]) / (grid[1] - grid[0])).astype(np.int64)
+            x[inner] = grid[k]
+    return x, y, plan, model
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensembles())
+def test_at_samples_is_the_clamped_interpolant(case):
+    x, y, plan, model = case
+    reg = cond_expect_f2(x, y, plan, model)
+    expected = np.clip(np.interp(x, reg.grid, reg.values), model.lam_min, model.lam_max)
+    assert np.array_equal(reg.at_samples, expected)
+
+
+def thinning_by_full_gather(x, y, model, dt, rng):
+    """The reference thinning: an (N, d) rate gather, cumsum and argmax over all."""
+    rates = model.q.rates_from(y - 1, x)
+    rates = rates.copy()
+    rates[np.arange(y.size), y - 1] = 0.0
+    cum = np.cumsum(rates * dt, axis=1)
+    u = rng.random(y.size)
+    switch = u < cum[:, -1]
+    if np.any(switch):
+        target = np.argmax(u[:, None] < cum, axis=1) + 1
+        y = y.copy()
+        y[switch] = target[switch]
+    return y
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["constant", "tabulated"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_thinning_matches_the_full_gather(d, tabulated):
+    rng = np.random.default_rng(d)
+    if tabulated:
+        q = IntensityTable(rates=rng.uniform(0.0, 5.0, (4, d, d)),
+                           x=np.array([-1.0, -0.2, 0.3, 1.0]))
+    else:
+        q = IntensityTable(rates=rng.uniform(0.0, 5.0, (d, d)))
+    model = RegimeModel(lam=np.arange(1.0, d + 1.0), alpha=np.full(d, 1.0 / d), q=q)
+    dt = 0.9 / ((d - 1) * q.qbar)
+    n = 4000
+    x = rng.standard_normal(n)
+    y_ref = rng.integers(1, d + 1, n)
+    y = y_ref.copy()
+    rng_ref, rng_new = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+    table = None if tabulated else _switch_table(q.rates.copy(), np.arange(d), dt)
+    switched = 0
+    for _ in range(50):
+        before = y.copy()
+        y_ref = thinning_by_full_gather(x, y_ref, model, dt, rng_ref)
+        _thinning(x, y, model, dt, rng_new, table)
+        assert np.array_equal(y, y_ref)
+        switched += np.count_nonzero(y != before)
+        x += 0.2 * rng.standard_normal(n)
+    assert switched > 50 * n // 10
