@@ -105,7 +105,7 @@ def _pds_from(cfg: dict) -> PDSConfig:
         "dt", "eps_reg", "sigma_mollify", "n_outputs", "output_times"})
 
 
-def _plan_from(cfg: dict, mode: str, T: float) -> SimPlan:
+def _plan_from(cfg: dict, mode: str) -> SimPlan:
     """The ``sim`` section; without ``checkpoints`` the one checkpoint is T."""
     def build(raw):
         return SimPlan(
@@ -114,7 +114,8 @@ def _plan_from(cfg: dict, mode: str, T: float) -> SimPlan:
             mode=mode,
             bandwidth_c=float(raw.get("bandwidth_c", 1.06)),
             regression_grid=int(raw.get("regression_grid", 400)),
-            checkpoints=tuple(float(t) for t in raw.get("checkpoints", [T])),
+            checkpoints=(tuple(float(t) for t in raw["checkpoints"])
+                         if "checkpoints" in raw else None),
             seed=int(raw.get("seed", cfg.get("seed", 0))),
         )
     return _section("sim", _require(cfg, "sim"), build, known={
@@ -189,6 +190,7 @@ def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot
             "n_steps": diag.n_steps,
             "dt": diag.dt,
             "wall_time": diag.wall_time,
+            "phase_s": diag.phase_s,
         },
     }
     with open(os.path.join(out_dir, f"{prefix}_metadata.json"), "w") as fh:
@@ -342,7 +344,7 @@ def _cmd_simulate(args, mode: str) -> int:
     cfg = _load_config(args.config)
     model = _model_from(cfg)
     horizon = _horizon_from(cfg)
-    plan = _plan_from(cfg, mode, horizon.T)
+    plan = _plan_from(cfg, mode)
     initial = _initial_from(cfg)
     out = _out_dir(cfg, args)
     base = os.path.dirname(os.path.abspath(args.config))
@@ -370,9 +372,12 @@ def _cmd_simulate(args, mode: str) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if mode == "rslv" and cfg.get("strikes"):
-        prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=horizon.T)
+        # the last checkpoint is the maturity of the options priced from it
+        maturity = float(res.times[-1])
+        prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=maturity)
         write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
         diag["prices_file"] = "prices.csv"
+        diag["prices_time"] = maturity
     with open(os.path.join(out, f"simulate_{mode}_diagnostics.json"), "w") as fh:
         json.dump(diag, fh, indent=2)
     print(f"wrote {len(res.times)} checkpoints to {out} "

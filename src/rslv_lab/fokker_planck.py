@@ -98,6 +98,11 @@ class PDSConfig:
             raise ValueError("regularisation must be positive")
 
 
+# where a grid step spends its time: the coefficient field, building the
+# blocks and the right-hand side, the banded solve, and the bookkeeping
+PHASES = ("coefficients", "assemble", "solve", "observe")
+
+
 @dataclass
 class Diagnostics:
     """Per-output-time records plus step-level conservation summaries."""
@@ -112,6 +117,7 @@ class Diagnostics:
     n_steps: int
     dt: float
     wall_time: float
+    phase_s: dict               # seconds summed over the steps, per PHASES entry
 
 
 @dataclass
@@ -243,24 +249,27 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
     if U.shape != (m, d):
         raise ValueError("initial data must have shape (d, m)")
 
-    # static mass blocks
+    # the step-invariant parts of the blocks
     mass_diag = np.full(m, 2.0 * h / 3.0)
     mass_diag[0] = mass_diag[-1] = h / 3.0
-    mass_off = h / 6.0
+    mass_blocks = mass_diag[:, None, None] * eye[None, :, :]    # (m, d, d)
+    mass_off = (h / 6.0) * eye
 
-    # exchange coupling, transposed so rows act on the test-function regime
-    if q_table is None:
-        c_mid = None
-    elif q_table.is_constant:
-        c_mid = np.broadcast_to(q_table.value(0.0).T, (m - 1, d, d))
-    else:
-        c_mid = np.stack([q_table.value(v).T for v in x_mid])
+    # exchange coupling, transposed so rows act on the test-function regime;
+    # a constant Q stays one (d, d) block
+    q_diag = q_off = None
+    if q_table is not None:
+        c_mid = (q_table.value(0.0).T if q_table.is_constant
+                 else np.stack([q_table.value(v).T for v in x_mid]))
+        q_diag = dt * (h / 3.0) * c_mid
+        q_off = dt * (h / 6.0) * c_mid
 
     tw = grid.trapezoid_weights()
     records, rec_times = [], []
     masses, minvals, l2s, bmasses = [], [], [], []
     max_drift = 0.0
     max_energy_inc = -math.inf
+    phase_s = dict.fromkeys(PHASES, 0.0)
 
     def record(t, wu):
         rec_times.append(t)
@@ -279,39 +288,46 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
     energy = float(np.einsum("md,md->", U, WU))
 
     for step in range(n_steps):
+        t0 = time.perf_counter()
         t_n = step * dt
         pm = 0.5 * (U[:-1] + U[1:])                      # (m-1, d)
         a_e = a_eps_batch(pm, lam, eps)
         if surface is not None:
             s_e = np.asarray(surface.sigma(t_n, x_mid), dtype=float)
             coef = (s_e * s_e)[:, None, None] * a_e
+            ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
+            r_e = ratio_r_eps_batch(pm, lam, eps)
         else:
             coef = a_e
+        t1 = time.perf_counter()
 
-        diag = mass_diag[:, None, None] * eye[None, :, :]
-        diag[:-1] += (dt / h) * coef
-        diag[1:] += (dt / h) * coef
-        off = mass_off * eye[None, :, :] - (dt / h) * coef
-
-        if c_mid is not None:
-            diag[:-1] -= dt * (h / 3.0) * c_mid
-            diag[1:] -= dt * (h / 3.0) * c_mid
-            off -= dt * (h / 6.0) * c_mid
+        cf = (dt / h) * coef
+        diag = mass_blocks.copy()
+        diag[:-1] += cf
+        diag[1:] += cf
+        off = mass_off - cf
+        if q_diag is not None:
+            diag[:-1] -= q_diag
+            diag[1:] -= q_diag
+            off -= q_off
 
         rhs = WU
         if surface is not None:
-            ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
-            r_e = ratio_r_eps_batch(pm, lam, eps)
             c_lev = 0.5 * r_e * s_e * (s_e + 2.0 * ds_e)            # (m-1,)
             b_e = horizon.r - c_lev[:, None] * lam[None, :]         # (m-1, d)
             flux = b_e * pm
             rhs[:-1] -= dt * flux
             rhs[1:] += dt * flux
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()
+                and np.isfinite(rhs).all()):
+            raise NumericalError("the linear system is no longer finite", step + 1)
+        t2 = time.perf_counter()
 
         try:
             U = solve_block_tridiag(diag, off, off, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"banded solve failed: {exc}", step + 1) from exc
+        t3 = time.perf_counter()
         if not np.all(np.isfinite(U)):
             raise NumericalError("solution is no longer finite", step + 1)
 
@@ -325,6 +341,11 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
 
         if (step + 1) in out_steps:
             record((step + 1) * dt, WU)
+        t4 = time.perf_counter()
+        phase_s["coefficients"] += t1 - t0
+        phase_s["assemble"] += t2 - t1
+        phase_s["solve"] += t3 - t2
+        phase_s["observe"] += t4 - t3
 
     bm = np.asarray(bmasses)
     boundary_warning = bool(np.any(bm > 1e-4))
@@ -339,6 +360,7 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         n_steps=n_steps,
         dt=dt,
         wall_time=time.perf_counter() - wall,
+        phase_s=phase_s,
     )
     return GridSolution(grid=grid, times=np.asarray(rec_times),
                         p=np.asarray(records), diagnostics=diagnostics)

@@ -43,14 +43,17 @@ _MODES = ("fake_bm", "rslv", "jump_fbm")
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Step size, kernel-regression parameters and output cadence."""
+    """Step size, kernel-regression parameters and output cadence.
+
+    ``checkpoints`` None records the horizon only.
+    """
 
     dt: float
     n_particles: int
     mode: str = "fake_bm"
     bandwidth_c: float = 1.06
     regression_grid: int = 400
-    checkpoints: tuple = (1.0,)
+    checkpoints: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -276,7 +279,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
              if jumps and model.q.is_constant else None)
     qv = np.zeros(plan.n_particles)
     check_steps = {}
-    for tc in plan.checkpoints:
+    for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
         check_steps.setdefault(step_at(tc, T, n_steps), float(tc))
 
     times, xs, ys, qvs, occ = [], [], [], [], []

@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, file outputs and reproducibility."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rslv_lab import cli
 from rslv_lab.stats import normal_cdf
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_solve_config(tmp_path, dt=2e-3, extra=None):
@@ -97,6 +101,19 @@ class TestSolveCommands:
         snap = (out / meta["snapshots"][-1]["file"]).read_text().splitlines()
         assert snap[0] == "x,p_1,p_2,sum,heat_ref"
 
+    def test_non_finite_system_is_a_numerical_failure(self, tmp_path, capsys):
+        # r = 1e30 drives the coefficient field to NaN within a few steps
+        cfg = json.loads((CONFIGS / "rslv_flat.json").read_text())
+        cfg["horizon"]["r"] = 1e30
+        cfg["grid"]["m"] = 201
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "rslv.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["solve-rslv", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the linear system is no longer finite")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_solve_config(tmp_path)
         assert cli.main(["solve-fbm", str(cfg)]) == 0
@@ -160,6 +177,21 @@ class TestSimulateCommands:
         rows = (tmp_path / "sim" / "prices.csv").read_text().splitlines()
         assert rows[0] == "K,price,stderr"
         assert len(rows) == 4
+
+    def test_prices_are_discounted_to_the_last_checkpoint(self, tmp_path):
+        cfg = small_sim_config(tmp_path, extra={
+            "horizon": {"T": 1.0, "r": 0.05},
+            "sim": {"dt": 1e-2, "n_particles": 500, "checkpoints": [0.01], "seed": 5},
+            "surface": {"kind": "constant", "value": 0.2},
+            "strikes": [1.0]})
+        assert cli.main(["simulate-rslv", str(cfg)]) == 0
+        out = tmp_path / "sim"
+        diag = json.loads((out / "simulate_rslv_diagnostics.json").read_text())
+        assert diag["times"] == [0.01] and diag["prices_time"] == 0.01
+        x = np.loadtxt(out / "checkpoint_00.csv", delimiter=",", skiprows=1)[:, 1]
+        expected = math.exp(-0.05 * 0.01) * np.maximum(np.exp(x) - 1.0, 0.0).mean()
+        price = np.loadtxt(out / "prices.csv", delimiter=",", skiprows=1)[1]
+        assert price == pytest.approx(expected, rel=1e-12)
 
     def test_infinite_rate_is_a_config_error(self, tmp_path, capsys):
         cfg = small_sim_config(tmp_path, extra={

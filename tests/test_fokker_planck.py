@@ -5,7 +5,7 @@ import pytest
 
 from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
-from rslv_lab.fokker_planck import (PDSConfig, SpatialGrid,
+from rslv_lab.fokker_planck import (PHASES, PDSConfig, SpatialGrid,
                                     l1_grid_distance, solve_fbm,
                                     solve_jump_fbm, solve_lv, solve_rslv)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
@@ -239,3 +239,15 @@ class TestOutputs:
         first = tmp_path / meta["snapshots"][0]["file"]
         header = first.read_text().splitlines()[0]
         assert header == "x,p_1,p_2,sum,heat_ref"
+
+    def test_phase_times(self, tmp_path):
+        grid = SpatialGrid(L=4.0, m=81)
+        cfg = PDSConfig(dt=5e-3, sigma_mollify=0.3, n_outputs=3)
+        sol = solve_rslv(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.2, r=0.01),
+                         VolSurface.constant(0.3), Measure.point(0.0))
+        diag = sol.diagnostics
+        assert tuple(diag.phase_s) == PHASES
+        assert all(v > 0.0 for v in diag.phase_s.values())
+        assert sum(diag.phase_s.values()) <= diag.wall_time
+        meta = write_snapshots(sol, tmp_path, prefix="rslv")
+        assert meta["diagnostics"]["phase_s"] == diag.phase_s

@@ -172,6 +172,11 @@ class TestStepAndSimulate:
         res = simulate(model, plan, HorizonConfig(T=plan.dt), Measure.point(-5.0))
         np.testing.assert_array_equal(res.Y[1], res.Y[0])
 
+    def test_checkpoint_defaults_to_the_horizon(self):
+        res = simulate(model_14(), SimPlan(dt=1e-2, n_particles=500), HorizonConfig(T=0.1))
+        assert res.times.tolist() == [0.1]
+        assert res.X.shape == (1, 500)
+
     def test_simulate_checkpoint_access(self):
         plan = SimPlan(dt=1e-2, n_particles=500, checkpoints=(0.05, 0.1), seed=2)
         res = simulate(model_14(), plan, HorizonConfig(T=0.1))
