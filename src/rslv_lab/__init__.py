@@ -7,12 +7,10 @@ simulator (particles) and statistical verification helpers (stats).
 """
 
 from .regime_model import (
-    RegimeModel, IntensityTable, HorizonConfig, Measure,
-    coeff_matrix_m, coeff_matrix_a, coeff_matrix_m_eps, coeff_matrix_a_eps,
-    ratio_r, ratio_r_eps, heat_kernel,
+    RegimeModel, IntensityTable, HorizonConfig, Measure, a_eps_batch, ratio_r_eps_batch,
 )
 from .condition_c import (
-    GammaCandidate, CoercivityCertificate, D3Report, GridSearchReport,
+    CoercivityCertificate, D3Report, GridSearchReport,
     CertificateError, RecoveryFailure,
     gamma_k_submatrix, satisfies_condition_c, criterion_d3,
     criterion_identity, criterion_diag, grid_search_diag,

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition_c import (coercivity_certificate, criterion_d3,
-                          grid_search_diag, sample_quadratic_min)
+from .condition_c import (coercivity_certificate, criterion_d3, grid_search_diag,
+                          sample_domain_states, sample_quadratic_min)
 from .dupire import VolSurface
 from .fokker_planck import (PDSConfig, SpatialGrid, l1_grid_distance,
                             solve_fbm, solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import (HorizonConfig, IntensityTable, Measure,
                            RegimeModel, a_eps_batch)
-from .condition_c import sample_domain_states
 from .stats import (TestReport, bs_call, ks_statistic, l1_hist_distance,
                     moments, normal_cdf)
 
@@ -268,7 +267,7 @@ def criterion_07_aronson(ctx: AcceptanceContext) -> CriterionResult:
     return CriterionResult("c07", "Aronson-type decay of the scalar solve", reports, elapsed)
 
 
-def _marginal_reports(tag, res, elapsed=None):
+def _marginal_reports(tag, res):
     x = res.X[-1]
     ks = ks_statistic(x, normal_cdf)
     mo = moments(x)
@@ -398,9 +397,9 @@ def format_result(res: CriterionResult) -> str:
             f"binding: {worst.description}: {worst.statistic:.6g} vs {worst.threshold:.6g})")
 
 
-def run_criteria(names=None, ctx: AcceptanceContext | None = None, echo=print):
+def run_criteria(names=None):
     """Run the selected criteria (default all), printing one line each."""
-    ctx = ctx or AcceptanceContext()
+    ctx = AcceptanceContext()
     names = list(CRITERIA) if names is None else list(names)
     results = []
     for name in names:
@@ -408,6 +407,5 @@ def run_criteria(names=None, ctx: AcceptanceContext | None = None, echo=print):
             raise KeyError(f"unknown criterion {name!r}")
         res = CRITERIA[name](ctx)
         results.append(res)
-        if echo is not None:
-            echo(format_result(res))
+        print(format_result(res))
     return results

@@ -32,11 +32,9 @@ from .regime_model import RegimeModel, a_eps_batch
 __all__ = [
     "CertificateError",
     "RecoveryFailure",
-    "GammaCandidate",
     "CoercivityCertificate",
     "D3Report",
     "GridSearchReport",
-    "gamma_k_matrix",
     "gamma_k_submatrix",
     "satisfies_condition_c",
     "criterion_d3",
@@ -52,6 +50,9 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _MARGIN = 1e-12
+# A_eps in the sampler: eps far below any sum lam*rho the sampler produces
+_EPS_REL = 1e-12
+_CHUNK = 200_000
 
 
 class CertificateError(RuntimeError):
@@ -73,21 +74,6 @@ def worker_count() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-@dataclass(frozen=True)
-class GammaCandidate:
-    """A symmetric matrix proposed to satisfy Condition (C)."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("gamma must be a square matrix")
-        if np.max(np.abs(g - g.T), initial=0.0) > _SYM_TOL:
-            raise ValueError("gamma must be symmetric within 1e-12")
-        object.__setattr__(self, "gamma", 0.5 * (g + g.T))
 
 
 @dataclass(frozen=True)
@@ -131,15 +117,21 @@ class GridSearchReport:
 
 
 def _as_gamma(gamma) -> np.ndarray:
-    if isinstance(gamma, GammaCandidate):
-        return gamma.gamma
-    return GammaCandidate(np.asarray(gamma, dtype=float)).gamma
+    """Gamma as a square float matrix, symmetrised after a 1e-12 symmetry check."""
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError("gamma must be a square matrix")
+    if np.max(np.abs(g - g.T), initial=0.0) > _SYM_TOL:
+        raise ValueError("gamma must be symmetric within 1e-12")
+    return 0.5 * (g + g.T)
 
 
-def gamma_k_matrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
-    """Full d x d matrix Gamma^(k)_ij = (lam_i + lam_j)/2 * (G_ij + G_kk - G_ik - G_jk).
+def gamma_k_submatrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
+    """Gamma^(k)_ij = (lam_i + lam_j)/2 * (G_ij + G_kk - G_ik - G_jk) without row and column k.
 
-    k is 1-based, matching the regime index convention.
+    k is 1-based, matching the regime index convention.  Positive
+    definiteness of the returned (d-1) x (d-1) matrix on R^{d-1} is
+    equivalent to positive definiteness of Gamma^(k) on e_k-perp.
     """
     g = _as_gamma(gamma)
     d = model.d
@@ -150,17 +142,8 @@ def gamma_k_matrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
     kk = k - 1
     lam = model.lam
     w = 0.5 * (lam[:, None] + lam[None, :])
-    core = g + g[kk, kk] - g[kk, :][None, :] - g[:, kk][:, None]
-    return w * core
-
-def gamma_k_submatrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
-    """Gamma^(k) with its k-th row and column removed.
-
-    Positive definiteness of the returned (d-1) x (d-1) matrix on R^{d-1} is
-    equivalent to positive definiteness of Gamma^(k) on e_k-perp.
-    """
-    full = gamma_k_matrix(gamma, model, k)
-    keep = [i for i in range(model.d) if i != k - 1]
+    full = w * (g + g[kk, kk] - g[kk, :][None, :] - g[:, kk][:, None])
+    keep = [i for i in range(d) if i != kk]
     return full[np.ix_(keep, keep)]
 
 
@@ -172,30 +155,22 @@ def _pd_tol(mat: np.ndarray) -> float:
     return 1e-10 * float(np.max(np.abs(mat), initial=0.0))
 
 
-def satisfies_condition_c(gamma, model: RegimeModel, tol: float | None = None) -> bool:
+def satisfies_condition_c(gamma, model: RegimeModel) -> bool:
     """True iff gamma is SPD and every deleted Gamma^(k) submatrix is PD.
 
-    ``tol`` is the eigenvalue threshold; defaults to 1e-10 * ||matrix||_inf
-    per tested matrix, which is robust near the boundary of (C).
+    The eigenvalue threshold is 1e-10 * ||matrix||_inf per tested matrix,
+    which is robust near the boundary of (C).
     """
     g = _as_gamma(gamma)
     if g.shape[0] != model.d:
         raise ValueError("gamma dimension does not match the model")
-    if _smallest_eigenvalue(g) <= (_pd_tol(g) if tol is None else tol):
+    if _smallest_eigenvalue(g) <= _pd_tol(g):
         return False
     for k in range(1, model.d + 1):
         sub = gamma_k_submatrix(g, model, k)
-        if _smallest_eigenvalue(sub) <= (_pd_tol(sub) if tol is None else tol):
+        if _smallest_eigenvalue(sub) <= _pd_tol(sub):
             return False
     return True
-
-
-def _ratio_sums(lam) -> tuple[float, float, float]:
-    l1, l2, l3 = (float(v) for v in lam)
-    r1 = l3 / l2 + l2 / l3
-    r2 = l3 / l1 + l1 / l3
-    r3 = l1 / l2 + l2 / l1
-    return r1, r2, r3
 
 
 def criterion_d3(lam) -> D3Report:
@@ -210,7 +185,10 @@ def criterion_d3(lam) -> D3Report:
         raise ValueError("the closed-form criterion needs exactly three values")
     if np.any(lam <= 0):
         raise ValueError("variance levels must be positive")
-    r1, r2, r3 = _ratio_sums(lam)
+    l1, l2, l3 = (float(v) for v in lam)
+    r1 = l3 / l2 + l2 / l3
+    r2 = l3 / l1 + l1 / l3
+    r3 = l1 / l2 + l2 / l1
     pairs = [(r1, r2), (r2, r3), (r1, r3)]
     lhs = 0.0
     for a, b in pairs:
@@ -320,8 +298,7 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
     return GridSearchReport(n=n, points=points, satisfied=points.shape[0] > 0)
 
 
-def recover_alpha_from_point(model: RegimeModel, x: float, y: float,
-                             tol: float = 1e-12) -> np.ndarray:
+def recover_alpha_from_point(model: RegimeModel, x: float, y: float) -> np.ndarray:
     """Diagonal entries alpha = 1/p recovered from a passing grid point.
 
     Finds a strictly positive probability vector q with sum lam q = X(x, y)
@@ -349,7 +326,7 @@ def recover_alpha_from_point(model: RegimeModel, x: float, y: float,
     b_ub = np.zeros(d)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0.0, 1.0)] * d + [(0.0, 1.0)], method="highs")
-    if not res.success or res.x[-1] <= tol:
+    if not res.success or res.x[-1] <= 1e-12:
         raise RecoveryFailure(
             f"no strictly positive distribution realises (X, Y) = ({X}, {Y})")
     q = res.x[:d]
@@ -380,19 +357,16 @@ def sample_domain_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
-                         seed: int = 0, eps: float | None = None,
-                         chunk: int = 200_000):
+                         seed: int = 0):
     """Minimum of xi' Pi A(rho) xi / xi'xi over random (rho, xi) pairs.
 
     Deterministic for a given seed independent of the worker count: chunks
-    draw from spawned child streams and the minima are reduced in chunk
-    order.  Returns (min_value, argmin_rho, argmin_xi).
+    of _CHUNK draw from spawned child streams and the minima are reduced in
+    chunk order.  Returns (min_value, argmin_rho, argmin_xi).
     """
     lam = model.lam
-    if eps is None:
-        # far below any sum lam*rho produced by the sampler
-        eps = 1e-12 * model.lam_min
-    n_chunks = (samples + chunk - 1) // chunk
+    eps = _EPS_REL * model.lam_min
+    n_chunks = (samples + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 
     def one_chunk(args):
@@ -407,7 +381,7 @@ def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
         k = int(np.argmin(q))
         return float(q[k]), rho[k], xi[k]
 
-    sizes = [chunk] * (n_chunks - 1) + [samples - chunk * (n_chunks - 1)]
+    sizes = [_CHUNK] * (n_chunks - 1) + [samples - _CHUNK * (n_chunks - 1)]
     jobs = list(zip(seeds, sizes))
     workers = worker_count()
     if workers > 1 and n_chunks > 1:

@@ -97,8 +97,8 @@ class VolSurface:
             row = v[0]
         else:
             tc = min(max(t, tn[0]), tn[-1])
+            # tc >= tn[0], so the bracket index is never below 0
             it = min(int(np.searchsorted(tn, tc, side="right") - 1), tn.size - 2)
-            it = max(it, 0)
             w = (tc - tn[it]) / (tn[it + 1] - tn[it])
             row = (1.0 - w) * v[it] + w * v[it + 1]
         return np.interp(x, xn, row)
@@ -161,16 +161,17 @@ def _second_derivative(c: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def dupire_from_calls(t, strikes, calls, r: float = 0.0, sigma_low: float = 0.01,
-                      sigma_high: float = 2.0, denom_floor: float | None = None,
-                      s0: float | None = None) -> DupireBuildReport:
+                      sigma_high: float = 2.0,
+                      denom_floor: float | None = None) -> DupireBuildReport:
     """Local-volatility surface from call prices C(t, K) on a rectangular grid.
 
     All three derivatives use central differences (one-sided in t at the first
     and last maturity).  Nodes whose density term K^2 d2C/dK2 falls at or
-    below ``denom_floor`` (default 1e-10 * s0^2) or whose implied variance is
-    not positive are flagged and repaired from the nearest valid neighbour in
-    K, then in t.  A grid with negative butterfly curvature anywhere, or with
-    more than 20% flagged nodes, raises ArbitrageError.
+    below ``denom_floor`` (default 1e-10 * s0^2, s0 the median strike) or
+    whose implied variance is not positive are flagged and repaired from the
+    nearest valid neighbour in K, then in t.  A grid with negative butterfly
+    curvature anywhere, or with more than 20% flagged nodes, raises
+    ArbitrageError.
     """
     t = np.asarray(t, dtype=float)
     k = np.asarray(strikes, dtype=float)
@@ -183,9 +184,8 @@ def dupire_from_calls(t, strikes, calls, r: float = 0.0, sigma_low: float = 0.01
         raise ValueError("maturities and strikes must be strictly increasing")
     if np.any(t <= 0) or np.any(k <= 0):
         raise ValueError("maturities and strikes must be positive")
-    if s0 is None:
-        s0 = float(np.median(k))
     if denom_floor is None:
+        s0 = float(np.median(k))
         denom_floor = 1e-10 * s0 * s0
 
     dcdt = np.gradient(c, t, axis=0)

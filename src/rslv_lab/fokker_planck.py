@@ -259,8 +259,7 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
     # a constant Q stays one (d, d) block
     q_diag = q_off = None
     if q_table is not None:
-        c_mid = (q_table.value(0.0).T if q_table.is_constant
-                 else np.stack([q_table.value(v).T for v in x_mid]))
+        c_mid = np.swapaxes(q_table.value(x_mid), -1, -2)
         q_diag = dt * (h / 3.0) * c_mid
         q_off = dt * (h / 6.0) * c_mid
 
@@ -291,14 +290,17 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         t0 = time.perf_counter()
         t_n = step * dt
         pm = 0.5 * (U[:-1] + U[1:])                      # (m-1, d)
-        a_e = a_eps_batch(pm, lam, eps)
-        if surface is not None:
-            s_e = np.asarray(surface.sigma(t_n, x_mid), dtype=float)
-            coef = (s_e * s_e)[:, None, None] * a_e
-            ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
-            r_e = ratio_r_eps_batch(pm, lam, eps)
-        else:
-            coef = a_e
+        # an overflowing state makes the field non-finite without a warning;
+        # the finiteness check on the system reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_e = a_eps_batch(pm, lam, eps)
+            if surface is not None:
+                s_e = np.asarray(surface.sigma(t_n, x_mid), dtype=float)
+                coef = (s_e * s_e)[:, None, None] * a_e
+                ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
+                r_e = ratio_r_eps_batch(pm, lam, eps)
+            else:
+                coef = a_e
         t1 = time.perf_counter()
 
         cf = (dt / h) * coef

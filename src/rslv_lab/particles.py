@@ -139,9 +139,10 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     if not math.isfinite(sd):
         raise FloatingPointError("ensemble spread is no longer finite")
     G = plan.regression_grid
-    if sd < 1e-12:
+    # equal levels clamp every estimate to the single point lam_min
+    if sd < 1e-12 or model.lam_min == model.lam_max:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
-        v = _clamp(mean_lam, model)
+        v = min(max(mean_lam, model.lam_min), model.lam_max)
         return Regression(grid=grid, values=np.full(2, v), at_samples=np.full(x.size, v))
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
@@ -197,10 +198,6 @@ def _interp_binned(x, i0, grid, values) -> np.ndarray:
     out *= x - left
     out += values.take(j)
     return out
-
-
-def _clamp(v: float, model: RegimeModel) -> float:
-    return min(max(v, model.lam_min), model.lam_max)
 
 
 def _switch_table(rates, regimes, dt) -> np.ndarray:
@@ -322,14 +319,12 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
                      seed=plan.seed)
 
 
-def price_calls(x, strikes, r: float, T: float | None = None):
+def price_calls(x, strikes, r: float, T: float):
     """Discounted call prices and standard errors from terminal log-prices.
 
     Returns a list of (strike, price, stderr) triples, discounted over the
     maturity T.
     """
-    if T is None:
-        raise ValueError("need the maturity T for discounting")
     disc = math.exp(-r * T)
     s = np.exp(np.asarray(x, dtype=float))
     out = []

@@ -20,15 +20,8 @@ __all__ = [
     "IntensityTable",
     "HorizonConfig",
     "Measure",
-    "coeff_matrix_m",
-    "coeff_matrix_a",
-    "coeff_matrix_m_eps",
-    "coeff_matrix_a_eps",
     "a_eps_batch",
-    "ratio_r",
-    "ratio_r_eps",
     "ratio_r_eps_batch",
-    "heat_kernel",
 ]
 
 _ALPHA_TOL = 1e-12
@@ -84,30 +77,34 @@ class IntensityTable:
     def is_constant(self) -> bool:
         return self.x is None
 
-    def value(self, x: float) -> np.ndarray:
-        """The d x d matrix Q(x)."""
-        if self.x is None:
-            return self.rates
-        xc = float(np.clip(x, self.x[0], self.x[-1]))
-        out = np.empty((self.d, self.d))
-        for i in range(self.d):
-            for j in range(self.d):
-                out[i, j] = np.interp(xc, self.x, self.rates[:, i, j])
-        return out
+    def value(self, x) -> np.ndarray:
+        """Q(x): a d x d matrix, or one per entry of an array x."""
+        return self.rates if self.x is None else self._interp(x)
 
     def rates_from(self, y_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Outgoing rate rows q_{y, .}(x) for 0-based regime indices y."""
-        if self.x is None:
-            return self.rates[y_idx]
-        out = np.empty((x.size, self.d))
-        for i in range(self.d):
-            rows = y_idx == i
-            if not np.any(rows):
-                continue
-            xi = np.clip(x[rows], self.x[0], self.x[-1])
-            for j in range(self.d):
-                out[rows, j] = np.interp(xi, self.x, self.rates[:, i, j])
-        return out
+        return self.rates[y_idx] if self.x is None else self._interp(x, y_idx)
+
+    def _interp(self, x, rows=None) -> np.ndarray:
+        """np.interp of every entry over the nodes, at x clipped to the table.
+
+        One searchsorted bracket for all entries, with np.interp's arithmetic:
+        slope_j * (x - x_j) + f_j on x_j < x < x_{j+1}, and f_j itself on a
+        node and at the right end (where slope_j * 0 + f_j would turn a -0.0
+        into 0.0).  ``rows`` gathers only row rows[n] of Q(x[n]).
+        """
+        xp = self.x
+        xc = np.clip(x, xp[0], xp[-1])
+        j = np.searchsorted(xp, xc, side="right") - 1
+        # the zero slope past the right end is never used: that node is a hit
+        slopes = np.concatenate([np.diff(self.rates, axis=0) / np.diff(xp)[:, None, None],
+                                 np.zeros_like(self.rates[:1])])
+        at = j if rows is None else (j, rows)
+        f = self.rates[at]
+        off = xc - xp[j]
+        shape = off.shape + (1,) * (f.ndim - off.ndim)
+        return np.where((off == 0.0).reshape(shape), f,
+                        slopes[at] * off.reshape(shape) + f)
 
     def to_dict(self):
         if self.x is None:
@@ -193,87 +190,31 @@ class HorizonConfig:
             raise ValueError("risk-free rate must be finite")
 
 
-def require_in_domain(rho: np.ndarray) -> None:
-    if rho.ndim != 1 or not np.all(np.isfinite(rho)):
-        raise ValueError("state vector must be a finite 1-d array")
-    if np.any(rho < 0) or not np.any(rho > 0):
-        raise ValueError("state vector must be non-negative and not identically zero")
+def a_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
+    """A_eps = (I + M_eps)/2 at a batch of states, shape (n, d) -> (n, d, d).
 
-
-def _m_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
-    """M_eps at a batch of non-negative states, shape (n, d) -> (n, d, d).
-
-    Entries (with s = sum_l lam_l rho_l, t = sum_l rho_l, u_i = lam_i rho_i):
+    Negative entries of rho are clamped to 0.  With s = sum_l lam_l rho_l,
+    t = sum_l rho_l and u_i = lam_i rho_i:
         M_ij = u_i * c_j / (eps^2 v s^2),   c_j = (s - u_j) - lam_j (t - rho_j)
         M_ii = (s - u_i) * (-c_i) / (eps^2 v s^2)
-    Column sums vanish identically and M is homogeneous of degree 0 in rho.
+    Column sums of M vanish identically and M is homogeneous of degree 0 in
+    rho.  A_eps equals A where eps <= s, and I/2 at rho = 0.
     """
-    rho = np.asarray(rho, dtype=float)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    lam = np.asarray(lam, dtype=float)
     u = lam[None, :] * rho
     s = u.sum(axis=1)
     t = rho.sum(axis=1)
     denom = np.maximum(eps * eps, s * s)
     c = (s[:, None] - u) - lam[None, :] * (t[:, None] - rho)
     m = u[:, :, None] * (c[:, None, :] / denom[:, None, None])
-    d = lam.size
-    idx = np.arange(d)
+    idx = np.arange(lam.size)
     m[:, idx, idx] = (s[:, None] - u) * (-c) / denom[:, None]
-    return m
-
-
-def a_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
-    """A_eps = (I + M_eps)/2 at a batch of states; negatives are clamped to 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    m = _m_eps_batch(rho, np.asarray(lam, dtype=float), eps)
-    d = lam.size
-    idx = np.arange(d)
     m *= 0.5
     m[:, idx, idx] += 0.5
     return m
-
-
-def coeff_matrix_m(rho, model: RegimeModel) -> np.ndarray:
-    """The matrix M(rho) of the unregularised diffusion field; rho must lie in D."""
-    rho = np.asarray(rho, dtype=float)
-    require_in_domain(rho)
-    return _m_eps_batch(rho[None, :], model.lam, 0.0)[0]
-
-
-def coeff_matrix_a(rho, model: RegimeModel) -> np.ndarray:
-    """A(rho) = (I_d + M(rho))/2 on the domain D."""
-    return 0.5 * (np.eye(model.d) + coeff_matrix_m(rho, model))
-
-
-def coeff_matrix_m_eps(rho_plus, model: RegimeModel, eps: float) -> np.ndarray:
-    """M_eps(rho) with denominators eps^2 v (sum lam rho)^2, defined on (R+)^d."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rho = np.maximum(np.asarray(rho_plus, dtype=float), 0.0)
-    if rho.ndim != 1 or rho.size != model.d:
-        raise ValueError("state must be a 1-d array of length d")
-    return _m_eps_batch(rho[None, :], model.lam, eps)[0]
-
-
-def coeff_matrix_a_eps(rho_plus, model: RegimeModel, eps: float) -> np.ndarray:
-    """A_eps = (I_d + M_eps)/2, equal to A when eps <= sum lam rho and to I/2 at 0."""
-    return 0.5 * (np.eye(model.d) + coeff_matrix_m_eps(rho_plus, model, eps))
-
-
-def ratio_r(rho, model: RegimeModel) -> float:
-    """R(rho) = sum rho / sum lam rho on D; bounded by 1/lam_min."""
-    rho = np.asarray(rho, dtype=float)
-    require_in_domain(rho)
-    return float(rho.sum() / (model.lam * rho).sum())
-
-
-def ratio_r_eps(rho_plus, model: RegimeModel, eps: float) -> float:
-    """R_eps(rho) = sum rho / (eps v sum lam rho), defined on all of (R+)^d."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rho = np.maximum(np.asarray(rho_plus, dtype=float), 0.0)
-    return float(rho.sum() / max(eps, (model.lam * rho).sum()))
 
 
 def ratio_r_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
@@ -282,11 +223,8 @@ def ratio_r_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarra
     return rho.sum(axis=1) / np.maximum(eps, rho @ lam)
 
 
-def heat_kernel(t: float, x: np.ndarray) -> np.ndarray:
-    """Gaussian heat kernel h_t(x) = exp(-x^2 / 2t) / sqrt(2 pi t)."""
-    if t <= 0:
-        raise ValueError("heat kernel time must be positive")
-    x = np.asarray(x, dtype=float)
+def _heat_kernel(t: float, x: np.ndarray) -> np.ndarray:
+    """Gaussian heat kernel h_t(x) = exp(-x^2 / 2t) / sqrt(2 pi t), t > 0."""
     return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
 
 
@@ -347,14 +285,14 @@ class Measure:
         if self.has_atoms:
             out = np.zeros_like(x_grid)
             for x0, w in zip(self.xs, self.weights):
-                out += w * heat_kernel(t, x_grid - x0)
+                out += w * _heat_kernel(t, x_grid - x0)
             return out
         # trapezoid weights on the tabulation nodes
         dx = np.diff(self.xs)
         tw = np.zeros_like(self.xs)
         tw[:-1] += 0.5 * dx
         tw[1:] += 0.5 * dx
-        kern = heat_kernel(t, x_grid[:, None] - self.xs[None, :])
+        kern = _heat_kernel(t, x_grid[:, None] - self.xs[None, :])
         return kern @ (tw * self.weights)
 
     def density_on(self, x_grid: np.ndarray, sigma: float = 0.0) -> np.ndarray:

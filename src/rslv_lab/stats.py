@@ -62,7 +62,7 @@ def bs_call(s0: float, k: float, sigma: float, T: float, r: float = 0.0) -> floa
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a given CDF.
+    """One-sample Kolmogorov-Smirnov statistic against a vectorised CDF.
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample.
     """
@@ -70,12 +70,7 @@ def ks_statistic(samples, cdf: Callable) -> float:
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except Exception:
-        f = np.array([float(cdf(v)) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ class TestSolveCommands:
         snap = (out / meta["snapshots"][-1]["file"]).read_text().splitlines()
         assert snap[0] == "x,p_1,p_2,sum,heat_ref"
 
-    def test_non_finite_system_is_a_numerical_failure(self, tmp_path, capsys):
+    @staticmethod
+    def overflowing_rslv_config(tmp_path):
         # r = 1e30 drives the coefficient field to NaN within a few steps
         cfg = json.loads((CONFIGS / "rslv_flat.json").read_text())
         cfg["horizon"]["r"] = 1e30
@@ -109,10 +111,20 @@ class TestSolveCommands:
         cfg["output_dir"] = str(tmp_path / "out")
         path = tmp_path / "rslv.json"
         path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_non_finite_system_is_a_numerical_failure(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["solve-rslv", str(path)]) == 3
+            assert cli.main(["solve-rslv", self.overflowing_rslv_config(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the linear system is no longer finite")
+
+    def test_non_finite_system_prints_no_numpy_warnings(self, tmp_path, capsys):
+        path = self.overflowing_rslv_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve-rslv", path]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_solve_config(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rslv_lab.condition_c import (
-    CertificateError, GammaCandidate, RecoveryFailure, coercivity_certificate,
+    CertificateError, RecoveryFailure, coercivity_certificate,
     criterion_d3, criterion_diag, criterion_identity, gamma_k_submatrix,
     grid_search_diag, recover_alpha_from_point, sample_quadratic_min,
     satisfies_condition_c,
@@ -57,7 +57,7 @@ class TestGammaK:
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
-            GammaCandidate(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            satisfies_condition_c(np.array([[1.0, 0.5], [0.0, 1.0]]), uniform_model([1.0, 2.0]))
 
 
 class TestConditionC:

@@ -199,7 +199,7 @@ class TestPricing:
         assert price <= 3.0 * max(se, 1e-12)
 
     def test_needs_maturity_for_raw_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             price_calls(np.zeros(10), [1.0], r=0.0)
 
 

@@ -7,16 +7,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rslv_lab.regime_model import (
-    HorizonConfig, IntensityTable, Measure, RegimeModel,
-    coeff_matrix_a, coeff_matrix_a_eps, coeff_matrix_m, coeff_matrix_m_eps,
-    ratio_r, ratio_r_eps,
+    HorizonConfig, IntensityTable, Measure, RegimeModel, a_eps_batch, ratio_r_eps_batch,
 )
 
 INV_SQRT_2PI = 0.3989422804014327
+# below every sum lam*rho drawn here, where A_eps and R_eps equal A and R exactly
+EPS_EXACT = 1e-9
 
 
 def model2():
     return RegimeModel(lam=[1.0, 2.0], alpha=[0.5, 0.5])
+
+
+def field_a(rho, lam, eps=EPS_EXACT):
+    """A_eps at one state, through the batch API with a (1, d) row."""
+    return a_eps_batch(np.asarray(rho, dtype=float)[None, :], np.asarray(lam, dtype=float),
+                       eps)[0]
+
+
+def ratio(rho, lam, eps=EPS_EXACT):
+    """R_eps at one state, through the batch API with a (1, d) row."""
+    return float(ratio_r_eps_batch(np.asarray(rho, dtype=float)[None, :],
+                                   np.asarray(lam, dtype=float), eps)[0])
 
 
 def lam_rho_strategy(max_d=5):
@@ -31,107 +43,90 @@ def lam_rho_strategy(max_d=5):
 
 class TestCoefficientMatrices:
     def test_hand_evaluated_example(self):
-        a = coeff_matrix_a([1.0, 1.0], model2())
+        a = field_a([1.0, 1.0], model2().lam)
         np.testing.assert_allclose(a, [[7 / 18, -1 / 18], [1 / 9, 5 / 9]], atol=1e-15)
 
     def test_equal_levels_give_half_identity(self):
-        m = RegimeModel(lam=[3.0, 3.0, 3.0], alpha=[0.2, 0.3, 0.5])
-        rho = np.array([0.1, 2.0, 0.7])
-        np.testing.assert_allclose(coeff_matrix_m(rho, m), 0.0, atol=1e-15)
-        np.testing.assert_allclose(coeff_matrix_a(rho, m), np.eye(3) / 2, atol=1e-15)
+        a = field_a([0.1, 2.0, 0.7], [3.0, 3.0, 3.0])
+        np.testing.assert_allclose(a, np.eye(3) / 2, atol=1e-15)
 
     def test_face_state_example(self):
-        np.testing.assert_allclose(coeff_matrix_m([1.0, 0.0], model2()),
-                                   [[0.0, -1.0], [0.0, 1.0]], atol=1e-15)
-        np.testing.assert_allclose(coeff_matrix_a([1.0, 0.0], model2()),
-                                   [[0.5, -0.5], [0.0, 1.0]], atol=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            coeff_matrix_a([0.0, 0.0], model2())
-        with pytest.raises(ValueError):
-            coeff_matrix_a([1.0, -0.1], model2())
-        with pytest.raises(ValueError):
-            ratio_r([0.0, 0.0], model2())
+        a = field_a([1.0, 0.0], model2().lam)
+        np.testing.assert_allclose(a, [[0.5, -0.5], [0.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(2.0 * a - np.eye(2), [[0.0, -1.0], [0.0, 1.0]], atol=1e-15)
 
     def test_eps_matches_unregularised_below_threshold(self):
-        # sum lam rho = 3 here, so eps = 1 leaves the field untouched
-        a = coeff_matrix_a([1.0, 1.0], model2())
-        a_eps = coeff_matrix_a_eps([1.0, 1.0], model2(), eps=1.0)
-        np.testing.assert_allclose(a_eps, a, atol=1e-15)
+        # sum lam rho = 3 here, so any eps <= 3 leaves the field untouched
+        a = field_a([1.0, 1.0], model2().lam)
+        for eps in (1e-14, 1.0, 3.0):
+            np.testing.assert_array_equal(field_a([1.0, 1.0], model2().lam, eps), a)
 
     def test_eps_scaling_above_threshold(self):
-        m_ref = coeff_matrix_m([1.0, 1.0], model2())
-        a_eps = coeff_matrix_a_eps([1.0, 1.0], model2(), eps=6.0)
+        m_ref = 2.0 * field_a([1.0, 1.0], model2().lam) - np.eye(2)
+        a_eps = field_a([1.0, 1.0], model2().lam, eps=6.0)
         np.testing.assert_allclose(a_eps, 0.5 * (np.eye(2) + 0.25 * m_ref), atol=1e-15)
 
     def test_eps_at_origin(self):
-        np.testing.assert_allclose(coeff_matrix_a_eps([0.0, 0.0], model2(), 1.0),
+        np.testing.assert_allclose(field_a([0.0, 0.0], model2().lam, 1.0),
                                    np.eye(2) / 2, atol=0)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            coeff_matrix_a_eps([1.0, 1.0], model2(), eps=0.0)
+            field_a([1.0, 1.0], model2().lam, eps=0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(lam_rho_strategy())
     def test_column_sums_vanish(self, lam_rho):
+        # the columns of M sum to 0, so those of A = (I + M)/2 sum to 1/2
         lam, rho = lam_rho
-        m = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
-        cols = coeff_matrix_m(rho, m).sum(axis=0)
-        np.testing.assert_allclose(cols, 0.0, atol=1e-12)
-        cols_eps = coeff_matrix_m_eps(rho, m, eps=0.5).sum(axis=0)
-        np.testing.assert_allclose(cols_eps, 0.0, atol=1e-12)
+        for eps in (EPS_EXACT, 0.5):
+            cols = field_a(rho, lam, eps).sum(axis=0)
+            np.testing.assert_allclose(cols, 0.5, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(lam_rho_strategy())
     def test_entry_bound_and_homogeneity(self, lam_rho):
         lam, rho = lam_rho
-        m = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
-        bound = 0.5 * (1.0 + m.lam_max / m.lam_min)
-        a = coeff_matrix_a(rho, m)
+        bound = 0.5 * (1.0 + lam.max() / lam.min())
+        a = field_a(rho, lam)
         assert np.abs(a).max() <= bound + 1e-12
-        np.testing.assert_allclose(coeff_matrix_a(7.5 * rho, m), a, atol=1e-12)
+        np.testing.assert_allclose(field_a(7.5 * rho, lam), a, atol=1e-12)
 
     def test_diagonal_lower_bound_on_faces(self):
         # 2 A_eps_ii >= lam_min / lam_max whenever rho_i = 0
         rng = np.random.default_rng(5)
         lam = np.array([1.0, 3.0, 9.0])
-        m = RegimeModel(lam=lam, alpha=np.full(3, 1 / 3))
-        for _ in range(200):
-            rho = rng.exponential(1.0, 3)
-            i = rng.integers(0, 3)
-            rho[i] = 0.0
-            a = coeff_matrix_a_eps(rho, m, eps=0.3)
-            assert 2.0 * a[i, i] >= lam.min() / lam.max() - 1e-12
+        rho = rng.exponential(1.0, (200, 3))
+        i = rng.integers(0, 3, 200)
+        rows = np.arange(200)
+        rho[rows, i] = 0.0
+        a = a_eps_batch(rho, lam, eps=0.3)
+        assert np.all(2.0 * a[rows, i, i] >= lam.min() / lam.max() - 1e-12)
 
 
 class TestRatios:
     def test_equal_levels(self):
-        m = RegimeModel(lam=[2.0, 2.0], alpha=[0.5, 0.5])
-        assert ratio_r([0.3, 4.0], m) == pytest.approx(0.5, abs=1e-15)
+        assert ratio([0.3, 4.0], [2.0, 2.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_vectors(self):
-        m = RegimeModel(lam=[1.0, 2.0, 5.0], alpha=[1 / 3, 1 / 3, 1 / 3])
-        for i, lam_i in enumerate(m.lam):
-            e = np.zeros(3)
-            e[i] = 1.0
-            assert ratio_r(e, m) == pytest.approx(1.0 / lam_i, abs=1e-15)
+        lam = np.array([1.0, 2.0, 5.0])
+        r = ratio_r_eps_batch(np.eye(3), lam, EPS_EXACT)
+        np.testing.assert_allclose(r, 1.0 / lam, atol=1e-15)
 
     def test_eps_dominates(self):
-        assert ratio_r_eps([1.0, 1.0], model2(), eps=6.0) == pytest.approx(1 / 3)
+        assert ratio([1.0, 1.0], model2().lam, eps=6.0) == pytest.approx(1 / 3)
 
     @settings(max_examples=100, deadline=None)
     @given(lam_rho_strategy())
     def test_bounds_and_ordering(self, lam_rho):
         lam, rho = lam_rho
-        m = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
-        r = ratio_r(rho, m)
-        r_eps = ratio_r_eps(rho, m, eps=0.7)
-        assert 0.0 <= r <= 1.0 / m.lam_min + 1e-12
+        r = ratio(rho, lam)
+        r_eps = ratio(rho, lam, eps=0.7)
+        assert 0.0 <= r <= 1.0 / lam.min() + 1e-12
         assert r_eps <= r + 1e-12
-        # pointwise convergence as eps -> 0
-        assert ratio_r_eps(rho, m, eps=1e-14) == pytest.approx(r, rel=1e-9)
+        # R itself for every eps <= sum lam rho
+        assert ratio(rho, lam, eps=1e-14) == r
+        assert r == pytest.approx(rho.sum() / (rho @ lam), rel=1e-15)
 
 
 class TestHeatKernel:
@@ -208,8 +203,6 @@ class TestModelTypes:
             HorizonConfig(T=1.0, r=float("inf"))
         with pytest.raises(ValueError):
             HorizonConfig(T=float("nan"))
-        with pytest.raises(ValueError):
-            coeff_matrix_m(np.zeros(2), RegimeModel(lam=[1.0, 2.0], alpha=[0.5, 0.5]))
 
     def test_json_round_trip(self):
         q = IntensityTable(rates=np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -234,3 +227,50 @@ class TestModelTypes:
     def test_intensity_validation(self):
         with pytest.raises(ValueError):
             IntensityTable(rates=np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def interp_reference(table, x):
+    """Q(x) entry by entry with np.interp, one call per (i, j) and x."""
+    xs = np.clip(x, table.x[0], table.x[-1])
+    d = table.d
+    return np.array([[[np.interp(v, table.x, table.rates[:, i, j]) for j in range(d)]
+                      for i in range(d)] for v in xs])
+
+
+def same_bits(a, b):
+    """Equal arrays, telling 0.0 from -0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def tabulated_case(draw):
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 6))
+    nodes = np.sort(np.array(draw(st.lists(
+        st.floats(-5.0, 5.0, allow_subnormal=False), min_size=k, max_size=k, unique=True))))
+    off = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0),
+                                 min_size=k * d * d, max_size=k * d * d))).reshape(k, d, d)
+    off[:, draw(st.integers(0, d - 1)), :] = 0.0          # an all-zero rate row
+    inside = draw(st.lists(st.floats(nodes[0], nodes[-1]), min_size=1, max_size=8))
+    x = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), inside,
+                        [nodes[0] - 1.0, nodes[-1] + 1.0, -np.inf, np.inf]])
+    rows = np.array(draw(st.lists(st.integers(0, d - 1), min_size=x.size, max_size=x.size)))
+    return IntensityTable(rates=off, x=nodes), x, rows
+
+
+class TestIntensityInterpolation:
+    @settings(max_examples=150, deadline=None)
+    @given(tabulated_case())
+    def test_bit_equal_to_entrywise_interp(self, case):
+        table, x, rows = case
+        ref = interp_reference(table, x)
+        assert same_bits(table.value(x), ref)
+        assert same_bits(table.rates_from(rows, x), ref[np.arange(x.size), rows])
+        for v, r in zip(x, ref):
+            assert same_bits(table.value(v), r)
+
+    def test_zero_row_keeps_its_signed_zero_on_nodes(self):
+        table = IntensityTable(rates=np.zeros((3, 2, 2)), x=np.array([-1.0, 0.0, 1.0]))
+        out = table.value(np.array([-1.0, -0.5, 1.0]))
+        assert np.signbit(out[[0, 2], 0, 0]).all()
+        assert not np.signbit(out[1, 0, 0])
