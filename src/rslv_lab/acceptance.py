@@ -389,12 +389,20 @@ SUITES = {
 }
 
 
+def _margin(r: TestReport) -> float:
+    """Slack of a check relative to its threshold; absolute for a zero threshold."""
+    slack = r.threshold - r.statistic
+    return slack / abs(r.threshold) if r.threshold != 0 else slack
+
+
 def format_result(res: CriterionResult) -> str:
+    """One line per criterion, naming its failed or smallest-margin check."""
     mark = "PASS" if res.passed else "FAIL"
-    worst = max(res.reports, key=lambda r: (not r.passed, r.statistic - r.threshold))
+    worst = min(res.reports, key=lambda r: (r.passed, _margin(r)))
     return (f"[{mark}] {res.name} {res.description} "
             f"({len(res.reports)} checks, {res.runtime:.1f}s; "
-            f"binding: {worst.description}: {worst.statistic:.6g} vs {worst.threshold:.6g})")
+            f"binding: {worst.description}: {worst.statistic:.6g} vs {worst.threshold:.6g}, "
+            f"margin {_margin(worst):.2g})")
 
 
 def run_criteria(names=None):

@@ -95,14 +95,13 @@ def _pds_from(cfg: dict) -> PDSConfig:
     def build(raw):
         return PDSConfig(
             dt=float(raw["dt"]),
-            eps_reg=None if raw.get("eps_reg") is None else float(raw["eps_reg"]),
             sigma_mollify=float(raw.get("sigma_mollify", 0.0)),
             n_outputs=int(raw.get("n_outputs", 11)),
             output_times=None if raw.get("output_times") is None
             else tuple(float(t) for t in raw["output_times"]),
         )
     return _section("pds", _require(cfg, "pds"), build, known={
-        "dt", "eps_reg", "sigma_mollify", "n_outputs", "output_times"})
+        "dt", "sigma_mollify", "n_outputs", "output_times"})
 
 
 def _plan_from(cfg: dict, mode: str) -> SimPlan:
@@ -157,10 +156,11 @@ def write_csv(path: str, header: str, rows) -> None:
 
 
 def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot") -> dict:
-    """CSV per output time (columns x, p_1..p_d, sum, heat_ref) plus metadata.
+    """CSV per output time (columns x, p_1..p_d, sum, heat_ref); returns the metadata.
 
     ``reference`` is an optional callable (t, x_array) -> density used to
-    fill the heat_ref column; it defaults to zeros.
+    fill the heat_ref column; it defaults to zeros.  The caller completes the
+    metadata and writes it as ``<prefix>_metadata.json``.
     """
     os.makedirs(out_dir, exist_ok=True)
     files = []
@@ -193,8 +193,6 @@ def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot
             "phase_s": diag.phase_s,
         },
     }
-    with open(os.path.join(out_dir, f"{prefix}_metadata.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
     return meta
 
 

@@ -78,15 +78,13 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class PDSConfig:
-    """Regularisation, step size and output cadence for one PDS solve.
+    """Step size and output cadence for one PDS solve.
 
-    eps_reg defaults to 1e-10 * lam_min / (2L), far below any attained
-    sum(lam * p) away from the tails.  sigma_mollify is the width of the
-    initial heat-kernel mollification (required positive for atomic data).
+    sigma_mollify is the width of the initial heat-kernel mollification
+    (required positive for atomic data).
     """
 
     dt: float
-    eps_reg: float | None = None
     sigma_mollify: float = 0.0
     n_outputs: int = 11
     output_times: tuple | None = None
@@ -94,8 +92,6 @@ class PDSConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("time step must be positive")
-        if self.eps_reg is not None and not self.eps_reg > 0:
-            raise ValueError("regularisation must be positive")
 
 
 # where a grid step spends its time: the coefficient field, building the
@@ -166,53 +162,32 @@ def step_at(t: float, T: float, n_steps: int) -> int:
     return k
 
 
-def _per_regime(mu, d: int) -> list:
-    """``mu`` as one measure per regime: a single measure is shared by all d."""
-    mus = [mu] * d if isinstance(mu, Measure) else list(mu)
-    if len(mus) != d:
-        raise ValueError("need one measure per regime")
-    return mus
+def _mass_diag(grid: SpatialGrid) -> np.ndarray:
+    """Diagonal of the P1 mass matrix; its off-diagonal entries are all h/6."""
+    mass_diag = np.full(grid.m, 2.0 * grid.h / 3.0)
+    mass_diag[0] = mass_diag[-1] = grid.h / 3.0
+    return mass_diag
 
 
-def _default_eps(lam: np.ndarray, grid: SpatialGrid) -> float:
-    return 1e-10 * float(lam.min()) / (2.0 * grid.L)
+def _project_initial(mu: Measure, sigma: float, grid: SpatialGrid,
+                     alpha: np.ndarray) -> np.ndarray:
+    """L2 projection of alpha_i * (mu * h_{sigma^2}) onto the hat basis, shape (m, d).
 
-
-def _project_initial(mu, sigma: float, grid: SpatialGrid, alpha) -> np.ndarray:
-    """L2 projection of the rows alpha_i * (mu_i * h_{sigma^2}) onto the hat basis.
-
-    ``mu`` is a single measure (shared x-law) or one measure per regime.
     Element-wise Gauss-Legendre quadrature of the load vector followed by one
-    tridiagonal mass solve per distinct measure.
+    tridiagonal mass solve, whose result every regime scales by its alpha_i.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    d = alpha.size
-    mus = _per_regime(mu, d)
     m, h = grid.m, grid.h
     gp, gw = np.polynomial.legendre.leggauss(5)
     tq = 0.5 * (gp + 1.0)
     wq = 0.5 * gw
     pts = grid.x[:-1, None] + h * tq[None, :]
-
-    from scipy.linalg import solve_banded
-    ab = np.zeros((3, m))
-    ab[0, 1:] = h / 6.0
-    ab[1, :] = 2.0 * h / 3.0
-    ab[1, 0] = ab[1, -1] = h / 3.0
-    ab[2, :-1] = h / 6.0
-
-    rows = np.empty((d, m))
-    cache: dict[int, np.ndarray] = {}
-    for i in range(d):
-        key = id(mus[i])
-        if key not in cache:
-            dens = mus[i].density_on(pts.ravel(), sigma).reshape(m - 1, tq.size)
-            b = np.zeros(m)
-            b[:-1] += h * dens @ ((1.0 - tq) * wq)
-            b[1:] += h * dens @ (tq * wq)
-            cache[key] = solve_banded((1, 1), ab, b)
-        rows[i] = alpha[i] * cache[key]
-    return rows
+    dens = mu.density_on(pts.ravel(), sigma).reshape(m - 1, tq.size)
+    b = np.zeros(m)
+    b[:-1] += h * dens @ ((1.0 - tq) * wq)
+    b[1:] += h * dens @ (tq * wq)
+    u = solve_block_tridiag(_mass_diag(grid)[:, None, None],
+                            np.full((m - 1, 1, 1), h / 6.0), b[:, None])
+    return u * alpha
 
 
 def _mass_apply(u: np.ndarray, h: float) -> np.ndarray:
@@ -234,25 +209,22 @@ def _output_steps(T: float, dt: float, config: PDSConfig):
     return n_steps, dt_eff, set(int(s) for s in steps)
 
 
-def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
+def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: SpatialGrid,
              horizon, config: PDSConfig,
              surface: VolSurface | None = None, q_table=None) -> GridSolution:
-    """Step p0 to the horizon; a surface adds the rate and leverage drifts."""
+    """Step the projected initial law to the horizon; a surface adds the drifts."""
     d = lam.size
     m, h = grid.m, grid.h
     x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
-    eps = config.eps_reg if config.eps_reg is not None else _default_eps(lam, grid)
+    # regularise A_eps far below any attained sum(lam * p) away from the tails
+    eps = 1e-10 * float(lam.min()) / (2.0 * grid.L)
     n_steps, dt, out_steps = _output_steps(horizon.T, config.dt, config)
     eye = np.eye(d)
 
-    U = np.ascontiguousarray(p0.T, dtype=float)          # (m, d)
-    if U.shape != (m, d):
-        raise ValueError("initial data must have shape (d, m)")
+    U = _project_initial(initial, config.sigma_mollify, grid, alpha)    # (m, d)
 
     # the step-invariant parts of the blocks
-    mass_diag = np.full(m, 2.0 * h / 3.0)
-    mass_diag[0] = mass_diag[-1] = h / 3.0
-    mass_blocks = mass_diag[:, None, None] * eye[None, :, :]    # (m, d, d)
+    mass_blocks = _mass_diag(grid)[:, None, None] * eye[None, :, :]     # (m, d, d)
     mass_off = (h / 6.0) * eye
 
     # exchange coupling, transposed so rows act on the test-function regime;
@@ -326,7 +298,7 @@ def _advance(lam: np.ndarray, p0: np.ndarray, grid: SpatialGrid,
         t2 = time.perf_counter()
 
         try:
-            U = solve_block_tridiag(diag, off, off, rhs)
+            U = solve_block_tridiag(diag, off, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"banded solve failed: {exc}", step + 1) from exc
         t3 = time.perf_counter()
@@ -373,32 +345,30 @@ def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
     """Driftless sub-density system for a constant-in-time regime variable."""
     if model.q is not None:
         raise ValueError("the driftless system has no jumps; use solve_jump_fbm")
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
-    return _advance(model.lam, p0, grid, horizon, config)
+    return _advance(model.lam, model.alpha, initial, grid, horizon, config)
 
 
 def solve_jump_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
-                   horizon, initial) -> GridSolution:
+                   horizon, initial: Measure) -> GridSolution:
     """Driftless system with regime exchange: adds (Qv, p) to the weak form."""
     if model.q is None:
         raise ValueError("jump system needs an intensity table")
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
-    return _advance(model.lam, p0, grid, horizon, config, q_table=model.q)
+    return _advance(model.lam, model.alpha, initial, grid, horizon, config,
+                    q_table=model.q)
 
 
 def solve_rslv(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
-               horizon, surface: VolSurface, initial) -> GridSolution:
+               horizon, surface: VolSurface, initial: Measure) -> GridSolution:
     """Full system with rate drift, leverage drift, scaled diffusion and jumps."""
-    p0 = _project_initial(initial, config.sigma_mollify, grid, model.alpha)
-    return _advance(model.lam, p0, grid, horizon, config,
+    return _advance(model.lam, model.alpha, initial, grid, horizon, config,
                     surface=surface, q_table=model.q)
 
 
 def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
-             surface: VolSurface, initial) -> GridSolution:
+             surface: VolSurface, initial: Measure) -> GridSolution:
     """Scalar local-volatility equation (the d = 1 reduction of the full system)."""
-    p0 = _project_initial(initial, config.sigma_mollify, grid, np.array([1.0]))
-    return _advance(np.array([1.0]), p0, grid, horizon, config, surface=surface)
+    one = np.ones(1)
+    return _advance(one, one, initial, grid, horizon, config, surface=surface)
 
 
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:

@@ -33,8 +33,9 @@ class IntensityTable:
 
     ``rates`` is a (d, d) matrix of constant rates, or a (k, d, d) array of
     matrices tabulated at the strictly increasing nodes ``x`` (piecewise
-    linear in between, constant outside).  Off-diagonal entries must be
-    non-negative; the diagonal is recomputed as q_ii = -sum_{j != i} q_ij.
+    linear in between, constant outside).  Rates and nodes must be finite,
+    off-diagonal rates non-negative; the diagonal is recomputed as
+    q_ii = -sum_{j != i} q_ij.
     """
 
     rates: np.ndarray
@@ -48,16 +49,16 @@ class IntensityTable:
             stack = rates[None, :, :]
         else:
             x = np.asarray(self.x, dtype=float)
-            if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-                raise ValueError("tabulation nodes must be strictly increasing")
+            if (x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x))
+                    or np.any(np.diff(x) <= 0)):
+                raise ValueError("tabulation nodes must be finite and strictly increasing")
             if rates.ndim != 3 or rates.shape[0] != x.size or rates.shape[1] != rates.shape[2]:
                 raise ValueError("tabulated rates must have shape (len(x), d, d)")
             object.__setattr__(self, "x", x)
             stack = rates
-        d = stack.shape[1]
-        off = ~np.eye(d, dtype=bool)
-        if np.any(stack[:, off] < 0):
-            raise ValueError("off-diagonal intensities must be non-negative")
+        off = ~np.eye(stack.shape[1], dtype=bool)
+        if not np.all(np.isfinite(stack)) or np.any(stack[:, off] < 0):
+            raise ValueError("intensities must be finite, and non-negative off the diagonal")
         stack = stack.copy()
         for k in range(stack.shape[0]):
             np.fill_diagonal(stack[k], 0.0)

@@ -4,9 +4,12 @@ Heavy artifacts (particle runs, reference solves) are shared through a
 session-scoped context so the suite runs each expensive simulation once.
 """
 
+import math
+
 import pytest
 
 from rslv_lab import acceptance
+from rslv_lab.stats import TestReport
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +24,26 @@ def _run(name, ctx):
         assert rep.passed, (f"{name}: {rep.description}: "
                             f"{rep.statistic:.6g} vs {rep.threshold:.6g}")
     return result
+
+
+def test_format_result_names_the_smallest_relative_margin():
+    reports = [TestReport.check(2.3e-13, 1e-8, 1, "mass drift"),
+               TestReport.check(-2.04918, -2.0, 1, "refinement"),
+               TestReport.check(-0.5, 0.0, 1, "zero threshold")]
+
+    def line():
+        return acceptance.format_result(
+            acceptance.CriterionResult("c99", "demo", reports, 0.0))
+
+    assert line().startswith("[PASS] c99 demo")
+    assert line().endswith("binding: refinement: -2.04918 vs -2, margin 0.025)")
+    # a zero threshold keeps the absolute slack
+    reports.append(TestReport.check(-0.01, 0.0, 1, "near zero"))
+    assert "binding: near zero: -0.01 vs 0, margin 0.01)" in line()
+    # a failed check wins, even one whose statistic is not a number
+    reports.append(TestReport.check(math.nan, 1.0, 1, "undefined"))
+    assert line().startswith("[FAIL] c99")
+    assert "binding: undefined: nan vs 1" in line()
 
 
 def test_c01_figure_grid_reproduction(ctx):

@@ -4,65 +4,68 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rslv_lab.banded import block_tridiag_to_banded, solve_banded, solve_block_tridiag
+from rslv_lab.banded import block_tridiag_to_banded, solve_block_tridiag
 
 
-def dense_from_blocks(diag, lower, upper):
+def dense_from_blocks(diag, off):
     m, d, _ = diag.shape
     n = m * d
     a = np.zeros((n, n))
     for j in range(m):
         a[j * d:(j + 1) * d, j * d:(j + 1) * d] = diag[j]
     for j in range(m - 1):
-        a[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = lower[j]
-        a[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = upper[j]
+        a[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = off[j]
+        a[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = off[j]
     return a
 
 
-def loop_pack(diag, lower, upper):
-    """The band, one diagonal of one block pair at a time (reference)."""
+def loop_pack(diag, off):
+    """gbsv's band with its kl zero rows, one diagonal of one block pair at a time."""
     m, d, _ = diag.shape
-    ku = 2 * d - 1
-    ab = np.zeros((2 * ku + 1, m * d))
+    kl = 2 * d - 1
+    work = np.zeros((3 * kl + 1, m * d))
     for i in range(d):
         for l in range(d):
-            ab[ku + i - l, l::d] = diag[:, i, l]
-            ab[ku + i - l - d, d + l::d] = upper[:, i, l]
-            ab[ku + i - l + d, l:(m - 1) * d:d] = lower[:, i, l]
-    return ab
+            work[2 * kl + i - l, l::d] = diag[:, i, l]
+            work[2 * kl + i - l - d, d + l::d] = off[:, i, l]
+            work[2 * kl + i - l + d, l:(m - 1) * d:d] = off[:, i, l]
+    return work
 
 
 def random_system(rng, m, d):
     diag = rng.normal(size=(m, d, d))
     diag += 4.0 * d * np.eye(d)          # diagonally dominant, hence solvable
-    lower = rng.normal(size=(m - 1, d, d))
-    upper = rng.normal(size=(m - 1, d, d))
+    off = rng.normal(size=(m - 1, d, d))
     rhs = rng.normal(size=(m, d))
-    return diag, lower, upper, rhs
+    return diag, off, rhs
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 5), st.integers(0, 10_000))
 def test_solve_matches_dense(m, d, seed):
     rng = np.random.default_rng(seed)
-    diag, lower, upper, rhs = random_system(rng, m, d)
-    np.testing.assert_array_equal(block_tridiag_to_banded(diag, lower, upper)[0],
-                                  loop_pack(diag, lower, upper))
-    x = solve_block_tridiag(diag, lower, upper, rhs)
-    ref = np.linalg.solve(dense_from_blocks(diag, lower, upper), rhs.reshape(-1))
+    diag, off, rhs = random_system(rng, m, d)
+    work = block_tridiag_to_banded(diag, off)
+    assert work.flags.f_contiguous
+    np.testing.assert_array_equal(work, loop_pack(diag, off))
+    x = solve_block_tridiag(diag, off, rhs)
+    ref = np.linalg.solve(dense_from_blocks(diag, off), rhs.reshape(-1))
     np.testing.assert_allclose(x.reshape(-1), ref, rtol=1e-9, atol=1e-9)
 
 
 def test_banded_layout():
     rng = np.random.default_rng(6)
-    diag, lower, upper, _ = random_system(rng, 5, 2)
-    ab, (kl, ku) = block_tridiag_to_banded(diag, lower, upper)
-    dense = dense_from_blocks(diag, lower, upper)
+    diag, off, _ = random_system(rng, 5, 2)
+    work = block_tridiag_to_banded(diag, off)
+    kl = 3
+    assert work.shape == (3 * kl + 1, 10)
+    assert not work[:kl].any()           # gbsv's fill-in rows
+    dense = dense_from_blocks(diag, off)
     n = dense.shape[0]
     for i in range(n):
         for j in range(n):
-            if abs(i - j) <= ku:
-                assert ab[ku + i - j, j] == pytest.approx(dense[i, j])
+            if abs(i - j) <= kl:
+                assert work[2 * kl + i - j, j] == pytest.approx(dense[i, j])
             else:
                 assert dense[i, j] == 0.0
 
@@ -71,12 +74,12 @@ def test_banded_layout():
 def test_singular_system_raises(d):
     # a zero column (node 2, regime 0) leaves no pivot for it
     rng = np.random.default_rng(7)
-    diag, lower, upper, rhs = random_system(rng, 5, d)
+    diag, off, rhs = random_system(rng, 5, d)
     diag[2, :, 0] = 0.0
-    upper[1, :, 0] = 0.0
-    lower[2, :, 0] = 0.0
+    off[1, :, 0] = 0.0
+    off[2, :, 0] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        solve_block_tridiag(diag, lower, upper, rhs)
+        solve_block_tridiag(diag, off, rhs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -88,7 +91,3 @@ def test_inputs_are_left_unchanged(d):
     for a, b in zip(system, before):
         np.testing.assert_array_equal(a, b)
 
-
-def test_solve_banded_needs_the_packed_band():
-    with pytest.raises(ValueError):
-        solve_banded((3, 3), np.zeros((7, 8)), np.ones(8))

@@ -247,6 +247,7 @@ BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"dt": None}, id="pds-null"),
     pytest.param("solve-fbm", "pds", {"dt": [2e-3]}, id="pds-list"),
     pytest.param("solve-fbm", "pds", {"mass_lumping": True}, id="pds-unknown-key"),
+    pytest.param("solve-fbm", "pds", {"eps_reg": 1e-12}, id="pds-retired-eps-reg"),
     pytest.param("solve-fbm", "pds", {"output_times": [0.055]}, id="pds-off-grid-time"),
     pytest.param("solve-fbm", "pds", {"output_times": [0.1, 5.0]}, id="pds-time-past-T"),
     pytest.param("solve-fbm", "model", {"Q": [[0.0, 1.0], [1.0, 0.0]]},
@@ -264,6 +265,13 @@ BAD_SECTIONS = [
     pytest.param("simulate-fbm", "sim", {"bandwidth_c": 0.0}, id="sim-zero-bandwidth"),
     pytest.param("simulate-fbm", "initial", {"x": float("inf")},
                  id="simulate-infinite-point"),
+    pytest.param("solve-jump", "model", {"q": [[0.0, math.nan], [1.0, 0.0]]},
+                 id="solve-jump-nan-rate"),
+    pytest.param("simulate-jump", "model", {"q": [[0.0, math.nan], [1.0, 0.0]]},
+                 id="simulate-jump-nan-rate"),
+    pytest.param("simulate-jump", "model",
+                 {"q": {"x": [0.0, math.nan], "rates": [[[0.0, 1.0], [1.0, 0.0]]] * 2}},
+                 id="simulate-jump-nan-node"),
 ]
 
 

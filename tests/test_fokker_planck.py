@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
@@ -251,3 +252,59 @@ class TestOutputs:
         assert sum(diag.phase_s.values()) <= diag.wall_time
         meta = write_snapshots(sol, tmp_path, prefix="rslv")
         assert meta["diagnostics"]["phase_s"] == diag.phase_s
+
+
+@st.composite
+def generated_solve(draw):
+    """A model, initial law and grid for a few steps of one of the three solvers."""
+    d = draw(st.integers(2, 5))
+    lam = draw(st.lists(st.floats(0.2, 5.0), min_size=d, max_size=d))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d)))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)
+    q_kind = draw(st.sampled_from(["none", "constant", "tabulated"]))
+    q = None
+    if q_kind == "constant":
+        q = IntensityTable(rates=np.reshape(draw(st.lists(rate, min_size=d * d,
+                                                          max_size=d * d)), (d, d)))
+    elif q_kind == "tabulated":
+        k = draw(st.integers(2, 4))
+        nodes = np.sort(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k,
+                                      unique=True)))
+        rates = np.reshape(draw(st.lists(rate, min_size=k * d * d, max_size=k * d * d)),
+                           (k, d, d))
+        q = IntensityTable(rates=rates, x=nodes)
+    model = RegimeModel(lam=lam, alpha=w / w.sum(), q=q)
+    init_kind = draw(st.sampled_from(["point", "mixture", "tabulated"]))
+    centre = st.floats(-1.5, 1.5)
+    if init_kind == "point":
+        initial = Measure.point(draw(centre))
+    elif init_kind == "mixture":
+        xs = draw(st.lists(centre, min_size=1, max_size=4))
+        initial = Measure.mixture(xs, np.full(len(xs), 1.0 / len(xs)))
+    else:
+        xs = np.linspace(-1.5, 1.5, draw(st.integers(3, 9)))
+        dens = draw(st.lists(st.floats(0.0, 2.0), min_size=xs.size, max_size=xs.size))
+        initial = Measure.tabulated(xs, np.asarray(dens) + 0.1)
+    solver = draw(st.sampled_from(["plain", "rslv"]))
+    grid = SpatialGrid(L=4.0, m=draw(st.integers(21, 101)))
+    return model, initial, grid, solver
+
+
+@settings(max_examples=25, deadline=None)
+@given(generated_solve(), st.floats(0.15, 0.5), st.floats(0.0, 0.05))
+def test_generated_models_conserve_mass(case, vol, r):
+    model, initial, grid, solver = case
+    cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=2)
+    horizon = HorizonConfig(T=3e-3, r=r)
+    if solver == "rslv":
+        sol = solve_rslv(model, cfg, grid, horizon, VolSurface.constant(vol), initial)
+    elif model.q is None:
+        sol = solve_fbm(model, cfg, grid, horizon, initial)
+    else:
+        sol = solve_jump_fbm(model, cfg, grid, horizon, initial)
+    assert sol.p.shape == (2, model.lam.size, grid.m)
+    assert np.isfinite(sol.p).all()
+    assert sol.diagnostics.max_mass_drift <= 1e-12
+    # the projected start splits one law among the regimes by alpha
+    start = sol.diagnostics.masses[0]
+    np.testing.assert_allclose(start, model.alpha * start.sum(), rtol=1e-12)

@@ -227,6 +227,16 @@ class TestModelTypes:
     def test_intensity_validation(self):
         with pytest.raises(ValueError):
             IntensityTable(rates=np.array([[0.0, -1.0], [1.0, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                IntensityTable(rates=np.array([[0.0, bad], [1.0, 0.0]]))
+            with pytest.raises(ValueError):       # also on the diagonal
+                IntensityTable(rates=np.array([[bad, 1.0], [1.0, 0.0]]))
+            with pytest.raises(ValueError):
+                IntensityTable(rates=np.array([[[0.0, 1.0], [bad, 0.0]]] * 2), x=[0.0, 1.0])
+        for nodes in ([0.0, np.nan, 2.0], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError):
+                IntensityTable(rates=np.zeros((3, 2, 2)), x=nodes)
 
 
 def interp_reference(table, x):
