@@ -40,8 +40,8 @@ def main(argv=None) -> int:
     np.fill_diagonal(rates, 0.0)
     model = RegimeModel(lam=lam, alpha=np.full(d, 1.0 / d),
                         q=IntensityTable(rates=rates))
-    plan = SimPlan(dt=args.dt, n_particles=args.n, mode="rslv",
-                   checkpoints=(args.T,), seed=args.seed)
+    plan = SimPlan(dt=args.dt, n_particles=args.n, checkpoints=(args.T,),
+                   seed=args.seed)
     res = simulate(model, plan, HorizonConfig(T=args.T, r=args.r),
                    initial=Measure.point(0.0),
                    surface=VolSurface.constant(args.vol))

@@ -70,8 +70,7 @@ class AcceptanceContext:
     @property
     def fbm_run(self):
         def make():
-            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, mode="fake_bm",
-                           checkpoints=(0.5, 1.0), seed=2024)
+            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
             return simulate(self.model_14, plan, HorizonConfig(T=1.0, r=0.0),
                             initial=Measure.point(0.0))
         return self._get("fbm_run", make)
@@ -80,8 +79,7 @@ class AcceptanceContext:
     def fbm_control_run(self):
         def make():
             model = RegimeModel(lam=[1.0, 1.0], alpha=[0.5, 0.5])
-            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, mode="fake_bm",
-                           checkpoints=(0.5, 1.0), seed=2024)
+            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
             return simulate(model, plan, HorizonConfig(T=1.0, r=0.0),
                             initial=Measure.point(0.0))
         return self._get("fbm_control_run", make)
@@ -329,8 +327,7 @@ def criterion_11_calibration(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
     model = RegimeModel(lam=[0.25, 4.0], alpha=[0.5, 0.5], q=q)
-    plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, mode="rslv",
-                   checkpoints=(1.0,), seed=2024)
+    plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(1.0,), seed=2024)
     res = simulate(model, plan, HorizonConfig(T=1.0, r=0.0),
                    initial=Measure.point(0.0), surface=VolSurface.constant(0.2))
     reports = []
@@ -350,7 +347,7 @@ def criterion_12_jump_fake_bm(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.perf_counter()
     q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
     model = RegimeModel(lam=[1.0, 4.0], alpha=[0.5, 0.5], q=q)
-    plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, mode="jump_fbm",
+    plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES,
                    checkpoints=(0.25, 0.5, 0.75, 1.0), seed=2024)
     res = simulate(model, plan, HorizonConfig(T=1.0, r=0.0),
                    initial=Measure.point(0.0))

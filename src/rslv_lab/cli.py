@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import MISSING, fields, replace
 from itertools import chain, islice
 
 import numpy as np
@@ -26,7 +27,7 @@ from .condition_c import (CertificateError, criterion_d3, criterion_diag,
 from .dupire import ArbitrageError, VolSurface, dupire_from_calls
 from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
                             SpatialGrid, l1_grid_distance, solve_fbm,
-                            solve_jump_fbm, solve_lv, solve_rslv)
+                            solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import HorizonConfig, Measure, RegimeModel
 
@@ -76,49 +77,33 @@ def _section(name: str, raw, build, known=None):
         raise ConfigError(f"invalid {name} section: {detail}") from exc
 
 
-def _model_from(cfg: dict) -> RegimeModel:
-    return _section("model", _require(cfg, "model"), RegimeModel.from_dict,
-                    known={"lambda", "alpha", "q"})
+def _times(values):
+    return None if values is None else tuple(float(t) for t in values)
 
 
-def _horizon_from(cfg: dict) -> HorizonConfig:
-    return _section("horizon", _require(cfg, "horizon"), lambda raw: HorizonConfig(
-        T=float(raw["T"]), r=float(raw.get("r", 0.0))), known={"T", "r"})
+# the keys of each dataclass section and the cast of each: a key left out
+# takes the dataclass default, and one without a default is required
+_DATACLASS_SECTIONS = {
+    "horizon": (HorizonConfig, {"T": float, "r": float}),
+    "grid": (SpatialGrid, {"L": float, "m": int}),
+    "pds": (PDSConfig, {"dt": float, "sigma_mollify": float, "n_outputs": int,
+                        "output_times": _times}),
+    "sim": (SimPlan, {"dt": float, "n_particles": int, "bandwidth_c": float,
+                      "regression_grid": int, "checkpoints": _times, "seed": int}),
+}
 
 
-def _grid_from(cfg: dict) -> SpatialGrid:
-    return _section("grid", _require(cfg, "grid"), lambda raw: SpatialGrid(
-        L=float(raw["L"]), m=int(raw["m"])), known={"L", "m"})
+def _dataclass_from(cfg: dict, name: str, inherited=()):
+    """The ``name`` section as its dataclass; top-level ``inherited`` keys fill gaps."""
+    cls, casts = _DATACLASS_SECTIONS[name]
 
-
-def _pds_from(cfg: dict) -> PDSConfig:
     def build(raw):
-        return PDSConfig(
-            dt=float(raw["dt"]),
-            sigma_mollify=float(raw.get("sigma_mollify", 0.0)),
-            n_outputs=int(raw.get("n_outputs", 11)),
-            output_times=None if raw.get("output_times") is None
-            else tuple(float(t) for t in raw["output_times"]),
-        )
-    return _section("pds", _require(cfg, "pds"), build, known={
-        "dt", "sigma_mollify", "n_outputs", "output_times"})
-
-
-def _plan_from(cfg: dict, mode: str) -> SimPlan:
-    """The ``sim`` section; without ``checkpoints`` the one checkpoint is T."""
-    def build(raw):
-        return SimPlan(
-            dt=float(raw["dt"]),
-            n_particles=int(raw["n_particles"]),
-            mode=mode,
-            bandwidth_c=float(raw.get("bandwidth_c", 1.06)),
-            regression_grid=int(raw.get("regression_grid", 400)),
-            checkpoints=(tuple(float(t) for t in raw["checkpoints"])
-                         if "checkpoints" in raw else None),
-            seed=int(raw.get("seed", cfg.get("seed", 0))),
-        )
-    return _section("sim", _require(cfg, "sim"), build, known={
-        "dt", "n_particles", "bandwidth_c", "regression_grid", "checkpoints", "seed"})
+        raw = {**{k: cfg[k] for k in inherited if k in cfg}, **raw}
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw:
+                raise KeyError(f.name)
+        return cls(**{k: cast(raw[k]) for k, cast in casts.items() if k in raw})
+    return _section(name, _require(cfg, name), build, known=set(casts))
 
 
 def _initial_from(cfg: dict) -> Measure:
@@ -293,34 +278,55 @@ def _heat_reference(initial: Measure, sigma: float):
     return ref
 
 
-def _cmd_solve(args, kind: str) -> int:
+def _dynamics(args, cfg: dict):
+    """The model and surface that a ``solve-*`` or ``simulate-*`` command runs.
+
+    The inputs pick the dynamics: a surface adds the drifts and the model's
+    q the regime switching.  ``*-rslv`` and solve-lv read the surface
+    section, solve-lv has no model, ``*-jump`` needs q, solve-fbm refuses q
+    and simulate-fbm runs without it.
+    """
+    command = args.command
+    kind = command.split("-", 1)[1]
+    model = surface = None
+    if kind != "lv":
+        model = _section("model", _require(cfg, "model"), RegimeModel.from_dict,
+                         known={"lambda", "alpha", "q"})
+        if kind == "jump" and model.q is None:
+            raise ConfigError(f"{command} needs the intensities q in the model section")
+        if command == "solve-fbm" and model.q is not None:
+            raise ConfigError("solve-fbm has no regime switching; use solve-jump")
+        if command == "simulate-fbm":
+            model = replace(model, q=None)
+    if kind in ("rslv", "lv"):
+        surface = _surface_from(cfg, os.path.dirname(os.path.abspath(args.config)))
+    return model, surface
+
+
+def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    model = _model_from(cfg) if kind != "lv" else None
-    horizon = _horizon_from(cfg)
-    grid = _grid_from(cfg)
-    pds = _pds_from(cfg)
+    model, surface = _dynamics(args, cfg)
+    horizon = _dataclass_from(cfg, "horizon")
+    grid = _dataclass_from(cfg, "grid")
+    pds = _dataclass_from(cfg, "pds")
     initial = _initial_from(cfg)
     out = _out_dir(cfg, args)
-    base = os.path.dirname(os.path.abspath(args.config))
 
-    if kind == "fbm":
+    if surface is None:
         sol = solve_fbm(model, pds, grid, horizon, initial)
-    elif kind == "jump":
-        sol = solve_jump_fbm(model, pds, grid, horizon, initial)
-    elif kind == "rslv":
-        surface = _surface_from(cfg, base)
-        sol = solve_rslv(model, pds, grid, horizon, surface, initial)
-    else:
-        surface = _surface_from(cfg, base)
+    elif model is None:
         sol = solve_lv(pds, grid, horizon, surface, initial)
+    else:
+        sol = solve_rslv(model, pds, grid, horizon, surface, initial)
 
+    kind = args.command.split("-", 1)[1]
     ref = _heat_reference(initial, pds.sigma_mollify)
     meta = write_snapshots(sol, out, reference=ref, prefix=f"{kind}")
-    if kind in ("fbm", "jump"):
+    if surface is None:
         errs = [l1_grid_distance(grid, sol.total_density(k), ref(float(t), grid.x))
                 for k, t in enumerate(sol.times) if t > 0]
         meta["diagnostics"]["heat_l1_max"] = max(errs) if errs else 0.0
-    meta["run"] = {"command": f"solve-{kind}", "config": os.path.abspath(args.config),
+    meta["run"] = {"command": args.command, "config": os.path.abspath(args.config),
                    "config_data": cfg,
                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     with open(os.path.join(out, f"{kind}_metadata.json"), "w") as fh:
@@ -334,15 +340,19 @@ def _cmd_solve(args, kind: str) -> int:
 # ---------------------------------------------------------------------------
 # particle simulations
 
-def _cmd_simulate(args, mode: str) -> int:
+# the "mode" each simulate command writes to its diagnostics and file name
+_MODE_BY_COMMAND = {"simulate-fbm": "fake_bm", "simulate-rslv": "rslv",
+                    "simulate-jump": "jump_fbm"}
+
+
+def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    model = _model_from(cfg)
-    horizon = _horizon_from(cfg)
-    plan = _plan_from(cfg, mode)
+    model, surface = _dynamics(args, cfg)
+    horizon = _dataclass_from(cfg, "horizon")
+    plan = _dataclass_from(cfg, "sim", inherited=("seed",))
     initial = _initial_from(cfg)
     out = _out_dir(cfg, args)
-    base = os.path.dirname(os.path.abspath(args.config))
-    surface = _surface_from(cfg, base) if mode == "rslv" else None
+    mode = _MODE_BY_COMMAND[args.command]
     res = simulate(model, plan, horizon, initial=initial, surface=surface)
     for k, t in enumerate(res.times):
         rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
@@ -360,7 +370,7 @@ def _cmd_simulate(args, mode: str) -> int:
         "n_particles": plan.n_particles,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if mode == "rslv" and cfg.get("strikes"):
+    if surface is not None and cfg.get("strikes"):
         # the last checkpoint is the maturity of the options priced from it
         maturity = float(res.times[-1])
         prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=maturity)
@@ -468,10 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODE_BY_COMMAND = {"simulate-fbm": "fake_bm", "simulate-rslv": "rslv",
-                    "simulate-jump": "jump_fbm"}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -479,9 +485,9 @@ def main(argv=None) -> int:
         if args.command == "check-c":
             return _cmd_check_c(args)
         if args.command.startswith("solve-"):
-            return _cmd_solve(args, args.command.split("-", 1)[1])
+            return _cmd_solve(args)
         if args.command in _MODE_BY_COMMAND:
-            return _cmd_simulate(args, _MODE_BY_COMMAND[args.command])
+            return _cmd_simulate(args)
         if args.command == "dupire-build":
             return _cmd_dupire(args)
         if args.command == "verify":

@@ -48,17 +48,19 @@ class VolSurface:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.sigma_low <= self.sigma_high:
-            raise ValueError("need 0 < sigma_low <= sigma_high")
+        if not 0 < self.sigma_low <= self.sigma_high < np.inf:
+            raise ValueError("need 0 < sigma_low <= sigma_high < inf")
         if self.kind == "constant":
-            if not self.value > 0:
-                raise ValueError("constant surface needs a positive value")
+            if not 0 < self.value < np.inf:
+                raise ValueError("constant surface needs a positive, finite value")
         elif self.kind == "tabulated":
             t = np.asarray(self.t_nodes, dtype=float)
             x = np.asarray(self.x_nodes, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
                 raise ValueError("tabulated surface needs values of shape (len(t), len(x))")
+            if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(v).all()):
+                raise ValueError("tabulated surface nodes and values must be finite")
             if t.size > 1 and np.any(np.diff(t) <= 0):
                 raise ValueError("t nodes must be strictly increasing")
             if np.any(np.diff(x) <= 0):

@@ -1,18 +1,18 @@
 """P1 Galerkin solvers on a truncated domain for the nonlinear sub-density systems.
 
-Four systems share one linearised backward-Euler stepper:
+Three systems share one linearised backward-Euler stepper:
 
-  * "fbm":  d/dt (v, p) + (v', A_eps(p+) p') = 0            (no drift, no jumps)
-  * "jump": the same plus the regime-exchange term (Qv, p)
+  * "fbm":  d/dt (v, p) + (v', A_eps(p+) p') = (Qv, p)      (no drift)
   * "rslv": d/dt (v, p) - r (v', p)
             + (v', 1/2 R_eps(p+) s (s + 2 s_x) Lam p) + (v', s^2 A_eps(p+) p') = (Qv, p)
   * "lv":   the scalar analogue of "rslv" (d = 1, A = 1/2, R = 1)
 
-with s = sigma_tilde(t, x).  Diffusion and exchange are treated implicitly
-with coefficients frozen at the current iterate; the drift terms are
-explicit.  The boundary is zero-flux (natural) on [-L, L], which preserves
-mass exactly; degrees of freedom interleave the regime index within each
-node so every step is one banded solve.
+with s = sigma_tilde(t, x); a model without intensities has no (Qv, p).
+Diffusion and exchange are treated implicitly with coefficients frozen at
+the current iterate; the drift terms are explicit.  The boundary is
+zero-flux (natural) on [-L, L], which preserves mass exactly; degrees of
+freedom interleave the regime index within each node so every step is one
+banded solve.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "GridSolution",
     "NumericalError",
     "solve_fbm",
-    "solve_jump_fbm",
     "solve_rslv",
     "solve_lv",
     "l1_grid_distance",
@@ -57,8 +56,8 @@ class SpatialGrid:
     m: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("domain half-width must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError("domain half-width must be positive and finite")
         if self.m < 3:
             raise ValueError("need at least three nodes")
 
@@ -80,8 +79,8 @@ class SpatialGrid:
 class PDSConfig:
     """Step size and output cadence for one PDS solve.
 
-    sigma_mollify is the width of the initial heat-kernel mollification
-    (required positive for atomic data).
+    sigma_mollify is the width of the initial heat-kernel mollification,
+    finite and non-negative (required positive for atomic data).
     """
 
     dt: float
@@ -92,6 +91,8 @@ class PDSConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("time step must be positive")
+        if not 0 <= self.sigma_mollify < math.inf:
+            raise ValueError("mollification width must be non-negative and finite")
 
 
 # where a grid step spends its time: the coefficient field, building the
@@ -342,17 +343,7 @@ def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: Spatial
 
 def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
               horizon, initial: Measure) -> GridSolution:
-    """Driftless sub-density system for a constant-in-time regime variable."""
-    if model.q is not None:
-        raise ValueError("the driftless system has no jumps; use solve_jump_fbm")
-    return _advance(model.lam, model.alpha, initial, grid, horizon, config)
-
-
-def solve_jump_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
-                   horizon, initial: Measure) -> GridSolution:
-    """Driftless system with regime exchange: adds (Qv, p) to the weak form."""
-    if model.q is None:
-        raise ValueError("jump system needs an intensity table")
+    """Driftless sub-density system; the model's q, if any, adds the exchange (Qv, p)."""
     return _advance(model.lam, model.alpha, initial, grid, horizon, config,
                     q_table=model.q)
 

@@ -2,18 +2,20 @@
 
 The diffusion of every particle is normalised by a Nadaraya-Watson estimate
 of E[f^2(Y) | X] built from the whole ensemble, so the system is a particle
-discretisation of a McKean-type SDE.  Three dynamics share the stepper:
+discretisation of a McKean-type SDE.  The inputs pick the dynamics:
 
-  * "fake_bm":  dX = sqrt(lam_Y / Ehat) dW, Y drawn once from alpha
-  * "jump_fbm": the same diffusion, Y switching with intensities q_ij(X)
-  * "rslv":     dX = (r - lam_Y/Ehat * s^2 / 2) dt + sqrt(lam_Y/Ehat) s dW,
-                s = sigma_tilde(t, X), with the same regime switching
+  * no surface:  dX = sqrt(lam_Y / Ehat) dW (the fake Brownian motions)
+  * a surface:   dX = (r - lam_Y/Ehat * s^2 / 2) dt + sqrt(lam_Y/Ehat) s dW,
+                 s = sigma_tilde(t, X) (the calibrated RSLV model)
+
+and Y, drawn from alpha at t = 0, switches with the intensities q_ij(X) when
+the model has them and stays put otherwise.
 
 Per-path quadratic variation accumulates the Riemann sum of the squared
 diffusion coefficient.  Randomness comes from three counter-based streams
 (initials, Gaussian increments, regime thinning) spawned from one seed, so
 trajectories are bit-identical across runs and across dynamics that share
-the Gaussian stream (e.g. jump_fbm with q = 0 reproduces fake_bm paths).
+the Gaussian stream (e.g. q = 0 reproduces the paths of a model without q).
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "price_calls",
 ]
 
-_MODES = ("fake_bm", "rslv", "jump_fbm")
-
 
 @dataclass(frozen=True)
 class SimPlan:
@@ -50,15 +50,12 @@ class SimPlan:
 
     dt: float
     n_particles: int
-    mode: str = "fake_bm"
     bandwidth_c: float = 1.06
     regression_grid: int = 400
     checkpoints: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
         if not self.dt > 0:
             raise ValueError("time step must be positive")
         if self.n_particles < 100:
@@ -68,18 +65,10 @@ class SimPlan:
         if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0):
             raise ValueError("bandwidth constant must be positive and finite")
 
-    @property
-    def uses_jumps(self) -> bool:
-        return self.mode in ("rslv", "jump_fbm")
-
     def validate(self, model: RegimeModel) -> None:
         """Thinning validity: at most one switch per particle per step."""
-        if self.uses_jumps and model.q is not None:
-            if self.dt * (model.d - 1) * model.qbar >= 1.0:
-                raise ValueError(
-                    "dt * (d - 1) * qbar must be < 1 for one-switch thinning")
-        if self.mode == "jump_fbm" and model.q is None:
-            raise ValueError("jump dynamics need an intensity table")
+        if self.dt * (model.d - 1) * model.qbar >= 1.0:
+            raise ValueError("dt * (d - 1) * qbar must be < 1 for one-switch thinning")
 
 
 @dataclass(frozen=True)
@@ -255,15 +244,14 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     """Run the particle system to the horizon, recording the checkpoints.
 
     Each step is one Euler-Maruyama step with the conditional expectation
-    frozen at the current ensemble.  Deterministic for a given (seed, plan,
-    model): identical inputs give bit-identical trajectories.  Checkpoints
-    must lie on the step grid k * T / n_steps (ValueError otherwise).
-    Non-finite positions or ensemble spread raise NumericalError with the
-    step index.
+    frozen at the current ensemble; a ``surface`` adds the drift and scales
+    the diffusion, and the model's q switches regimes.  Deterministic for a
+    given (seed, plan, model): identical inputs give bit-identical
+    trajectories.  Checkpoints must lie on the step grid k * T / n_steps
+    (ValueError otherwise).  Non-finite positions or ensemble spread raise
+    NumericalError with the step index.
     """
     plan.validate(model)
-    if plan.mode == "rslv" and surface is None:
-        raise ValueError("rslv dynamics need a volatility surface")
     T = horizon.T
     r = getattr(horizon, "r", 0.0)
     n_steps = max(1, int(round(T / plan.dt)))
@@ -271,7 +259,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     dt = plan.dt
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
-    jumps = plan.uses_jumps and model.q is not None
+    jumps = model.q is not None
     table = (_switch_table(model.q.rates.copy(), np.arange(model.d), dt)
              if jumps and model.q.is_constant else None)
     qv = np.zeros(plan.n_particles)
@@ -297,7 +285,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
         except FloatingPointError as exc:
             raise NumericalError(str(exc), n + 1) from exc
         ratio = model.lam[y - 1] / reg.at_samples
-        if plan.mode == "rslv":
+        if surface is not None:
             s = np.asarray(surface.sigma(n * dt, x), dtype=float)
             diff2 = ratio * s * s
             x += (r - 0.5 * diff2) * dt

@@ -259,6 +259,8 @@ class Measure:
                 raise ValueError("tabulated density must be non-negative")
         elif np.any(w < 0):
             raise ValueError("atom masses must be non-negative")
+        if not w.sum() > 0:
+            raise ValueError("the measure has no mass")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "weights", w)
 

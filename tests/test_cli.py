@@ -242,7 +242,15 @@ class TestSimulateCommands:
         assert cli.main(["simulate-jump", str(cfg)]) == 2
 
 
-# (command, section, entries merged into it): each one is a config error
+MASSLESS_MIXTURE = {"kind": "mixture", "xs": [-1.0, 1.0], "weights": [0.0, 0.0]}
+MASSLESS_DENSITY = {"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 0.0, 0.0]}
+NAN_SURFACE_VALUE = {"kind": "tabulated", "t": [0.0], "x": [-1.0, 0.0, 1.0],
+                     "values": [[0.2, math.nan, 0.2]]}
+NAN_SURFACE_NODE = {"kind": "tabulated", "t": [0.0], "x": [-1.0, math.nan, 1.0],
+                    "values": [[0.2, 0.2, 0.2]]}
+
+# (command, section, entries merged into it; the section is made if the base
+# config has none): each one is a config error
 BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"dt": None}, id="pds-null"),
     pytest.param("solve-fbm", "pds", {"dt": [2e-3]}, id="pds-list"),
@@ -272,6 +280,19 @@ BAD_SECTIONS = [
     pytest.param("simulate-jump", "model",
                  {"q": {"x": [0.0, math.nan], "rates": [[[0.0, 1.0], [1.0, 0.0]]] * 2}},
                  id="simulate-jump-nan-node"),
+    pytest.param("solve-fbm", "pds", {"sigma_mollify": math.nan}, id="pds-nan-mollify"),
+    pytest.param("solve-fbm", "pds", {"sigma_mollify": math.inf},
+                 id="pds-infinite-mollify"),
+    pytest.param("solve-fbm", "grid", {"L": math.inf}, id="grid-infinite-width"),
+    pytest.param("solve-fbm", "initial", MASSLESS_MIXTURE, id="solve-massless-mixture"),
+    pytest.param("solve-fbm", "initial", MASSLESS_DENSITY, id="solve-massless-density"),
+    pytest.param("simulate-fbm", "initial", MASSLESS_MIXTURE,
+                 id="simulate-massless-mixture"),
+    pytest.param("simulate-fbm", "initial", MASSLESS_DENSITY,
+                 id="simulate-massless-density"),
+    pytest.param("solve-lv", "surface", NAN_SURFACE_VALUE, id="solve-lv-nan-surface-value"),
+    pytest.param("simulate-rslv", "surface", NAN_SURFACE_NODE,
+                 id="simulate-rslv-nan-surface-node"),
 ]
 
 
@@ -280,11 +301,66 @@ def test_bad_section_is_a_config_error(tmp_path, capsys, command, section, entri
     make = small_solve_config if command.startswith("solve") else small_sim_config
     path = make(tmp_path)
     cfg = json.loads(path.read_text())
-    cfg[section].update(entries)
+    cfg.setdefault(section, {}).update(entries)
     path.write_text(json.dumps(cfg))
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def contract_config(tmp_path, q, surface):
+    """One config that every solve-* and simulate-* command can read."""
+    model = {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]}
+    if q:
+        model["q"] = [[0.0, 1.0], [1.0, 0.0]]
+    cfg = {
+        "model": model,
+        "horizon": {"T": 0.1, "r": 0.0},
+        "grid": {"L": 5.0, "m": 101},
+        "pds": {"dt": 1e-2, "sigma_mollify": 0.3, "n_outputs": 2},
+        "sim": {"dt": 1e-2, "n_particles": 500, "checkpoints": [0.0, 0.1], "seed": 5},
+        "output_dir": str(tmp_path / "out"),
+    }
+    if surface:
+        cfg["surface"] = {"kind": "constant", "value": 0.2}
+    path = tmp_path / "contract.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# (command, model has q, config has a surface, exit code): the inputs pick the
+# dynamics, and each command checks that they are the ones it names
+CONTRACT = [
+    ("solve-fbm", False, False, 0),
+    ("solve-fbm", True, False, 2),
+    ("solve-jump", True, False, 0),
+    ("solve-jump", False, False, 2),
+    ("solve-rslv", True, True, 0),
+    ("solve-rslv", False, True, 0),
+    ("solve-rslv", True, False, 2),
+    ("solve-lv", False, True, 0),
+    ("solve-lv", False, False, 2),
+    ("simulate-fbm", False, False, 0),
+    ("simulate-fbm", True, False, 0),
+    ("simulate-jump", True, False, 0),
+    ("simulate-jump", False, False, 2),
+    ("simulate-rslv", True, True, 0),
+    ("simulate-rslv", True, False, 2),
+]
+
+
+@pytest.mark.parametrize("command,q,surface,code", CONTRACT)
+def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
+    assert cli.main([command, contract_config(tmp_path, q, surface)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif command.startswith("simulate"):
+        out = tmp_path / "out"
+        y0, y1 = (np.loadtxt(out / f"checkpoint_{k:02d}.csv", delimiter=",",
+                             skiprows=1)[:, 2] for k in (0, 1))
+        # simulate-fbm runs without switching, even when the model has q
+        assert np.array_equal(y0, y1) == (command == "simulate-fbm" or not q)
 
 
 class TestDupireBuild:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
 from rslv_lab.fokker_planck import (PHASES, PDSConfig, SpatialGrid,
-                                    l1_grid_distance, solve_fbm,
-                                    solve_jump_fbm, solve_lv, solve_rslv)
+                                    l1_grid_distance, solve_fbm, solve_lv,
+                                    solve_rslv)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -101,13 +101,6 @@ class TestFbmSolver:
                     for k in range(len(sol.times)))
         assert worst <= 1e-10
 
-    def test_rejects_jump_models(self):
-        grid = SpatialGrid(L=6.0, m=201)
-        cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3)
-        with pytest.raises(ValueError):
-            solve_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.1),
-                      Measure.point(0.0))
-
 
 class TestJumpSolver:
     def test_zero_rates_match_fbm_exactly(self):
@@ -115,15 +108,15 @@ class TestJumpSolver:
         grid = SpatialGrid(L=6.0, m=201)
         cfg = PDSConfig(dt=2e-3, sigma_mollify=0.3, n_outputs=4)
         hor = HorizonConfig(T=0.3)
-        a = solve_jump_fbm(model_14(q=q0), cfg, grid, hor, Measure.point(0.0))
+        a = solve_fbm(model_14(q=q0), cfg, grid, hor, Measure.point(0.0))
         b = solve_fbm(model_14(), cfg, grid, hor, Measure.point(0.0))
         np.testing.assert_array_equal(a.p, b.p)
 
     def test_sum_still_tracks_heat_kernel(self):
         grid = SpatialGrid(L=6.0, m=301)
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=4)
-        sol = solve_jump_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.4),
-                             Measure.point(0.0))
+        sol = solve_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.4),
+                        Measure.point(0.0))
         worst = max(l1_grid_distance(grid, sol.total_density(k), gaussian(grid.x, 0.09 + t))
                     for k, t in enumerate(sol.times) if t > 0)
         assert worst <= 5e-3
@@ -134,23 +127,16 @@ class TestJumpSolver:
         model = RegimeModel(lam=[2.0, 2.0], alpha=[0.5, 0.5], q=SYM_Q)
         grid = SpatialGrid(L=6.0, m=201)
         cfg = PDSConfig(dt=2e-3, sigma_mollify=0.3, n_outputs=4)
-        sol = solve_jump_fbm(model, cfg, grid, HorizonConfig(T=0.3), Measure.point(0.0))
+        sol = solve_fbm(model, cfg, grid, HorizonConfig(T=0.3), Measure.point(0.0))
         assert np.abs(sol.p[:, 0] - sol.p[:, 1]).max() <= 1e-12
 
     def test_total_mass_conserved_under_exchange(self):
         grid = SpatialGrid(L=6.0, m=201)
         cfg = PDSConfig(dt=2e-3, sigma_mollify=0.3, n_outputs=4)
-        sol = solve_jump_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.3),
-                             Measure.point(0.0))
+        sol = solve_fbm(model_14(q=SYM_Q), cfg, grid, HorizonConfig(T=0.3),
+                        Measure.point(0.0))
         total = sol.diagnostics.masses.sum(axis=1)
         assert np.abs(total - total[0]).max() <= 1e-10
-
-    def test_needs_intensities(self):
-        grid = SpatialGrid(L=6.0, m=201)
-        cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3)
-        with pytest.raises(ValueError):
-            solve_jump_fbm(model_14(), cfg, grid, HorizonConfig(T=0.1),
-                           Measure.point(0.0))
 
 
 class TestRslvAndLv:
@@ -212,8 +198,8 @@ class TestThreeRegimes:
         model = RegimeModel(lam=[0.5, 1.0, 3.0], alpha=[0.3, 0.3, 0.4], q=q)
         grid = SpatialGrid(L=6.0, m=241)
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=4)
-        sol = solve_jump_fbm(model, cfg, grid, HorizonConfig(T=0.4),
-                             Measure.point(0.0))
+        sol = solve_fbm(model, cfg, grid, HorizonConfig(T=0.4),
+                        Measure.point(0.0))
         worst = max(l1_grid_distance(grid, sol.total_density(k),
                                      gaussian(grid.x, 0.09 + t))
                     for k, t in enumerate(sol.times) if t > 0)
@@ -298,10 +284,8 @@ def test_generated_models_conserve_mass(case, vol, r):
     horizon = HorizonConfig(T=3e-3, r=r)
     if solver == "rslv":
         sol = solve_rslv(model, cfg, grid, horizon, VolSurface.constant(vol), initial)
-    elif model.q is None:
-        sol = solve_fbm(model, cfg, grid, horizon, initial)
     else:
-        sol = solve_jump_fbm(model, cfg, grid, horizon, initial)
+        sol = solve_fbm(model, cfg, grid, horizon, initial)
     assert sol.p.shape == (2, model.lam.size, grid.m)
     assert np.isfinite(sol.p).all()
     assert sol.diagnostics.max_mass_drift <= 1e-12

@@ -103,14 +103,11 @@ class TestStepAndSimulate:
         np.testing.assert_array_equal(a.qv, b.qv)
 
     def test_zero_rates_reproduce_fake_bm_paths(self):
-        plan_f = SimPlan(dt=1e-2, n_particles=2000, mode="fake_bm",
-                         checkpoints=(0.1,), seed=9)
-        plan_j = SimPlan(dt=1e-2, n_particles=2000, mode="jump_fbm",
-                         checkpoints=(0.1,), seed=9)
+        plan = SimPlan(dt=1e-2, n_particles=2000, checkpoints=(0.1,), seed=9)
         q0 = IntensityTable(rates=np.zeros((2, 2)))
         hor = HorizonConfig(T=0.1)
-        a = simulate(model_14(), plan_f, hor)
-        b = simulate(model_14(q=q0), plan_j, hor)
+        a = simulate(model_14(), plan, hor)
+        b = simulate(model_14(q=q0), plan, hor)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.Y, b.Y)
 
@@ -147,14 +144,14 @@ class TestStepAndSimulate:
     def test_occupancy_under_symmetric_switching(self):
         model = model_14(q=SYM_Q)
         n = 20_000
-        plan = SimPlan(dt=5e-3, n_particles=n, mode="jump_fbm",
-                       checkpoints=(0.25, 0.5, 0.75, 1.0), seed=17)
+        plan = SimPlan(dt=5e-3, n_particles=n, checkpoints=(0.25, 0.5, 0.75, 1.0),
+                       seed=17)
         res = simulate(model, plan, HorizonConfig(T=1.0))
         assert np.abs(res.occupancy[:, 0] - 0.5).max() <= 4.0 / math.sqrt(n)
 
     def test_thinning_respects_the_step_bound(self):
         fast = IntensityTable(rates=np.array([[0.0, 60.0], [60.0, 0.0]]))
-        plan = SimPlan(dt=2e-2, n_particles=500, mode="jump_fbm", seed=1)
+        plan = SimPlan(dt=2e-2, n_particles=500, seed=1)
         with pytest.raises(ValueError):
             plan.validate(model_14(q=fast))
 
@@ -167,8 +164,7 @@ class TestStepAndSimulate:
         rates[2:, 1, 0] = 5.0
         q = IntensityTable(rates=rates, x=xs)
         model = model_14(q=q)
-        plan = SimPlan(dt=1e-2, n_particles=1000, mode="jump_fbm",
-                       checkpoints=(0.0, 1e-2), seed=13)
+        plan = SimPlan(dt=1e-2, n_particles=1000, checkpoints=(0.0, 1e-2), seed=13)
         res = simulate(model, plan, HorizonConfig(T=plan.dt), Measure.point(-5.0))
         np.testing.assert_array_equal(res.Y[1], res.Y[0])
 
@@ -201,22 +197,6 @@ class TestPricing:
     def test_needs_maturity_for_raw_samples(self):
         with pytest.raises(TypeError):
             price_calls(np.zeros(10), [1.0], r=0.0)
-
-
-class TestPlanValidation:
-    def test_mode_names(self):
-        with pytest.raises(ValueError):
-            SimPlan(dt=1e-2, n_particles=500, mode="weird")
-
-    def test_rslv_needs_surface(self):
-        plan = SimPlan(dt=1e-2, n_particles=500, mode="rslv", seed=0)
-        with pytest.raises(ValueError):
-            simulate(model_14(q=SYM_Q), plan, HorizonConfig(T=0.1))
-
-    def test_jump_mode_needs_rates(self):
-        plan = SimPlan(dt=1e-2, n_particles=500, mode="jump_fbm", seed=0)
-        with pytest.raises(ValueError):
-            simulate(model_14(), plan, HorizonConfig(T=0.1))
 
 
 @st.composite
