@@ -13,6 +13,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,44 +55,30 @@ class CriterionResult:
 class AcceptanceContext:
     """Lazily computed shared artifacts (particle runs, reference solves)."""
 
-    def __init__(self):
-        self._cache = {}
-
-    def _get(self, key, maker):
-        if key not in self._cache:
-            self._cache[key] = maker()
-        return self._cache[key]
-
     # d = 2, lam = (1, 4), the workhorse regime model
-    @property
+    @cached_property
     def model_14(self) -> RegimeModel:
-        return self._get("model_14", lambda: RegimeModel(lam=[1.0, 4.0], alpha=[0.5, 0.5]))
+        return RegimeModel(lam=[1.0, 4.0], alpha=[0.5, 0.5])
 
-    @property
+    @cached_property
     def fbm_run(self):
-        def make():
-            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
-            return simulate(self.model_14, plan, HorizonConfig(T=1.0, r=0.0),
-                            initial=Measure.point(0.0))
-        return self._get("fbm_run", make)
+        plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
+        return simulate(self.model_14, plan, HorizonConfig(T=1.0, r=0.0),
+                        initial=Measure.point(0.0))
 
-    @property
+    @cached_property
     def fbm_control_run(self):
-        def make():
-            model = RegimeModel(lam=[1.0, 1.0], alpha=[0.5, 0.5])
-            plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
-            return simulate(model, plan, HorizonConfig(T=1.0, r=0.0),
-                            initial=Measure.point(0.0))
-        return self._get("fbm_control_run", make)
+        model = RegimeModel(lam=[1.0, 1.0], alpha=[0.5, 0.5])
+        plan = SimPlan(dt=1e-3, n_particles=N_PARTICLES, checkpoints=(0.5, 1.0), seed=2024)
+        return simulate(model, plan, HorizonConfig(T=1.0, r=0.0),
+                        initial=Measure.point(0.0))
 
-    @property
+    @cached_property
     def fbm_pde_sharp(self):
-        def make():
-            grid = SpatialGrid(L=6.0, m=1201)
-            cfg = PDSConfig(dt=1e-4, sigma_mollify=0.02, output_times=(0.5, 1.0))
-            return solve_fbm(self.model_14, cfg, grid, HorizonConfig(T=1.0, r=0.0),
-                             Measure.point(0.0))
-        return self._get("fbm_pde_sharp", make)
+        grid = SpatialGrid(L=6.0, m=1201)
+        cfg = PDSConfig(dt=1e-4, sigma_mollify=0.02, output_times=(0.5, 1.0))
+        return solve_fbm(self.model_14, cfg, grid, HorizonConfig(T=1.0, r=0.0),
+                         Measure.point(0.0))
 
 
 def criterion_01_figure_grid(ctx: AcceptanceContext) -> CriterionResult:

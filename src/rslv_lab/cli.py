@@ -11,12 +11,13 @@ minimum (condition_c.sample_quadratic_min); nothing else is threaded here.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import replace
 from itertools import chain, islice
 
 import numpy as np
@@ -29,7 +30,7 @@ from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
                             SpatialGrid, l1_grid_distance, solve_fbm,
                             solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
-from .regime_model import HorizonConfig, Measure, RegimeModel
+from .regime_model import HorizonConfig, IntensityTable, Measure, RegimeModel
 
 __all__ = ["main", "ConfigError", "write_csv", "write_snapshots"]
 
@@ -51,72 +52,114 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _require(cfg: dict, key: str, kind=dict):
-    if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} section")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config section {key!r} must be a {kind.__name__}")
-    return value
-
-
-def _section(name: str, raw, build, known=None):
-    """``build(raw)`` for one config section, whose faults become ConfigError.
-
-    Keys outside ``known`` are refused, so a misspelt or retired key fails.
-    """
-    if known is not None:
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown key(s) in the {name!r} section: "
-                              + ", ".join(unknown))
-    try:
-        return build(raw)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"invalid {name} section: {detail}") from exc
-
-
 def _times(values):
     return None if values is None else tuple(float(t) for t in values)
 
 
-# the keys of each dataclass section and the cast of each: a key left out
-# takes the dataclass default, and one without a default is required
-_DATACLASS_SECTIONS = {
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+def _intensities(value):
+    """A list is a constant Q; a dict tabulates Q at the nodes ``x``."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return _read("q", value, (lambda x, rates: IntensityTable(rates, x),
+                                  {"x": _floats, "rates": _floats}))
+    return IntensityTable(_floats(value))
+
+
+_BOUNDS = {"sigma_low": float, "sigma_high": float}
+
+# each section, or each kind of a section that has kinds: its constructor
+# and the cast of each key it takes
+_SECTIONS = {
+    "model": (RegimeModel, {"lambda": _floats, "alpha": _floats, "q": _intensities}),
     "horizon": (HorizonConfig, {"T": float, "r": float}),
     "grid": (SpatialGrid, {"L": float, "m": int}),
     "pds": (PDSConfig, {"dt": float, "sigma_mollify": float, "n_outputs": int,
                         "output_times": _times}),
     "sim": (SimPlan, {"dt": float, "n_particles": int, "bandwidth_c": float,
                       "regression_grid": int, "checkpoints": _times, "seed": int}),
+    "initial": {"point": (Measure.point, {"x": float, "mass": float}),
+                "mixture": (Measure.mixture, {"xs": _floats, "weights": _floats}),
+                "tabulated": (Measure.tabulated, {"x": _floats, "density": _floats})},
+    "surface": {"constant": (VolSurface.constant, {"value": float, **_BOUNDS}),
+                "tabulated": (VolSurface.tabulated, {"t": _floats, "x": _floats,
+                                                     "values": _floats, **_BOUNDS})},
 }
+# the config keys that are not named as their constructor parameter
+_PARAMS = {"lambda": "lam"}
 
 
-def _dataclass_from(cfg: dict, name: str, inherited=()):
-    """The ``name`` section as its dataclass; top-level ``inherited`` keys fill gaps."""
-    cls, casts = _DATACLASS_SECTIONS[name]
+def _read(name: str, raw, entry):
+    """``build(**{key: cast(value)})`` for one config section and its ``entry``.
 
-    def build(raw):
+    An entry is ``(build, casts)``, or a dict of them by the section's
+    ``kind``.  A key outside ``casts`` is refused, a parameter of ``build``
+    without a default is a required key, and every fault is a ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {name!r} must be a dict")
+    if isinstance(entry, dict):
+        raw = dict(raw)
+        kind = raw.pop("kind", None)
+        if not isinstance(kind, str) or kind not in entry:
+            raise ConfigError(f"invalid {name} section: kind must be one of "
+                              f"{', '.join(entry)}, not {kind!r}")
+        entry = entry[kind]
+    build, casts = entry
+    unknown = sorted(set(raw) - set(casts))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in the {name!r} section: " + ", ".join(unknown))
+    keys = {_PARAMS.get(k, k): k for k in casts}
+    for p in inspect.signature(build).parameters.values():
+        if p.default is p.empty and p.kind is not p.VAR_KEYWORD and keys[p.name] not in raw:
+            raise ConfigError(f"invalid {name} section: missing key {keys[p.name]!r}")
+    try:
+        return build(**{_PARAMS.get(k, k): casts[k](v) for k, v in raw.items()})
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid {name} section: {exc}") from exc
+
+
+def _section(cfg: dict, name: str, inherited=()):
+    """The ``name`` section read into its type; top-level ``inherited`` keys fill gaps.
+
+    A config without ``initial`` starts from a point mass at 0.
+    """
+    if name not in cfg and name != "initial":
+        raise ConfigError(f"config is missing the {name!r} section")
+    raw = cfg.get(name, {"kind": "point", "x": 0.0})
+    if inherited and isinstance(raw, dict):
         raw = {**{k: cfg[k] for k in inherited if k in cfg}, **raw}
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in raw:
-                raise KeyError(f.name)
-        return cls(**{k: cast(raw[k]) for k, cast in casts.items() if k in raw})
-    return _section(name, _require(cfg, name), build, known=set(casts))
-
-
-def _initial_from(cfg: dict) -> Measure:
-    return _section("initial", cfg.get("initial", {"kind": "point", "x": 0.0}),
-                    Measure.from_dict)
+    return _read(name, raw, _SECTIONS[name])
 
 
 def _surface_from(cfg: dict, base: str) -> VolSurface:
-    def build(raw):
-        if "file" in raw:
-            return VolSurface.load(os.path.join(base, raw["file"]))
-        return VolSurface.from_dict(raw)
-    return _section("surface", _require(cfg, "surface"), build)
+    """The surface section, inline or as ``{"file": path}`` relative to ``base``."""
+    raw = cfg.get("surface")
+    if not (isinstance(raw, dict) and "file" in raw):
+        return _section(cfg, "surface")
+    if len(raw) > 1:
+        raise ConfigError("a surface 'file' stands alone; unknown key(s) beside it: "
+                          + ", ".join(sorted(set(raw) - {"file"})))
+    try:
+        with open(os.path.join(base, raw["file"])) as fh:
+            raw = json.load(fh)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid surface file: {exc}") from exc
+    return _read("surface", raw, _SECTIONS["surface"])
+
+
+def _write_surface(path: str, surface: VolSurface) -> None:
+    """The tabulated ``surface`` as the JSON that a ``{"file": path}`` section reads."""
+    with open(path, "w") as fh:
+        json.dump({"kind": "tabulated", "sigma_low": surface.sigma_low,
+                   "sigma_high": surface.sigma_high, "t": surface.t.tolist(),
+                   "x": surface.x.tolist(), "values": surface.values.tolist()}, fh)
 
 
 def _out_dir(cfg: dict, args) -> str:
@@ -290,8 +333,7 @@ def _dynamics(args, cfg: dict):
     kind = command.split("-", 1)[1]
     model = surface = None
     if kind != "lv":
-        model = _section("model", _require(cfg, "model"), RegimeModel.from_dict,
-                         known={"lambda", "alpha", "q"})
+        model = _section(cfg, "model")
         if kind == "jump" and model.q is None:
             raise ConfigError(f"{command} needs the intensities q in the model section")
         if command == "solve-fbm" and model.q is not None:
@@ -306,10 +348,10 @@ def _dynamics(args, cfg: dict):
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     model, surface = _dynamics(args, cfg)
-    horizon = _dataclass_from(cfg, "horizon")
-    grid = _dataclass_from(cfg, "grid")
-    pds = _dataclass_from(cfg, "pds")
-    initial = _initial_from(cfg)
+    horizon = _section(cfg, "horizon")
+    grid = _section(cfg, "grid")
+    pds = _section(cfg, "pds")
+    initial = _section(cfg, "initial")
     out = _out_dir(cfg, args)
 
     if surface is None:
@@ -348,9 +390,9 @@ _MODE_BY_COMMAND = {"simulate-fbm": "fake_bm", "simulate-rslv": "rslv",
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model, surface = _dynamics(args, cfg)
-    horizon = _dataclass_from(cfg, "horizon")
-    plan = _dataclass_from(cfg, "sim", inherited=("seed",))
-    initial = _initial_from(cfg)
+    horizon = _section(cfg, "horizon")
+    plan = _section(cfg, "sim", inherited=("seed",))
+    initial = _section(cfg, "initial")
     out = _out_dir(cfg, args)
     mode = _MODE_BY_COMMAND[args.command]
     res = simulate(model, plan, horizon, initial=initial, surface=surface)
@@ -403,7 +445,7 @@ def _cmd_dupire(args) -> int:
         raise ConfigError(f"cannot read call grid: {exc}") from exc
     report = dupire_from_calls(ts, ks, grid, r=args.r,
                                sigma_low=args.sigma_low, sigma_high=args.sigma_high)
-    report.surface.save(args.out)
+    _write_surface(args.out, report.surface)
     print(f"wrote surface to {args.out} "
           f"({len(report.flagged)}/{report.n_total} nodes repaired)")
     return 0
@@ -468,8 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dupire-build", help="build a surface from call prices")
     pd.add_argument("calls", help="CSV with header t,K,C")
     pd.add_argument("--r", type=float, default=0.0)
-    pd.add_argument("--sigma-low", type=float, default=0.01)
-    pd.add_argument("--sigma-high", type=float, default=2.0)
+    pd.add_argument("--sigma-low", type=float, default=VolSurface.sigma_low)
+    pd.add_argument("--sigma-high", type=float, default=VolSurface.sigma_high)
     pd.add_argument("--out", default="surface.json")
 
     pv = sub.add_parser("verify", help="run the acceptance criteria")

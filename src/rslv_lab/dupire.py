@@ -12,7 +12,6 @@ with central finite differences and a repair policy for degenerate nodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,8 @@ class VolSurface:
     sigma_low: float = 0.01
     sigma_high: float = 2.0
     value: float = 0.0
-    t_nodes: np.ndarray | None = None
-    x_nodes: np.ndarray | None = None
+    t: np.ndarray | None = None
+    x: np.ndarray | None = None
     values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -54,8 +53,8 @@ class VolSurface:
             if not 0 < self.value < np.inf:
                 raise ValueError("constant surface needs a positive, finite value")
         elif self.kind == "tabulated":
-            t = np.asarray(self.t_nodes, dtype=float)
-            x = np.asarray(self.x_nodes, dtype=float)
+            t = np.asarray(self.t, dtype=float)
+            x = np.asarray(self.x, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
                 raise ValueError("tabulated surface needs values of shape (len(t), len(x))")
@@ -65,23 +64,20 @@ class VolSurface:
                 raise ValueError("t nodes must be strictly increasing")
             if np.any(np.diff(x) <= 0):
                 raise ValueError("x nodes must be strictly increasing")
-            object.__setattr__(self, "t_nodes", t)
-            object.__setattr__(self, "x_nodes", x)
+            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "x", x)
             object.__setattr__(self, "values", v)
         else:
             raise ValueError(f"unknown surface kind {self.kind!r}")
 
     @classmethod
-    def constant(cls, value: float, sigma_low: float = 0.01, sigma_high: float = 2.0) -> "VolSurface":
-        return cls(kind="constant", value=value, sigma_low=sigma_low,
-                   sigma_high=sigma_high)
+    def constant(cls, value: float, **bounds) -> "VolSurface":
+        return cls(kind="constant", value=value, **bounds)
 
     @classmethod
-    def tabulated(cls, t_nodes, x_nodes, values, sigma_low: float = 0.01,
-                  sigma_high: float = 2.0) -> "VolSurface":
-        return cls(kind="tabulated", t_nodes=np.atleast_1d(np.asarray(t_nodes, dtype=float)),
-                   x_nodes=x_nodes, values=values, sigma_low=sigma_low,
-                   sigma_high=sigma_high)
+    def tabulated(cls, t, x, values, **bounds) -> "VolSurface":
+        return cls(kind="tabulated", t=np.atleast_1d(np.asarray(t, dtype=float)),
+                   x=x, values=values, **bounds)
 
     def sigma(self, t, x):
         """Clamped sigma_tilde(t, x); accepts scalars or arrays in x."""
@@ -94,7 +90,7 @@ class VolSurface:
         return float(out) if np.ndim(out) == 0 else out
 
     def _bilinear(self, t: float, x: np.ndarray):
-        tn, xn, v = self.t_nodes, self.x_nodes, self.values
+        tn, xn, v = self.t, self.x, self.values
         if tn.size == 1:
             row = v[0]
         else:
@@ -110,39 +106,8 @@ class VolSurface:
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.zeros(x.shape) if x.ndim else 0.0
-        step = 0.5 * float(np.min(np.diff(self.x_nodes)))
+        step = 0.5 * float(np.min(np.diff(self.x)))
         return (self.sigma(t, x + step) - self.sigma(t, x - step)) / (2.0 * step)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "sigma_low": self.sigma_low,
-               "sigma_high": self.sigma_high}
-        if self.kind == "constant":
-            out["value"] = self.value
-        else:
-            out["t"] = self.t_nodes.tolist()
-            out["x"] = self.x_nodes.tolist()
-            out["values"] = self.values.tolist()
-        return out
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VolSurface":
-        kind = data["kind"]
-        if kind == "constant":
-            return cls.constant(data["value"], data.get("sigma_low", 0.01),
-                                data.get("sigma_high", 2.0))
-        if kind == "tabulated":
-            return cls.tabulated(data["t"], data["x"], data["values"],
-                                 data.get("sigma_low", 0.01), data.get("sigma_high", 2.0))
-        raise ValueError(f"cannot load surface kind {kind!r}")
-
-    @classmethod
-    def load(cls, path) -> "VolSurface":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -162,8 +127,9 @@ def _second_derivative(c: np.ndarray, k: np.ndarray) -> np.ndarray:
         / (h0 * h1 * (h0 + h1))
 
 
-def dupire_from_calls(t, strikes, calls, r: float = 0.0, sigma_low: float = 0.01,
-                      sigma_high: float = 2.0,
+def dupire_from_calls(t, strikes, calls, r: float = 0.0,
+                      sigma_low: float = VolSurface.sigma_low,
+                      sigma_high: float = VolSurface.sigma_high,
                       denom_floor: float | None = None) -> DupireBuildReport:
     """Local-volatility surface from call prices C(t, K) on a rectangular grid.
 

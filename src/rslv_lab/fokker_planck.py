@@ -134,15 +134,26 @@ class GridSolution:
         return self.p[idx].sum(axis=0)
 
     def at_time(self, t: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > time_tolerance(t):
-            raise KeyError(f"no recorded output near t={t}")
-        return self.p[k]
+        return self.p[recorded_index(self.times, t)]
 
 
 def time_tolerance(t: float) -> float:
     """How far a recorded time may lie from the time t that names it."""
     return 1e-9 + 1e-6 * max(1.0, abs(t))
+
+
+def recorded_index(times: np.ndarray, t: float) -> int:
+    """Index of the entry of ``times`` that t names (KeyError if none does)."""
+    k = int(np.argmin(np.abs(times - t)))
+    if abs(times[k] - t) > time_tolerance(t):
+        raise KeyError(f"no recorded time near t={t}")
+    return k
+
+
+def step_grid(T: float, dt: float) -> tuple[int, float]:
+    """The round(T / dt) equal steps, at least one, that split [0, T]: (n_steps, dt)."""
+    n_steps = max(1, int(round(T / dt)))
+    return n_steps, T / n_steps
 
 
 def step_at(t: float, T: float, n_steps: int) -> int:
@@ -200,9 +211,8 @@ def _mass_apply(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _output_steps(T: float, dt: float, config: PDSConfig):
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
+def _output_steps(T: float, config: PDSConfig):
+    n_steps, dt_eff = step_grid(T, config.dt)
     if config.output_times is not None:
         return n_steps, dt_eff, {step_at(t, T, n_steps) for t in config.output_times}
     times = np.linspace(0.0, T, max(2, config.n_outputs))
@@ -219,7 +229,7 @@ def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: Spatial
     x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
     # regularise A_eps far below any attained sum(lam * p) away from the tails
     eps = 1e-10 * float(lam.min()) / (2.0 * grid.L)
-    n_steps, dt, out_steps = _output_steps(horizon.T, config.dt, config)
+    n_steps, dt, out_steps = _output_steps(horizon.T, config)
     eye = np.eye(d)
 
     U = _project_initial(initial, config.sigma_mollify, grid, alpha)    # (m, d)

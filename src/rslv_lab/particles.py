@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dupire import VolSurface
-from .fokker_planck import NumericalError, step_at, time_tolerance
-from .regime_model import Measure, RegimeModel
+from .fokker_planck import NumericalError, recorded_index, step_at, step_grid
+from .regime_model import HorizonConfig, Measure, RegimeModel
 from .stats import mc_stderr
 
 __all__ = [
@@ -232,13 +232,11 @@ class SimResult:
     seed: int
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > time_tolerance(t):
-            raise KeyError(f"no checkpoint near t={t}")
+        k = recorded_index(self.times, t)
         return self.X[k], self.Y[k], self.qv[k]
 
 
-def simulate(model: RegimeModel, plan: SimPlan, horizon,
+def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
              initial: Measure | None = None,
              surface: VolSurface | None = None) -> SimResult:
     """Run the particle system to the horizon, recording the checkpoints.
@@ -252,11 +250,9 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon,
     NumericalError with the step index.
     """
     plan.validate(model)
-    T = horizon.T
-    r = getattr(horizon, "r", 0.0)
-    n_steps = max(1, int(round(T / plan.dt)))
-    plan = replace(plan, dt=T / n_steps)
-    dt = plan.dt
+    T, r = horizon.T, horizon.r
+    n_steps, dt = step_grid(T, plan.dt)
+    plan = replace(plan, dt=dt)
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
     jumps = model.q is not None

@@ -107,18 +107,6 @@ class IntensityTable:
         return np.where((off == 0.0).reshape(shape), f,
                         slopes[at] * off.reshape(shape) + f)
 
-    def to_dict(self):
-        if self.x is None:
-            return self.rates.tolist()
-        return {"x": self.x.tolist(), "rates": self.rates.tolist()}
-
-    @classmethod
-    def from_dict(cls, data) -> "IntensityTable":
-        if isinstance(data, dict):
-            return cls(rates=np.asarray(data["rates"], dtype=float),
-                       x=np.asarray(data["x"], dtype=float))
-        return cls(rates=np.asarray(data, dtype=float))
-
 
 @dataclass(frozen=True)
 class RegimeModel:
@@ -159,22 +147,6 @@ class RegimeModel:
     @property
     def qbar(self) -> float:
         return 0.0 if self.q is None else self.q.qbar
-
-    def to_dict(self):
-        out = {"lambda": self.lam.tolist(), "alpha": self.alpha.tolist()}
-        if self.q is not None:
-            out["q"] = self.q.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegimeModel":
-        q = data.get("q")
-        return cls(
-            lam=np.asarray(data["lambda"], dtype=float),
-            alpha=np.asarray(data["alpha"], dtype=float),
-            q=None if q is None else IntensityTable.from_dict(q),
-        )
-
 
 
 @dataclass(frozen=True)
@@ -324,21 +296,3 @@ class Measure:
         cdf /= cdf[-1]
         u = rng.random(n)
         return np.interp(u, cdf, self.xs)
-
-    def to_dict(self):
-        if self.kind == "point":
-            return {"kind": "point", "x": float(self.xs[0]), "mass": float(self.weights[0])}
-        if self.kind == "mixture":
-            return {"kind": "mixture", "xs": self.xs.tolist(), "weights": self.weights.tolist()}
-        return {"kind": "tabulated", "x": self.xs.tolist(), "density": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Measure":
-        kind = data["kind"]
-        if kind == "point":
-            return cls.point(data["x"], data.get("mass", 1.0))
-        if kind == "mixture":
-            return cls.mixture(data["xs"], data["weights"])
-        if kind == "tabulated":
-            return cls.tabulated(data["x"], data["density"])
-        raise ValueError(f"unknown measure kind {kind!r}")

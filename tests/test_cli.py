@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from rslv_lab import cli
+from rslv_lab.dupire import dupire_from_calls
+from rslv_lab.fokker_planck import solve_lv
 from rslv_lab.stats import normal_cdf
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -248,9 +250,14 @@ NAN_SURFACE_VALUE = {"kind": "tabulated", "t": [0.0], "x": [-1.0, 0.0, 1.0],
                      "values": [[0.2, math.nan, 0.2]]}
 NAN_SURFACE_NODE = {"kind": "tabulated", "t": [0.0], "x": [-1.0, math.nan, 1.0],
                     "values": [[0.2, 0.2, 0.2]]}
+# the surface files next to each config of test_bad_section_is_a_config_error
+SURFACE_FILES = {"surface.json": {"kind": "constant", "value": 0.2},
+                 "typo.json": {"kind": "constant", "value": 0.2, "sigma_lo": 0.3}}
+Q_TABLE = {"x": [0.0, 1.0], "rates": [[[0.0, 1.0], [1.0, 0.0]]] * 2}
 
 # (command, section, entries merged into it; the section is made if the base
-# config has none): each one is a config error
+# config has none, and entries that name a kind or are no dict replace it):
+# each one is a config error
 BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"dt": None}, id="pds-null"),
     pytest.param("solve-fbm", "pds", {"dt": [2e-3]}, id="pds-list"),
@@ -293,6 +300,25 @@ BAD_SECTIONS = [
     pytest.param("solve-lv", "surface", NAN_SURFACE_VALUE, id="solve-lv-nan-surface-value"),
     pytest.param("simulate-rslv", "surface", NAN_SURFACE_NODE,
                  id="simulate-rslv-nan-surface-node"),
+    pytest.param("solve-lv", "surface", {"kind": "constant", "value": 0.2, "sigma_hi": 0.1},
+                 id="surface-unknown-key"),
+    pytest.param("solve-lv", "surface", {"file": "surface.json", "sigma_high": 0.1},
+                 id="surface-file-not-alone"),
+    pytest.param("solve-lv", "surface", {"file": "typo.json"}, id="surface-file-unknown-key"),
+    pytest.param("solve-lv", "surface", {"kind": ["constant"], "value": 0.2},
+                 id="surface-kind-not-a-string"),
+    pytest.param("solve-fbm", "initial",
+                 {"kind": "mixture", "xs": [0.0], "weights": [1.0], "x": 0.5},
+                 id="initial-mixture-stray-x"),
+    pytest.param("solve-fbm", "initial", {"weight": 5}, id="initial-point-unknown-key"),
+    pytest.param("solve-fbm", "initial", ["point"], id="initial-not-a-dict"),
+    pytest.param("solve-fbm", "initial", {"kind": ["point"], "x": 0.0},
+                 id="initial-kind-not-a-string"),
+    pytest.param("simulate-jump", "model", {"q": {**Q_TABLE, "y": [0.0, 1.0]}},
+                 id="q-table-unknown-key"),
+    pytest.param("simulate-jump", "model", {"q": {"rates": Q_TABLE["rates"]}},
+                 id="q-table-without-nodes"),
+    pytest.param("solve-fbm", "grid", {"m": math.inf}, id="grid-infinite-nodes"),
 ]
 
 
@@ -300,8 +326,13 @@ BAD_SECTIONS = [
 def test_bad_section_is_a_config_error(tmp_path, capsys, command, section, entries):
     make = small_solve_config if command.startswith("solve") else small_sim_config
     path = make(tmp_path)
+    for name, surface in SURFACE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(surface))
     cfg = json.loads(path.read_text())
-    cfg.setdefault(section, {}).update(entries)
+    if isinstance(entries, dict) and "kind" not in entries:
+        cfg.setdefault(section, {}).update(entries)
+    else:
+        cfg[section] = entries
     path.write_text(json.dumps(cfg))
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
@@ -381,6 +412,27 @@ class TestDupireBuild:
         surf = json.loads(out.read_text())
         inner = np.asarray(surf["values"])[1:-1]
         assert np.abs(inner - 0.2).max() <= 0.01
+
+    def test_surface_file_reads_back(self, tmp_path, monkeypatch):
+        ts = np.linspace(0.25, 0.85, 7)
+        ks = np.linspace(0.85, 1.15, 9)
+        T, K = np.meshgrid(ts, ks, indexing="ij")
+        d1 = (np.log(1.0 / K) + 0.02 * T) / (0.2 * np.sqrt(T))
+        c = normal_cdf(d1) - K * normal_cdf(d1 - 0.2 * np.sqrt(T))
+        calls = tmp_path / "calls.csv"
+        rows = zip(T.ravel().tolist(), K.ravel().tolist(), c.ravel().tolist())
+        calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{v!r}\n" for t, k, v in rows))
+        assert cli.main(["dupire-build", str(calls), "--r", "0.01", "--sigma-low", "0.19",
+                         "--sigma-high", "0.21", "--out", str(tmp_path / "surface.json")]) == 0
+        built = dupire_from_calls(ts, ks, c, r=0.01, sigma_low=0.19, sigma_high=0.21).surface
+        read = []
+        monkeypatch.setattr(cli, "solve_lv", lambda *a: read.append(a[3]) or solve_lv(*a))
+        cfg = small_solve_config(tmp_path, extra={"surface": {"file": "surface.json"}})
+        assert cli.main(["solve-lv", str(cfg)]) == 0
+        (surface,) = read
+        assert (surface.kind, surface.sigma_low, surface.sigma_high) == ("tabulated", 0.19, 0.21)
+        for name in ("t", "x", "values"):
+            np.testing.assert_array_equal(getattr(surface, name), getattr(built, name))
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["dupire-build", str(tmp_path / "nope.csv")]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rslv_lab import condition_c
 from rslv_lab.condition_c import (
     CertificateError, RecoveryFailure, coercivity_certificate,
     criterion_d3, criterion_diag, criterion_identity, gamma_k_submatrix,
@@ -256,3 +257,46 @@ class TestCertificate:
         m = uniform_model([1.0, 100.0, 10000.0])
         with pytest.raises(CertificateError):
             coercivity_certificate(np.eye(3), m)
+
+
+class TestThreads:
+    """sample_quadratic_min under RSLV_LAB_THREADS, on 1000-sample chunks."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of every thread pool that the sampler opens."""
+        monkeypatch.setattr(condition_c, "_CHUNK", 1000)
+        opened = []
+        real = condition_c.ThreadPoolExecutor
+
+        def executor(max_workers=None, **kwargs):
+            opened.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+        monkeypatch.setattr(condition_c, "ThreadPoolExecutor", executor)
+        return opened
+
+    @staticmethod
+    def sample(monkeypatch, threads):
+        monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+        return sample_quadratic_min(np.eye(3), uniform_model([1.0, 2.0, 4.0]), 3500,
+                                    seed=11)           # four chunks
+
+    def test_bit_identical_on_one_and_two_threads(self, monkeypatch, pools):
+        one = self.sample(monkeypatch, "1")
+        assert pools == []
+        two = self.sample(monkeypatch, "2")
+        assert pools == [2]
+        assert one[0] == two[0]
+        np.testing.assert_array_equal(one[1], two[1])
+        np.testing.assert_array_equal(one[2], two[2])
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two", ""])
+    def test_invalid_count_is_one_worker(self, monkeypatch, pools, threads):
+        self.sample(monkeypatch, threads)
+        assert condition_c.worker_count() == 1
+        assert pools == []
+
+    @pytest.mark.parametrize("threads", ["2", "3", "4"])
+    def test_pool_stays_within_the_worker_count(self, monkeypatch, pools, threads):
+        self.sample(monkeypatch, threads)
+        assert len(pools) == 1 and pools[0] <= condition_c.worker_count()

@@ -34,16 +34,6 @@ class TestSurface:
         s2 = VolSurface.constant(v, sigma_low=0.01, sigma_high=0.5)
         assert s2.sigma(0.0, 0.0) == pytest.approx(v)
 
-    def test_io_round_trip(self, tmp_path):
-        xs = np.linspace(-1, 1, 5)
-        vals = 0.2 + 0.01 * np.arange(10).reshape(2, 5)
-        s = VolSurface.tabulated([0.5, 1.0], xs, vals)
-        path = tmp_path / "surface.json"
-        s.save(path)
-        again = VolSurface.load(path)
-        np.testing.assert_allclose(again.values, s.values)
-        assert again.sigma(0.7, 0.2) == pytest.approx(s.sigma(0.7, 0.2))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             VolSurface.constant(-0.1)

@@ -1,7 +1,5 @@
 """Coefficient fields, ratios, heat kernel and domain types."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,12 +180,6 @@ class TestMeasure:
         assert abs(s.mean()) < 0.02
         assert abs(s.var() - 1 / 3) < 0.01
 
-    def test_round_trip(self):
-        mu = Measure.mixture([0.0, 1.0], [0.25, 0.75])
-        again = Measure.from_dict(mu.to_dict())
-        np.testing.assert_array_equal(again.xs, mu.xs)
-        np.testing.assert_array_equal(again.weights, mu.weights)
-
 
 class TestModelTypes:
     def test_validation(self):
@@ -203,15 +195,6 @@ class TestModelTypes:
             HorizonConfig(T=1.0, r=float("inf"))
         with pytest.raises(ValueError):
             HorizonConfig(T=float("nan"))
-
-    def test_json_round_trip(self):
-        q = IntensityTable(rates=np.array([[0.0, 2.0], [1.0, 0.0]]))
-        m = RegimeModel(lam=[1.0, 4.0], alpha=[0.25, 0.75], q=q)
-        again = RegimeModel.from_dict(json.loads(json.dumps(m.to_dict())))
-        np.testing.assert_array_equal(again.lam, m.lam)
-        np.testing.assert_array_equal(again.alpha, m.alpha)
-        np.testing.assert_array_equal(again.q.rates, m.q.rates)
-        assert again.qbar == pytest.approx(2.0)
 
     def test_tabulated_intensities(self):
         q = IntensityTable(
