@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain, islice
 
 import numpy as np
@@ -43,13 +43,15 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
+    """The config document at ``path``, its top level read like a section."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _read("top-level", doc, _SECTIONS["top-level"])
 
 
 def _times(values):
@@ -58,6 +60,21 @@ def _times(values):
 
 def _floats(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
+
+
+def _strikes(values):
+    """A flat list of finite, positive numbers, kept as the config states it."""
+    if values is not None and not (isinstance(values, list) and all(
+            type(k) in (int, float) and math.isfinite(k) and k > 0 for k in values)):
+        raise ValueError(f"strikes must be a flat list of finite, positive numbers, "
+                         f"not {values!r}")
+    return values
+
+
+def _text(value):
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string, not {value!r}")
+    return value
 
 
 def _intensities(value):
@@ -89,6 +106,9 @@ _SECTIONS = {
                 "tabulated": (VolSurface.tabulated, {"t": _floats, "x": _floats,
                                                      "values": _floats, **_BOUNDS})},
 }
+# the document itself: the sections pass through to _section
+_SECTIONS["top-level"] = (lambda **doc: doc, {**dict.fromkeys(_SECTIONS, lambda raw: raw),
+                                              "strikes": _strikes, "output_dir": _text})
 # the config keys that are not named as their constructor parameter
 _PARAMS = {"lambda": "lam"}
 
@@ -125,17 +145,14 @@ def _read(name: str, raw, entry):
         raise ConfigError(f"invalid {name} section: {exc}") from exc
 
 
-def _section(cfg: dict, name: str, inherited=()):
-    """The ``name`` section read into its type; top-level ``inherited`` keys fill gaps.
+def _section(cfg: dict, name: str):
+    """The ``name`` section read into its type.
 
     A config without ``initial`` starts from a point mass at 0.
     """
     if name not in cfg and name != "initial":
         raise ConfigError(f"config is missing the {name!r} section")
-    raw = cfg.get(name, {"kind": "point", "x": 0.0})
-    if inherited and isinstance(raw, dict):
-        raw = {**{k: cfg[k] for k in inherited if k in cfg}, **raw}
-    return _read(name, raw, _SECTIONS[name])
+    return _read(name, cfg.get(name, {"kind": "point", "x": 0.0}), _SECTIONS[name])
 
 
 def _surface_from(cfg: dict, base: str) -> VolSurface:
@@ -202,47 +219,38 @@ def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot
         name = f"{prefix}_{k:04d}.csv"
         write_csv(os.path.join(out_dir, name), header, zip(*cols))
         files.append({"time": float(t), "file": name})
-    diag = sol.diagnostics
-    meta = {
+    diag = {f.name: getattr(sol.diagnostics, f.name) for f in fields(sol.diagnostics)}
+    return {
         "grid": {"L": sol.grid.L, "m": sol.grid.m, "h": sol.grid.h},
         "times": [float(t) for t in sol.times],
         "snapshots": files,
-        "diagnostics": {
-            "masses": diag.masses.tolist(),
-            "min_value": diag.min_value.tolist(),
-            "l2": diag.l2.tolist(),
-            "boundary_mass": diag.boundary_mass.tolist(),
-            "max_mass_drift": diag.max_mass_drift,
-            "max_energy_increase": diag.max_energy_increase,
-            "boundary_warning": diag.boundary_warning,
-            "n_steps": diag.n_steps,
-            "dt": diag.dt,
-            "wall_time": diag.wall_time,
-            "phase_s": diag.phase_s,
-        },
+        "diagnostics": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                        for k, v in diag.items()},
     }
-    return meta
 
 
 # ---------------------------------------------------------------------------
 # check-c
 
-def _cmd_check_c(args) -> int:
+def _values(flag: str, text: str) -> np.ndarray:
+    """The comma-separated numbers of a command-line ``flag``."""
     try:
-        lam = np.array([float(v) for v in args.lam.split(",")])
-        if lam.size < 2 or np.any(lam <= 0):
-            raise ValueError("need at least two positive values")
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        print(f"error: invalid --lambda: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"invalid {flag}: {exc}") from exc
+
+
+def _cmd_check_c(args) -> int:
+    lam = _values("--lambda", args.lam)
+    if lam.size < 2 or np.any(lam <= 0):
+        raise ConfigError("invalid --lambda: need at least two positive values")
     alpha = np.full(lam.size, 1.0 / lam.size)
     model = RegimeModel(lam=lam, alpha=alpha)
     method = args.method
 
     if method == "d3":
         if lam.size != 3:
-            print("error: --method d3 needs exactly three values", file=sys.stderr)
-            return 2
+            raise ConfigError("--method d3 needs exactly three values")
         rep = criterion_d3(lam)
         print(f"d3 criterion: lhs = {rep.lhs:.6g} vs 1/4 -> "
               + ("SATISFIED" if rep.satisfied else "NOT-SATISFIED"))
@@ -256,39 +264,25 @@ def _cmd_check_c(args) -> int:
 
     if method == "diag":
         if not args.alpha:
-            print("error: --method diag needs --alpha", file=sys.stderr)
-            return 2
-        try:
-            diag = np.array([float(v) for v in args.alpha.split(",")])
-        except ValueError as exc:
-            print(f"error: invalid --alpha: {exc}", file=sys.stderr)
-            return 2
-        ok = criterion_diag(model, diag)        # a ValueError exits 2 in main
+            raise ConfigError("--method diag needs --alpha")
+        ok = criterion_diag(model, _values("--alpha", args.alpha))
         print("diagonal criterion: " + ("SATISFIED" if ok else "NOT-SATISFIED"))
         return 0 if ok else 1
 
     if method == "gamma":
         if not args.gamma:
-            print("error: --method gamma needs --gamma file.json", file=sys.stderr)
-            return 2
+            raise ConfigError("--method gamma needs --gamma file.json")
         try:
             with open(args.gamma) as fh:
                 gamma = np.asarray(json.load(fh), dtype=float)
             ok = satisfies_condition_c(gamma, model)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: invalid gamma matrix: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid gamma matrix: {exc}") from exc
         print("supplied gamma: " + ("SATISFIED" if ok else "NOT-SATISFIED"))
         return 0 if ok else 1
 
     # grid method
     out = args.out or "points.csv"
-    if lam.size < 3:
-        write_csv(out, "x,y", [])          # no plane to search for d = 2
-        ok = criterion_identity(model)
-        print("grid method on d=2 delegates to the identity criterion: "
-              + ("SATISFIED" if ok else "NOT-SATISFIED"))
-        return 0 if ok else 1
     report = grid_search_diag(model, args.n)
     write_csv(out, "x,y", report.points)
     if report.fallback:
@@ -391,7 +385,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model, surface = _dynamics(args, cfg)
     horizon = _section(cfg, "horizon")
-    plan = _section(cfg, "sim", inherited=("seed",))
+    plan = _section(cfg, "sim")
     initial = _section(cfg, "initial")
     out = _out_dir(cfg, args)
     mode = _MODE_BY_COMMAND[args.command]
@@ -464,15 +458,13 @@ def _cmd_verify(args) -> int:
             names.append(name)
     else:
         if args.suite not in acceptance.SUITES:
-            print(f"error: unknown suite {args.suite!r} "
-                  f"(choose from {sorted(acceptance.SUITES)})", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown suite {args.suite!r} "
+                              f"(choose from {sorted(acceptance.SUITES)})")
         names = acceptance.SUITES[args.suite]
     unknown = [name for name in names if name not in acceptance.CRITERIA]
     if unknown:
-        print(f"error: unknown criteria {', '.join(unknown)} "
-              f"(choose from {', '.join(acceptance.CRITERIA)})", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown criteria {', '.join(unknown)} "
+                          f"(choose from {', '.join(acceptance.CRITERIA)})")
     results = acceptance.run_criteria(names)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")

@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .regime_model import RegimeModel, a_eps_batch
 
@@ -248,11 +247,9 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
     pulled-back point (X, Y) falls strictly inside the polygon while
     M_0 < 1.  Moment sums run over the full lambda multiset.  Repeated
     lambda values collapse polygon segments and are deduplicated; if fewer
-    than three distinct values remain the question is delegated to the
-    exact d = 3 criterion or the identity criterion.
+    than three distinct values remain (always so at d = 2) the question is
+    delegated to the exact d = 3 criterion or the identity criterion.
     """
-    if model.d < 3:
-        raise ValueError("the grid search needs d >= 3")
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
     lam_full = np.sort(model.lam)
@@ -306,6 +303,7 @@ def recover_alpha_from_point(model: RegimeModel, x: float, y: float) -> np.ndarr
     then sets p_i = (1 - M_0) q_i + (xy - 1) / (2 + x/lam_i + lam_i y).
     The result is validated through the exact diagonal criterion.
     """
+    from scipy.optimize import linprog     # here, so that importing the package skips it
     lam = model.lam
     m0, m1, mm1 = _moment_sums(float(x), float(y), lam)
     if not m0 < 1.0:

@@ -191,20 +191,12 @@ def dupire_from_calls(t, strikes, calls, r: float = 0.0,
 def _repair_nearest(sigma: np.ndarray) -> None:
     """Fill NaN nodes from the nearest valid strike on the same maturity,
     then from the nearest valid maturity at the same strike (in place)."""
-    nt, nk = sigma.shape
-    cols = np.arange(nk)
-    for i in range(nt):
-        row = sigma[i]
-        good = np.isfinite(row)
-        if good.any() and not good.all():
-            nearest = cols[good][np.argmin(np.abs(cols[good][None, :] - cols[~good][:, None]), axis=1)]
-            row[~good] = row[nearest]
-    rows = np.arange(nt)
-    for j in range(nk):
-        col = sigma[:, j]
-        good = np.isfinite(col)
-        if good.any() and not good.all():
-            nearest = rows[good][np.argmin(np.abs(rows[good][None, :] - rows[~good][:, None]), axis=1)]
-            col[~good] = col[nearest]
+    for lines in (sigma, sigma.T):
+        idx = np.arange(lines.shape[1])
+        for line in lines:
+            good = np.isfinite(line)
+            if good.any() and not good.all():
+                nearest = idx[good][np.argmin(np.abs(idx[good][None, :] - idx[~good][:, None]), axis=1)]
+                line[~good] = line[nearest]
     if not np.all(np.isfinite(sigma)):
         raise ArbitrageError("no valid node available for repair", [])

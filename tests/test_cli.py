@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -81,6 +84,16 @@ class TestCheckC:
         gfile.write_text(json.dumps(np.eye(2).tolist()))
         assert cli.main(["check-c", "--lambda", "1,9", "--method", "gamma",
                          "--gamma", str(gfile)]) == 0
+
+    @pytest.mark.parametrize("gamma", [{"a": 1}, "x", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                             ids=["object", "string", "not-square"])
+    def test_bad_gamma_file(self, tmp_path, capsys, gamma):
+        gfile = tmp_path / "gamma.json"
+        gfile.write_text(json.dumps(gamma))
+        assert cli.main(["check-c", "--lambda", "1,9", "--method", "gamma",
+                         "--gamma", str(gfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid gamma matrix: ") and err.count("\n") == 1
 
     def test_invalid_lambda(self):
         assert cli.main(["check-c", "--lambda", "1,-2", "--method", "identity"]) == 2
@@ -392,6 +405,49 @@ def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
                              skiprows=1)[:, 2] for k in (0, 1))
         # simulate-fbm runs without switching, even when the model has q
         assert np.array_equal(y0, y1) == (command == "simulate-fbm" or not q)
+
+
+# each command with a q and a surface that it runs on
+RUNNABLE = {command: (q, surface) for command, q, surface, code in CONTRACT if code == 0}
+
+# (entries merged into a config that the command runs, or a document that
+# replaces it): each one is a config error at the top level
+BAD_DOCUMENTS = [
+    pytest.param(1, id="number"),
+    pytest.param(None, id="null"),
+    pytest.param([1], id="list"),
+    pytest.param("x", id="string"),
+    pytest.param({"strike": [1.0]}, id="misspelt-strikes"),
+    pytest.param({"output-dir": "out"}, id="misspelt-output-dir"),
+    pytest.param({"seed": 5}, id="retired-top-level-seed"),
+    pytest.param({"strikes": {"a": 1}}, id="strikes-dict"),
+    pytest.param({"strikes": [math.nan]}, id="strikes-nan"),
+    pytest.param({"strikes": [[0.9, 1.0]]}, id="strikes-nested"),
+    pytest.param({"strikes": [-1.0]}, id="strikes-negative"),
+    pytest.param({"output_dir": 5}, id="output-dir-number"),
+]
+
+
+@pytest.mark.parametrize("command", RUNNABLE)
+@pytest.mark.parametrize("doc", BAD_DOCUMENTS)
+def test_bad_document_is_a_config_error(tmp_path, capsys, command, doc):
+    path = Path(contract_config(tmp_path, *RUNNABLE[command]))
+    if isinstance(doc, dict):
+        doc = {**json.loads(path.read_text()), **doc}
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_import_leaves_the_optimizer_unloaded():
+    # scipy.optimize is loaded only by condition_c.recover_alpha_from_point
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, rslv_lab.cli, rslv_lab.acceptance; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDupireBuild:

@@ -201,8 +201,11 @@ class TestGridSearch:
         assert rep.fallback == "identity"
 
     def test_rejects_small_problems(self):
-        with pytest.raises(ValueError):
-            grid_search_diag(uniform_model([1.0, 2.0]), 100)
+        # d = 2 has no plane to search: the identity criterion decides
+        m = uniform_model([1.0, 2.0])
+        rep = grid_search_diag(m, 100)
+        assert rep.fallback == "identity" and rep.points.shape == (0, 2)
+        assert rep.satisfied == criterion_identity(m)
         with pytest.raises(ValueError):
             grid_search_diag(uniform_model([1.0, 2.0, 3.0]), 1)
 

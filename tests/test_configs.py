@@ -45,7 +45,7 @@ def read_sections(command: str, path: Path) -> None:
         cli._section(cfg, "grid")
         cli._section(cfg, "pds")
     else:
-        cli._section(cfg, "sim", inherited=("seed",))
+        cli._section(cfg, "sim")
     cli._section(cfg, "initial")
 
 

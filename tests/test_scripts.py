@@ -30,6 +30,17 @@ def test_condition_c_map_points_match_check_c(tmp_path):
     assert len(points.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("lam,verdict", [("1,9", "identity: satisfied"),
+                                         ("1,1,4", "d3: satisfied")])
+def test_condition_c_map_reports_a_fallback(tmp_path, capsys, lam, verdict):
+    # fewer than three distinct levels: no points, so nothing to certify
+    points = tmp_path / "map.csv"
+    assert load_script("condition_c_map").main(["--lambda", lam, "--n", "20",
+                                                "--out", str(points)]) == 0
+    assert points.read_text() == "x,y\n"
+    assert capsys.readouterr().out.splitlines()[-1] == f"degenerate multiset, decided by {verdict}"
+
+
 def test_calibrate_flat_vol_prints_the_ladder(capsys):
     script = load_script("calibrate_flat_vol")
     code = script.main(["--n", "2000", "--T", "0.1", "--strikes", "0.9,1.0,1.1"])
