@@ -44,8 +44,6 @@ class ConfigError(ValueError):
 
 def _load_config(path: str) -> dict:
     """The config document at ``path``, its top level read like a section."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -306,15 +304,6 @@ def _cmd_check_c(args) -> int:
 # ---------------------------------------------------------------------------
 # PDE solves
 
-def _heat_reference(initial: Measure, sigma: float):
-    def ref(t: float, x: np.ndarray) -> np.ndarray:
-        w = math.sqrt(sigma * sigma + t) if t > 0 or sigma > 0 else 0.0
-        if w == 0.0:
-            return np.zeros_like(x)
-        return initial.density_on(x, w)
-    return ref
-
-
 def _dynamics(args, cfg: dict):
     """The model and surface that a ``solve-*`` or ``simulate-*`` command runs.
 
@@ -356,7 +345,9 @@ def _cmd_solve(args) -> int:
         sol = solve_rslv(model, pds, grid, horizon, surface, initial)
 
     kind = args.command.split("-", 1)[1]
-    ref = _heat_reference(initial, pds.sigma_mollify)
+
+    def ref(t: float, x: np.ndarray) -> np.ndarray:     # the initial law under the heat flow
+        return initial.density_on(x, math.sqrt(pds.sigma_mollify * pds.sigma_mollify + t))
     meta = write_snapshots(sol, out, reference=ref, prefix=f"{kind}")
     if surface is None:
         errs = [l1_grid_distance(grid, sol.total_density(k), ref(float(t), grid.x))
@@ -450,12 +441,9 @@ def _cmd_dupire(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import acceptance
-    if args.criteria:
-        names = []
-        for token in args.criteria.split(","):
-            token = token.strip()
-            name = token if token.startswith("c") else f"c{int(token):02d}"
-            names.append(name)
+    if args.criteria is not None:
+        tokens = [token.strip() for token in args.criteria.split(",")]
+        names = [f"c{int(token):02d}" if token.isdigit() else token for token in tokens]
     else:
         if args.suite not in acceptance.SUITES:
             raise ConfigError(f"unknown suite {args.suite!r} "
@@ -530,7 +518,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ArbitrageError, CertificateError, ValueError) as exc:
+    except (ConfigError, ArbitrageError, CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -218,8 +218,8 @@ def criterion_diag(model: RegimeModel, alpha_diag) -> bool:
     a = np.asarray(alpha_diag, dtype=float)
     if a.shape != model.lam.shape:
         raise ValueError("alpha_diag must have one entry per regime")
-    if np.any(a <= 0):
-        raise ValueError("diagonal entries must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("diagonal entries must be positive and finite")
     lam = model.lam
     inv_a = 1.0 / a
     s_la = (lam * inv_a).sum() - lam * inv_a

@@ -13,6 +13,11 @@ the current iterate; the drift terms are explicit.  The boundary is
 zero-flux (natural) on [-L, L], which preserves mass exactly; degrees of
 freedom interleave the regime index within each node so every step is one
 banded solve.
+
+A step is the operator, that banded solve and the observer.  The operator is
+the time scheme; it does the "coefficients" and "assemble" work of PHASES, so
+a new scheme changes only the operator.  The observer does the "observe" work
+(records, conservation bookkeeping) and owns the timers of all four phases.
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ class PDSConfig:
             raise ValueError("mollification width must be non-negative and finite")
 
 
-# where a grid step spends its time: the coefficient field, building the
-# blocks and the right-hand side, the banded solve, and the bookkeeping
+# where a grid step spends its time: the operator's coefficient field and
+# system, the banded solve, and the observer's bookkeeping
 PHASES = ("coefficients", "assemble", "solve", "observe")
 
 
@@ -211,144 +216,150 @@ def _mass_apply(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _output_steps(T: float, config: PDSConfig):
-    n_steps, dt_eff = step_grid(T, config.dt)
-    if config.output_times is not None:
-        return n_steps, dt_eff, {step_at(t, T, n_steps) for t in config.output_times}
-    times = np.linspace(0.0, T, max(2, config.n_outputs))
-    steps = np.clip(np.round(times / dt_eff).astype(int), 0, n_steps)
-    return n_steps, dt_eff, set(int(s) for s in steps)
+class _Operator:
+    """Built once per solve: eps, the step-invariant mass blocks and the exchange blocks."""
+
+    def __init__(self, lam: np.ndarray, grid: SpatialGrid, dt: float, r: float,
+                 surface: VolSurface | None, q_table):
+        self.lam, self.h, self.dt, self.r, self.surface = lam, grid.h, dt, r, surface
+        self.x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
+        # regularise A_eps far below any attained sum(lam * p) away from the tails
+        self.eps = 1e-10 * float(lam.min()) / (2.0 * grid.L)
+        eye = np.eye(lam.size)
+        self.mass_blocks = _mass_diag(grid)[:, None, None] * eye[None, :, :]  # (m, d, d)
+        self.mass_off = (grid.h / 6.0) * eye
+        # exchange coupling, transposed so rows act on the test-function regime;
+        # a constant Q stays one (d, d) block
+        self.q_diag = self.q_off = None
+        if q_table is not None:
+            c_mid = np.swapaxes(q_table.value(self.x_mid), -1, -2)
+            self.q_diag = dt * (grid.h / 3.0) * c_mid
+            self.q_off = dt * (grid.h / 6.0) * c_mid
+
+    def field(self, U: np.ndarray, t: float):
+        """(cell means pm of U, diffusion field frozen at pm, drift velocity or None)."""
+        pm = 0.5 * (U[:-1] + U[1:])                      # (m-1, d)
+        # an overflowing state makes the field non-finite without a warning;
+        # the finiteness check on the system reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_e = a_eps_batch(pm, self.lam, self.eps)
+            if self.surface is None:
+                return pm, a_e, None
+            s_e = np.asarray(self.surface.sigma(t, self.x_mid), dtype=float)
+            ds_e = np.asarray(self.surface.dsigma_dx(t, self.x_mid), dtype=float)
+            r_e = ratio_r_eps_batch(pm, self.lam, self.eps)
+            c_lev = 0.5 * r_e * s_e * (s_e + 2.0 * ds_e)                # (m-1,)
+            b_e = self.r - c_lev[:, None] * self.lam[None, :]           # (m-1, d)
+            return pm, (s_e * s_e)[:, None, None] * a_e, b_e
+
+    def system(self, pm, coef, b_e, WU: np.ndarray, step: int):
+        """(diag, off, rhs) of the step to ``step``; rhs is W U, updated in place."""
+        cf = (self.dt / self.h) * coef
+        diag = self.mass_blocks.copy()
+        diag[:-1] += cf
+        diag[1:] += cf
+        off = self.mass_off - cf
+        if self.q_diag is not None:
+            diag[:-1] -= self.q_diag
+            diag[1:] -= self.q_diag
+            off -= self.q_off
+        if b_e is not None:
+            flux = b_e * pm
+            WU[:-1] -= self.dt * flux
+            WU[1:] += self.dt * flux
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()
+                and np.isfinite(WU).all()):
+            raise NumericalError("the linear system is no longer finite", step)
+        return diag, off, WU
+
+
+class _Observer:
+    """W U, the records at the output steps, the mass and energy bookkeeping and phase_s."""
+
+    def __init__(self, grid: SpatialGrid, U: np.ndarray, T: float, n_steps: int,
+                 config: PDSConfig):
+        self.grid, self.dt = grid, T / n_steps
+        if config.output_times is not None:
+            self.out_steps = {step_at(t, T, n_steps) for t in config.output_times}
+        else:
+            times = np.linspace(0.0, T, max(2, config.n_outputs))
+            steps = np.clip(np.round(times / self.dt).astype(int), 0, n_steps)
+            self.out_steps = set(steps.tolist())
+        self.tw = grid.trapezoid_weights()
+        self.records = {0: U.copy()}                  # step -> U
+        # W U serves the energy and the next right-hand side
+        self.WU = _mass_apply(U, grid.h)
+        self.mass = float((self.tw @ U).sum())
+        self.energy = float(np.einsum("md,md->", U, self.WU))
+        self.max_drift, self.max_energy_inc = 0.0, -math.inf
+        self.phase_s = dict.fromkeys(PHASES, 0.0)
+        self.wall = self.mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Charge the time since the last lap to ``phase``."""
+        now = time.perf_counter()
+        self.phase_s[phase] += now - self.mark
+        self.mark = now
+
+    def observe(self, U: np.ndarray, step: int) -> None:
+        if not np.all(np.isfinite(U)):
+            raise NumericalError("solution is no longer finite", step)
+        mass = float((self.tw @ U).sum())
+        self.max_drift = max(self.max_drift,
+                             abs(mass - self.mass) / max(abs(self.mass), 1e-300))
+        self.mass = mass
+        self.WU = _mass_apply(U, self.grid.h)
+        energy = float(np.einsum("md,md->", U, self.WU))
+        self.max_energy_inc = max(self.max_energy_inc, energy - self.energy)
+        self.energy = energy
+        if step in self.out_steps:
+            self.records[step] = U.copy()
+
+    def solution(self, n_steps: int) -> GridSolution:
+        """The records as a GridSolution; the per-record diagnostics come from them."""
+        h, records = self.grid.h, list(self.records.values())
+        u_tot = np.asarray([u.sum(axis=1) for u in records])            # (k, m)
+        bm = 0.5 * h * (u_tot[:, 0] + u_tot[:, 1] + u_tot[:, -2] + u_tot[:, -1])
+        diagnostics = Diagnostics(
+            masses=np.asarray([self.tw @ u for u in records]),
+            min_value=np.asarray([u.min() for u in records]),
+            l2=np.asarray([np.sqrt(np.maximum(np.einsum("md,md->d", u, _mass_apply(u, h)), 0.0))
+                           for u in records]),
+            boundary_mass=bm,
+            max_mass_drift=self.max_drift,
+            max_energy_increase=self.max_energy_inc,
+            boundary_warning=bool(np.any(bm > 1e-4)),
+            n_steps=n_steps,
+            dt=self.dt,
+            wall_time=time.perf_counter() - self.wall,
+            phase_s=self.phase_s,
+        )
+        times = np.asarray([k * self.dt for k in self.records])
+        return GridSolution(grid=self.grid, times=times, p=np.asarray([u.T for u in records]),
+                            diagnostics=diagnostics)
 
 
 def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: SpatialGrid,
              horizon, config: PDSConfig,
              surface: VolSurface | None = None, q_table=None) -> GridSolution:
-    """Step the projected initial law to the horizon; a surface adds the drifts."""
-    d = lam.size
-    m, h = grid.m, grid.h
-    x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
-    # regularise A_eps far below any attained sum(lam * p) away from the tails
-    eps = 1e-10 * float(lam.min()) / (2.0 * grid.L)
-    n_steps, dt, out_steps = _output_steps(horizon.T, config)
-    eye = np.eye(d)
-
+    """Step the projected initial law to the horizon: operator, banded solve, observer."""
+    n_steps, dt = step_grid(horizon.T, config.dt)
+    operator = _Operator(lam, grid, dt, horizon.r, surface, q_table)
     U = _project_initial(initial, config.sigma_mollify, grid, alpha)    # (m, d)
-
-    # the step-invariant parts of the blocks
-    mass_blocks = _mass_diag(grid)[:, None, None] * eye[None, :, :]     # (m, d, d)
-    mass_off = (h / 6.0) * eye
-
-    # exchange coupling, transposed so rows act on the test-function regime;
-    # a constant Q stays one (d, d) block
-    q_diag = q_off = None
-    if q_table is not None:
-        c_mid = np.swapaxes(q_table.value(x_mid), -1, -2)
-        q_diag = dt * (h / 3.0) * c_mid
-        q_off = dt * (h / 6.0) * c_mid
-
-    tw = grid.trapezoid_weights()
-    records, rec_times = [], []
-    masses, minvals, l2s, bmasses = [], [], [], []
-    max_drift = 0.0
-    max_energy_inc = -math.inf
-    phase_s = dict.fromkeys(PHASES, 0.0)
-
-    def record(t, wu):
-        rec_times.append(t)
-        records.append(U.T.copy())
-        masses.append(tw @ U)
-        minvals.append(float(U.min()))
-        l2s.append(np.sqrt(np.maximum(np.einsum("md,md->d", U, wu), 0.0)))
-        u_tot = U.sum(axis=1)
-        bmasses.append(0.5 * h * (u_tot[0] + u_tot[1] + u_tot[-2] + u_tot[-1]))
-
-    # W U serves the energy, the L2 norms and the next right-hand side
-    WU = _mass_apply(U, h)
-    record(0.0, WU)
-    wall = time.perf_counter()
-    total_mass = float((tw @ U).sum())
-    energy = float(np.einsum("md,md->", U, WU))
-
-    for step in range(n_steps):
-        t0 = time.perf_counter()
-        t_n = step * dt
-        pm = 0.5 * (U[:-1] + U[1:])                      # (m-1, d)
-        # an overflowing state makes the field non-finite without a warning;
-        # the finiteness check on the system reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            a_e = a_eps_batch(pm, lam, eps)
-            if surface is not None:
-                s_e = np.asarray(surface.sigma(t_n, x_mid), dtype=float)
-                coef = (s_e * s_e)[:, None, None] * a_e
-                ds_e = np.asarray(surface.dsigma_dx(t_n, x_mid), dtype=float)
-                r_e = ratio_r_eps_batch(pm, lam, eps)
-            else:
-                coef = a_e
-        t1 = time.perf_counter()
-
-        cf = (dt / h) * coef
-        diag = mass_blocks.copy()
-        diag[:-1] += cf
-        diag[1:] += cf
-        off = mass_off - cf
-        if q_diag is not None:
-            diag[:-1] -= q_diag
-            diag[1:] -= q_diag
-            off -= q_off
-
-        rhs = WU
-        if surface is not None:
-            c_lev = 0.5 * r_e * s_e * (s_e + 2.0 * ds_e)            # (m-1,)
-            b_e = horizon.r - c_lev[:, None] * lam[None, :]         # (m-1, d)
-            flux = b_e * pm
-            rhs[:-1] -= dt * flux
-            rhs[1:] += dt * flux
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()
-                and np.isfinite(rhs).all()):
-            raise NumericalError("the linear system is no longer finite", step + 1)
-        t2 = time.perf_counter()
-
+    observer = _Observer(grid, U, horizon.T, n_steps, config)
+    for step in range(1, n_steps + 1):
+        field = operator.field(U, (step - 1) * dt)
+        observer.lap("coefficients")
+        diag, off, rhs = operator.system(*field, observer.WU, step)
+        observer.lap("assemble")
         try:
             U = solve_block_tridiag(diag, off, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"banded solve failed: {exc}", step + 1) from exc
-        t3 = time.perf_counter()
-        if not np.all(np.isfinite(U)):
-            raise NumericalError("solution is no longer finite", step + 1)
-
-        new_mass = float((tw @ U).sum())
-        max_drift = max(max_drift, abs(new_mass - total_mass) / max(abs(total_mass), 1e-300))
-        total_mass = new_mass
-        WU = _mass_apply(U, h)
-        new_energy = float(np.einsum("md,md->", U, WU))
-        max_energy_inc = max(max_energy_inc, new_energy - energy)
-        energy = new_energy
-
-        if (step + 1) in out_steps:
-            record((step + 1) * dt, WU)
-        t4 = time.perf_counter()
-        phase_s["coefficients"] += t1 - t0
-        phase_s["assemble"] += t2 - t1
-        phase_s["solve"] += t3 - t2
-        phase_s["observe"] += t4 - t3
-
-    bm = np.asarray(bmasses)
-    boundary_warning = bool(np.any(bm > 1e-4))
-    diagnostics = Diagnostics(
-        masses=np.asarray(masses),
-        min_value=np.asarray(minvals),
-        l2=np.asarray(l2s),
-        boundary_mass=bm,
-        max_mass_drift=max_drift,
-        max_energy_increase=max_energy_inc,
-        boundary_warning=boundary_warning,
-        n_steps=n_steps,
-        dt=dt,
-        wall_time=time.perf_counter() - wall,
-        phase_s=phase_s,
-    )
-    return GridSolution(grid=grid, times=np.asarray(rec_times),
-                        p=np.asarray(records), diagnostics=diagnostics)
+            raise NumericalError(f"banded solve failed: {exc}", step) from exc
+        observer.lap("solve")
+        observer.observe(U, step)
+        observer.lap("observe")
+    return observer.solution(n_steps)
 
 
 def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,

@@ -78,6 +78,8 @@ class TestCheckC:
                          "--alpha", "4.1213,1.9428,4.1213"])
         assert code == 0
         assert cli.main(["check-c", "--lambda", "1,2,4", "--method", "diag"]) == 2
+        assert cli.main(["check-c", "--lambda", "1,2,3", "--method", "diag",
+                         "--alpha", "1,nan,2"]) == 2
 
     def test_gamma_method(self, tmp_path):
         gfile = tmp_path / "gamma.json"
@@ -140,6 +142,17 @@ class TestSolveCommands:
             warnings.simplefilter("error")
             assert cli.main(["solve-rslv", path]) == 3
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_heat_reference_of_an_unmollified_tabulated_start(self, tmp_path):
+        # a hat on the grid nodes lies in the finite-element space, so its
+        # projection is exact, and at t = 0 the reference is that same hat
+        cfg = small_solve_config(tmp_path, extra={
+            "pds": {"dt": 2e-3, "sigma_mollify": 0.0, "n_outputs": 3},
+            "initial": {"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 1.0, 0.0]}})
+        assert cli.main(["solve-fbm", str(cfg)]) == 0
+        rows = np.loadtxt(tmp_path / "out" / "fbm_0000.csv", delimiter=",", skiprows=1)
+        assert rows[:, -2].max() == pytest.approx(1.0)
+        np.testing.assert_allclose(rows[:, -1], rows[:, -2], rtol=0, atol=1e-12)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_solve_config(tmp_path)
@@ -441,6 +454,25 @@ def test_bad_document_is_a_config_error(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-c", "solve-fbm", "dupire-build"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = {
+        "check-c": ["check-c", "--lambda", "1,2", "--method", "grid", "--n", "20",
+                    "--out", str(missing / "p.csv")],
+        "solve-fbm": ["solve-fbm", str(small_solve_config(tmp_path)),
+                      "--out", str(not_a_dir / "sub")],
+        "dupire-build": ["dupire-build", str(write_calls(tmp_path)[0]),
+                         "--out", str(missing / "s.json")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_import_leaves_the_optimizer_unloaded():
     # scipy.optimize is loaded only by condition_c.recover_alpha_from_point
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -448,6 +480,19 @@ def test_import_leaves_the_optimizer_unloaded():
     code = ("import sys, rslv_lab.cli, rslv_lab.acceptance; "
             "sys.exit('scipy.optimize' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def write_calls(tmp_path):
+    """A 7 x 9 grid of Black-Scholes calls (vol 0.2, zero rate) as the CSV dupire-build reads."""
+    ts = np.linspace(0.25, 0.85, 7)
+    ks = np.linspace(0.85, 1.15, 9)
+    T, K = np.meshgrid(ts, ks, indexing="ij")
+    d1 = (np.log(1.0 / K) + 0.02 * T) / (0.2 * np.sqrt(T))
+    c = normal_cdf(d1) - K * normal_cdf(d1 - 0.2 * np.sqrt(T))
+    calls = tmp_path / "calls.csv"
+    rows = zip(T.ravel().tolist(), K.ravel().tolist(), c.ravel().tolist())
+    calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{v!r}\n" for t, k, v in rows))
+    return calls, ts, ks, c
 
 
 class TestDupireBuild:
@@ -470,14 +515,7 @@ class TestDupireBuild:
         assert np.abs(inner - 0.2).max() <= 0.01
 
     def test_surface_file_reads_back(self, tmp_path, monkeypatch):
-        ts = np.linspace(0.25, 0.85, 7)
-        ks = np.linspace(0.85, 1.15, 9)
-        T, K = np.meshgrid(ts, ks, indexing="ij")
-        d1 = (np.log(1.0 / K) + 0.02 * T) / (0.2 * np.sqrt(T))
-        c = normal_cdf(d1) - K * normal_cdf(d1 - 0.2 * np.sqrt(T))
-        calls = tmp_path / "calls.csv"
-        rows = zip(T.ravel().tolist(), K.ravel().tolist(), c.ravel().tolist())
-        calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{v!r}\n" for t, k, v in rows))
+        calls, ts, ks, c = write_calls(tmp_path)
         assert cli.main(["dupire-build", str(calls), "--r", "0.01", "--sigma-low", "0.19",
                          "--sigma-high", "0.21", "--out", str(tmp_path / "surface.json")]) == 0
         built = dupire_from_calls(ts, ks, c, r=0.01, sigma_low=0.19, sigma_high=0.21).surface
@@ -502,6 +540,13 @@ class TestVerify:
 
     def test_unknown_suite(self):
         assert cli.main(["verify", "--suite", "nonsense"]) == 2
+
+    def test_empty_criteria_list(self, capsys, monkeypatch):
+        from rslv_lab import acceptance
+        monkeypatch.setattr(acceptance, "run_criteria",
+                            lambda names: pytest.fail(f"ran the criteria {names}"))
+        assert cli.main(["verify", "--criteria", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown criteria")
 
     def test_unknown_criterion(self, capsys):
         assert cli.main(["verify", "--criteria", "99"]) == 2

@@ -239,6 +239,38 @@ class TestOutputs:
         meta = write_snapshots(sol, tmp_path, prefix="rslv")
         assert meta["diagnostics"]["phase_s"] == diag.phase_s
 
+    def test_record_diagnostics_are_read_off_the_records(self):
+        # d = 3 with x-dependent Q and a tabulated surface; an atom near the
+        # edge puts mass in the outermost cells
+        grid = SpatialGrid(L=4.0, m=81)
+        xs = np.linspace(-4.0, 4.0, 5)
+        rates = np.array([[[0, 1 + 0.2 * k, 0.5], [0.3, 0, 1.0], [2.0, 0.1 * k, 0]]
+                          for k in range(xs.size)], dtype=float)
+        model = RegimeModel(lam=[0.5, 1.0, 3.0], alpha=[0.2, 0.3, 0.5],
+                            q=IntensityTable(rates=rates, x=xs))
+        sx = np.linspace(-4.0, 4.0, 9)
+        values = 0.3 + 0.05 * np.sin(sx)[None, :] + np.array([[0.0], [0.1]])
+        surf = VolSurface.tabulated([0.0, 0.2], sx, values)
+        cfg = PDSConfig(dt=1e-2, sigma_mollify=0.3, output_times=(0.05, 0.1, 0.2))
+        sol = solve_rslv(model, cfg, grid, HorizonConfig(T=0.2, r=0.02), surf,
+                         Measure.mixture([-3.2, 0.5], [0.4, 0.6]))
+        diag, p, h, m = sol.diagnostics, sol.p, grid.h, grid.m
+        np.testing.assert_allclose(sol.times, [0.0, 0.05, 0.1, 0.2], rtol=0, atol=1e-15)
+        # the P1 mass matrix on [-L, L] with natural boundaries
+        W = (h / 6.0) * (np.diag(np.r_[2.0, np.full(m - 2, 4.0), 2.0])
+                         + np.eye(m, k=1) + np.eye(m, k=-1))
+        tot = p.sum(axis=1)
+        expected = {
+            "masses": np.trapezoid(p, grid.x, axis=2),
+            "min_value": p.min(axis=(1, 2)),
+            "l2": np.sqrt(np.einsum("kdi,ij,kdj->kd", p, W, p)),
+            "boundary_mass": 0.5 * h * (tot[:, 0] + tot[:, 1] + tot[:, -2] + tot[:, -1]),
+        }
+        for name, value in expected.items():
+            assert getattr(diag, name).shape == value.shape
+            np.testing.assert_allclose(getattr(diag, name), value, rtol=1e-12, err_msg=name)
+        assert diag.boundary_mass.max() > 1e-4 and diag.boundary_warning
+
 
 @st.composite
 def generated_solve(draw):
