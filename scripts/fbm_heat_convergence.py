@@ -24,20 +24,20 @@ from rslv_lab.regime_model import HorizonConfig, Measure, RegimeModel
 def run_level(model, m_nodes, dt, sigma0, T):
     grid = SpatialGrid(L=6.0, m=m_nodes)
     cfg = PDSConfig(dt=dt, sigma_mollify=sigma0, n_outputs=11)
+    initial = Measure.point(0.0)
     t0 = time.perf_counter()
-    sol = solve_fbm(model, cfg, grid, HorizonConfig(T=T), Measure.point(0.0))
+    sol = solve_fbm(model, cfg, grid, HorizonConfig(T=T), initial)
     elapsed = time.perf_counter() - t0
     err = 0.0
     for k, t in enumerate(sol.times):
         if t == 0:
             continue
-        v = sigma0 * sigma0 + t
-        ref = np.exp(-grid.x ** 2 / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+        ref = initial.density_on(grid.x, math.sqrt(sigma0 * sigma0 + t))
         err = max(err, l1_grid_distance(grid, sol.total_density(k), ref))
     return err, elapsed, sol
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lambda", dest="lam", default="1,4")
     ap.add_argument("--m", type=int, default=601, help="coarsest node count")
@@ -45,7 +45,7 @@ def main() -> int:
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--sigma0", type=float, default=math.sqrt(0.1))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     lam = np.array([float(v) for v in args.lam.split(",")])
     model = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))

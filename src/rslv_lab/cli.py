@@ -101,8 +101,8 @@ _SECTIONS = {
                 "mixture": (Measure.mixture, {"xs": _floats, "weights": _floats}),
                 "tabulated": (Measure.tabulated, {"x": _floats, "density": _floats})},
     "surface": {"constant": (VolSurface.constant, {"value": float, **_BOUNDS}),
-                "tabulated": (VolSurface.tabulated, {"t": _floats, "x": _floats,
-                                                     "values": _floats, **_BOUNDS})},
+                "tabulated": (VolSurface, {"t": _floats, "x": _floats, "values": _floats,
+                                           **_BOUNDS})},
 }
 # the document itself: the sections pass through to _section
 _SECTIONS["top-level"] = (lambda **doc: doc, {**dict.fromkeys(_SECTIONS, lambda raw: raw),
@@ -198,22 +198,20 @@ def write_csv(path: str, header: str, rows) -> None:
             fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
-def write_snapshots(sol: GridSolution, out_dir, reference=None, prefix="snapshot") -> dict:
+def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:
     """CSV per output time (columns x, p_1..p_d, sum, heat_ref); returns the metadata.
 
-    ``reference`` is an optional callable (t, x_array) -> density used to
-    fill the heat_ref column; it defaults to zeros.  The caller completes the
-    metadata and writes it as ``<prefix>_metadata.json``.
+    ``reference`` is a callable (t, x_array) -> density that fills the
+    heat_ref column.  The caller completes the metadata and writes it as
+    ``<prefix>_metadata.json``.
     """
     os.makedirs(out_dir, exist_ok=True)
     files = []
     d = sol.d
     header = "x," + ",".join(f"p_{i+1}" for i in range(d)) + ",sum,heat_ref"
     for k, t in enumerate(sol.times):
-        ref = (reference(float(t), sol.grid.x) if reference is not None
-               else np.zeros(sol.grid.m))
         cols = [sol.grid.x] + [sol.p[k, i] for i in range(d)] + \
-               [sol.total_density(k), np.asarray(ref, dtype=float)]
+               [sol.total_density(k), np.asarray(reference(float(t), sol.grid.x), dtype=float)]
         name = f"{prefix}_{k:04d}.csv"
         write_csv(os.path.join(out_dir, name), header, zip(*cols))
         files.append({"time": float(t), "file": name})
@@ -348,7 +346,7 @@ def _cmd_solve(args) -> int:
 
     def ref(t: float, x: np.ndarray) -> np.ndarray:     # the initial law under the heat flow
         return initial.density_on(x, math.sqrt(pds.sigma_mollify * pds.sigma_mollify + t))
-    meta = write_snapshots(sol, out, reference=ref, prefix=f"{kind}")
+    meta = write_snapshots(sol, out, ref, kind)
     if surface is None:
         errs = [l1_grid_distance(grid, sol.total_density(k), ref(float(t), grid.x))
                 for k, t in enumerate(sol.times) if t > 0]
@@ -367,11 +365,6 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # particle simulations
 
-# the "mode" each simulate command writes to its diagnostics and file name
-_MODE_BY_COMMAND = {"simulate-fbm": "fake_bm", "simulate-rslv": "rslv",
-                    "simulate-jump": "jump_fbm"}
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     model, surface = _dynamics(args, cfg)
@@ -379,14 +372,14 @@ def _cmd_simulate(args) -> int:
     plan = _section(cfg, "sim")
     initial = _section(cfg, "initial")
     out = _out_dir(cfg, args)
-    mode = _MODE_BY_COMMAND[args.command]
+    kind = args.command.split("-", 1)[1]
     res = simulate(model, plan, horizon, initial=initial, surface=surface)
     for k, t in enumerate(res.times):
         rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
         write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
                   "particle_id,X,Y,qv", rows)
     diag = {
-        "mode": mode,
+        "mode": kind,
         "times": res.times.tolist(),
         "occupancy": res.occupancy.tolist(),
         "gyongy_ratio_min": float(res.gyongy_ratio.min()),
@@ -404,7 +397,7 @@ def _cmd_simulate(args) -> int:
         write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
         diag["prices_file"] = "prices.csv"
         diag["prices_time"] = maturity
-    with open(os.path.join(out, f"simulate_{mode}_diagnostics.json"), "w") as fh:
+    with open(os.path.join(out, f"simulate_{kind}_diagnostics.json"), "w") as fh:
         json.dump(diag, fh, indent=2)
     print(f"wrote {len(res.times)} checkpoints to {out} "
           f"(gyongy ratio in [{diag['gyongy_ratio_min']:.5f}, "
@@ -508,7 +501,7 @@ def main(argv=None) -> int:
             return _cmd_check_c(args)
         if args.command.startswith("solve-"):
             return _cmd_solve(args)
-        if args.command in _MODE_BY_COMMAND:
+        if args.command.startswith("simulate-"):
             return _cmd_simulate(args)
         if args.command == "dupire-build":
             return _cmd_dupire(args)

@@ -19,6 +19,10 @@ import numpy as np
 __all__ = ["VolSurface", "ArbitrageError", "DupireBuildReport",
            "dupire_from_calls"]
 
+# density term K^2 d2C/dK2 at or below this times s0^2 (s0 the median strike)
+# marks a node degenerate
+DENOM_FLOOR = 1e-10
+
 
 class ArbitrageError(ValueError):
     """Raised when a call grid is unusable (butterfly violations or too many
@@ -33,80 +37,66 @@ class ArbitrageError(ValueError):
 class VolSurface:
     """Bounded local-volatility function on log-price coordinates.
 
-    kind is "constant" (one value everywhere) or "tabulated" (bilinear
-    interpolation on a rectangular (t, x) grid with clamped extrapolation).
-    Every evaluation is clamped to [sigma_low, sigma_high].
+    A (t, x) table, read by bilinear interpolation with clamped
+    extrapolation; a flat surface is the one-node table.  Every evaluation
+    is clamped to [sigma_low, sigma_high].
     """
 
-    kind: str
+    t: np.ndarray
+    x: np.ndarray
+    values: np.ndarray
     sigma_low: float = 0.01
     sigma_high: float = 2.0
-    value: float = 0.0
-    t: np.ndarray | None = None
-    x: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 < self.sigma_low <= self.sigma_high < np.inf:
             raise ValueError("need 0 < sigma_low <= sigma_high < inf")
-        if self.kind == "constant":
-            if not 0 < self.value < np.inf:
-                raise ValueError("constant surface needs a positive, finite value")
-        elif self.kind == "tabulated":
-            t = np.asarray(self.t, dtype=float)
-            x = np.asarray(self.x, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
-                raise ValueError("tabulated surface needs values of shape (len(t), len(x))")
-            if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(v).all()):
-                raise ValueError("tabulated surface nodes and values must be finite")
-            if t.size > 1 and np.any(np.diff(t) <= 0):
-                raise ValueError("t nodes must be strictly increasing")
-            if np.any(np.diff(x) <= 0):
-                raise ValueError("x nodes must be strictly increasing")
-            object.__setattr__(self, "t", t)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "values", v)
-        else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+        t = np.atleast_1d(np.asarray(self.t, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
+            raise ValueError("tabulated surface needs values of shape (len(t), len(x))")
+        if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(v).all()):
+            raise ValueError("tabulated surface nodes and values must be finite")
+        if t.size > 1 and np.any(np.diff(t) <= 0):
+            raise ValueError("t nodes must be strictly increasing")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("x nodes must be strictly increasing")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def constant(cls, value: float, **bounds) -> "VolSurface":
-        return cls(kind="constant", value=value, **bounds)
-
-    @classmethod
-    def tabulated(cls, t, x, values, **bounds) -> "VolSurface":
-        return cls(kind="tabulated", t=np.atleast_1d(np.asarray(t, dtype=float)),
-                   x=x, values=values, **bounds)
+        """The one-node table: ``value`` at every (t, x)."""
+        if not 0 < value < np.inf:
+            raise ValueError("constant surface needs a positive, finite value")
+        return cls(np.zeros(1), np.zeros(1), np.full((1, 1), value), **bounds)
 
     def sigma(self, t, x):
         """Clamped sigma_tilde(t, x); accepts scalars or arrays in x."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            raw = np.full(x.shape, self.value) if x.ndim else self.value
-        else:
-            raw = self._bilinear(float(t), x)
-        out = np.clip(raw, self.sigma_low, self.sigma_high)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _bilinear(self, t: float, x: np.ndarray):
         tn, xn, v = self.t, self.x, self.values
         if tn.size == 1:
             row = v[0]
         else:
-            tc = min(max(t, tn[0]), tn[-1])
+            tc = min(max(float(t), tn[0]), tn[-1])
             # tc >= tn[0], so the bracket index is never below 0
             it = min(int(np.searchsorted(tn, tc, side="right") - 1), tn.size - 2)
             w = (tc - tn[it]) / (tn[it + 1] - tn[it])
             row = (1.0 - w) * v[it] + w * v[it + 1]
-        return np.interp(x, xn, row)
+        out = np.clip(np.interp(np.asarray(x, dtype=float), xn, row),
+                      self.sigma_low, self.sigma_high)
+        return float(out) if np.ndim(out) == 0 else out
 
     def dsigma_dx(self, t, x):
-        """Spatial derivative by central differencing of the clamped surface."""
+        """Spatial derivative by central differencing of the clamped surface.
+
+        The step is half the finest node gap.  The span plus one exceeds
+        every gap and stands in for the gap of a one-node x axis, whose
+        difference is then exactly 0.
+        """
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.zeros(x.shape) if x.ndim else 0.0
-        step = 0.5 * float(np.min(np.diff(self.x)))
+        step = 0.5 * float(np.min(np.diff(self.x), initial=self.x[-1] - self.x[0] + 1.0))
         return (self.sigma(t, x + step) - self.sigma(t, x - step)) / (2.0 * step)
 
 
@@ -129,17 +119,16 @@ def _second_derivative(c: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def dupire_from_calls(t, strikes, calls, r: float = 0.0,
                       sigma_low: float = VolSurface.sigma_low,
-                      sigma_high: float = VolSurface.sigma_high,
-                      denom_floor: float | None = None) -> DupireBuildReport:
+                      sigma_high: float = VolSurface.sigma_high) -> DupireBuildReport:
     """Local-volatility surface from call prices C(t, K) on a rectangular grid.
 
     All three derivatives use central differences (one-sided in t at the first
     and last maturity).  Nodes whose density term K^2 d2C/dK2 falls at or
-    below ``denom_floor`` (default 1e-10 * s0^2, s0 the median strike) or
-    whose implied variance is not positive are flagged and repaired from the
-    nearest valid neighbour in K, then in t.  A grid with negative butterfly
-    curvature anywhere, or with more than 20% flagged nodes, raises
-    ArbitrageError.
+    below DENOM_FLOOR * s0^2 (s0 the median strike) or whose implied
+    variance is not positive are flagged and repaired from the nearest valid
+    neighbour in K, then in t.  A grid whose butterfly curvature is negative
+    beyond the rounding of its three-point difference anywhere, or with more
+    than 20% flagged nodes, raises ArbitrageError.
     """
     t = np.asarray(t, dtype=float)
     k = np.asarray(strikes, dtype=float)
@@ -152,16 +141,18 @@ def dupire_from_calls(t, strikes, calls, r: float = 0.0,
         raise ValueError("maturities and strikes must be strictly increasing")
     if np.any(t <= 0) or np.any(k <= 0):
         raise ValueError("maturities and strikes must be positive")
-    if denom_floor is None:
-        s0 = float(np.median(k))
-        denom_floor = 1e-10 * s0 * s0
 
     dcdt = np.gradient(c, t, axis=0)
     dcdk = np.gradient(c, k, axis=1)[:, 1:-1]
     d2c = _second_derivative(c, k)
     ki = k[1:-1]
 
-    bad = np.argwhere(d2c < 0.0)
+    # a curvature within rounding of zero is degenerate (flagged below), not
+    # an arbitrage: deep in the money C is intrinsic to the last bit
+    h0h1 = (k[1:-1] - k[:-2]) * (k[2:] - k[1:-1])
+    rounding = np.finfo(float).eps * (np.abs(c[:, :-2]) + 2.0 * np.abs(c[:, 1:-1])
+                                      + np.abs(c[:, 2:])) / h0h1
+    bad = np.argwhere(d2c < -rounding)
     if bad.size:
         nodes = [(float(t[i]), float(ki[j])) for i, j in bad]
         raise ArbitrageError(
@@ -171,7 +162,8 @@ def dupire_from_calls(t, strikes, calls, r: float = 0.0,
     numer = dcdt[:, 1:-1] + r * ki[None, :] * dcdk
     with np.errstate(divide="ignore", invalid="ignore"):
         var = 2.0 * numer / denom
-    flagged_mask = (denom <= denom_floor) | ~np.isfinite(var) | (var <= 0.0)
+    s0 = float(np.median(k))
+    flagged_mask = (denom <= DENOM_FLOOR * s0 * s0) | ~np.isfinite(var) | (var <= 0.0)
     n_total = flagged_mask.size
     n_flagged = int(flagged_mask.sum())
     if n_flagged > 0.2 * n_total:
@@ -182,8 +174,7 @@ def dupire_from_calls(t, strikes, calls, r: float = 0.0,
     sigma = np.where(flagged_mask, np.nan, np.sqrt(np.maximum(var, 0.0)))
     _repair_nearest(sigma)
     sigma = np.clip(sigma, sigma_low, sigma_high)
-    surface = VolSurface.tabulated(t, np.log(ki), sigma,
-                                   sigma_low=sigma_low, sigma_high=sigma_high)
+    surface = VolSurface(t, np.log(ki), sigma, sigma_low=sigma_low, sigma_high=sigma_high)
     flagged = [(float(t[i]), float(ki[j])) for i, j in np.argwhere(flagged_mask)]
     return DupireBuildReport(surface=surface, flagged=flagged, n_total=n_total)
 

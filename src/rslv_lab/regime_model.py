@@ -203,34 +203,29 @@ def _heat_kernel(t: float, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measure:
-    """Initial-law descriptor: point mass, mixture of point masses, or tabulated density.
+    """Initial law: atoms (masses ``weights`` at ``xs``), or a density
+    tabulated at the nodes ``xs`` when ``atoms`` is False.
 
-    Richer measures are expected to be mollified first (heat-kernel convolution),
-    which lands them in the tabulated case.
+    A point mass is one atom.  Richer measures are expected to be mollified
+    first (heat-kernel convolution), which lands them in the tabulated case.
     """
 
-    kind: str
     xs: np.ndarray
     weights: np.ndarray
+    atoms: bool = True
 
     def __post_init__(self):
         xs = np.atleast_1d(np.asarray(self.xs, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.kind not in ("point", "mixture", "tabulated"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
         if xs.shape != w.shape or xs.ndim != 1:
             raise ValueError("xs and weights must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(w))):
             raise ValueError("measure locations and weights must be finite")
-        if self.kind == "point" and xs.size != 1:
-            raise ValueError("a point mass has a single location")
-        if self.kind == "tabulated":
-            if xs.size < 2 or np.any(np.diff(xs) <= 0):
-                raise ValueError("tabulation nodes must be strictly increasing")
-            if np.any(w < 0):
-                raise ValueError("tabulated density must be non-negative")
-        elif np.any(w < 0):
-            raise ValueError("atom masses must be non-negative")
+        if not self.atoms and (xs.size < 2 or np.any(np.diff(xs) <= 0)):
+            raise ValueError("tabulation nodes must be strictly increasing")
+        if np.any(w < 0):
+            raise ValueError("atom masses must be non-negative" if self.atoms
+                             else "tabulated density must be non-negative")
         if not w.sum() > 0:
             raise ValueError("the measure has no mass")
         object.__setattr__(self, "xs", xs)
@@ -238,57 +233,45 @@ class Measure:
 
     @classmethod
     def point(cls, x: float, mass: float = 1.0) -> "Measure":
-        return cls("point", np.array([x]), np.array([mass]))
+        return cls(np.array([x]), np.array([mass]))
 
     @classmethod
     def mixture(cls, xs, weights) -> "Measure":
-        return cls("mixture", np.asarray(xs, dtype=float), np.asarray(weights, dtype=float))
+        return cls(np.asarray(xs, dtype=float), np.asarray(weights, dtype=float))
 
     @classmethod
     def tabulated(cls, x, density) -> "Measure":
-        return cls("tabulated", np.asarray(x, dtype=float), np.asarray(density, dtype=float))
-
-    @property
-    def has_atoms(self) -> bool:
-        return self.kind in ("point", "mixture")
-
-    def convolve_heat(self, t: float, x_grid: np.ndarray) -> np.ndarray:
-        """Density of mu * h_t on the grid (trapezoid quadrature for tabulated mu)."""
-        if t <= 0:
-            raise ValueError("heat kernel time must be positive")
-        x_grid = np.asarray(x_grid, dtype=float)
-        if self.has_atoms:
-            out = np.zeros_like(x_grid)
-            for x0, w in zip(self.xs, self.weights):
-                out += w * _heat_kernel(t, x_grid - x0)
-            return out
-        # trapezoid weights on the tabulation nodes
-        dx = np.diff(self.xs)
-        tw = np.zeros_like(self.xs)
-        tw[:-1] += 0.5 * dx
-        tw[1:] += 0.5 * dx
-        kern = _heat_kernel(t, x_grid[:, None] - self.xs[None, :])
-        return kern @ (tw * self.weights)
+        return cls(np.asarray(x, dtype=float), np.asarray(density, dtype=float), atoms=False)
 
     def density_on(self, x_grid: np.ndarray, sigma: float = 0.0) -> np.ndarray:
         """Mollified density (mu * h_{sigma^2}) sampled on the grid.
 
-        sigma = 0 is only meaningful for tabulated measures (plain resampling).
+        Atoms need a positive width; a tabulated density at width 0 is
+        resampled, and otherwise convolved by trapezoid quadrature on its
+        nodes.
         """
         if sigma < 0:
             raise ValueError("mollification width must be non-negative")
-        if sigma == 0.0:
-            if self.has_atoms:
+        x_grid = np.asarray(x_grid, dtype=float)
+        t = sigma * sigma
+        if t == 0.0:    # sigma = 0, or too small to square
+            if self.atoms:
                 raise ValueError("atomic measure needs a positive mollification width")
             return np.interp(x_grid, self.xs, self.weights, left=0.0, right=0.0)
-        return self.convolve_heat(sigma * sigma, x_grid)
+        if self.atoms:
+            out = np.zeros_like(x_grid)
+            for x0, w in zip(self.xs, self.weights):
+                out += w * _heat_kernel(t, x_grid - x0)
+            return out
+        dx = np.diff(self.xs)
+        tw = np.zeros_like(self.xs)
+        tw[:-1] += 0.5 * dx
+        tw[1:] += 0.5 * dx
+        return _heat_kernel(t, x_grid[:, None] - self.xs[None, :]) @ (tw * self.weights)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "point":
-            return np.full(n, self.xs[0])
-        if self.kind == "mixture":
-            probs = self.weights / self.weights.sum()
-            return rng.choice(self.xs, size=n, p=probs)
+        if self.atoms:
+            return rng.choice(self.xs, size=n, p=self.weights / self.weights.sum())
         # tabulated: inverse CDF on the piecewise-linear cumulative
         dx = np.diff(self.xs)
         seg = 0.5 * (self.weights[:-1] + self.weights[1:]) * dx

@@ -190,7 +190,7 @@ class TestSimulateCommands:
         rows = (out / "checkpoint_00.csv").read_text().splitlines()
         assert rows[0] == "particle_id,X,Y,qv"
         assert len(rows) == 501
-        diag = json.loads((out / "simulate_fake_bm_diagnostics.json").read_text())
+        diag = json.loads((out / "simulate_fbm_diagnostics.json").read_text())
         assert diag["n_particles"] == 500
 
     def test_checkpoint_defaults_to_the_horizon(self, tmp_path):
@@ -198,7 +198,7 @@ class TestSimulateCommands:
             "sim": {"dt": 1e-2, "n_particles": 500, "seed": 5}})      # T = 0.1
         assert cli.main(["simulate-fbm", str(cfg)]) == 0
         out = tmp_path / "sim"
-        diag = json.loads((out / "simulate_fake_bm_diagnostics.json").read_text())
+        diag = json.loads((out / "simulate_fbm_diagnostics.json").read_text())
         assert diag["times"] == [0.1]
         assert len((out / "checkpoint_00.csv").read_text().splitlines()) == 501
 
@@ -524,7 +524,7 @@ class TestDupireBuild:
         cfg = small_solve_config(tmp_path, extra={"surface": {"file": "surface.json"}})
         assert cli.main(["solve-lv", str(cfg)]) == 0
         (surface,) = read
-        assert (surface.kind, surface.sigma_low, surface.sigma_high) == ("tabulated", 0.19, 0.21)
+        assert (surface.sigma_low, surface.sigma_high) == (0.19, 0.21)
         for name in ("t", "x", "values"):
             np.testing.assert_array_equal(getattr(surface, name), getattr(built, name))
 

@@ -23,7 +23,7 @@ class TestSurface:
 
     def test_tabulated_flat_grid(self):
         xs = np.linspace(-2, 2, 9)
-        s = VolSurface.tabulated([0.5, 1.0], xs, np.full((2, 9), 0.2))
+        s = VolSurface([0.5, 1.0], xs, np.full((2, 9), 0.2))
         assert s.sigma(0.75, 0.33) == pytest.approx(0.2)
         assert s.sigma(2.0, 5.0) == pytest.approx(0.2)  # clamped extrapolation
 
@@ -40,7 +40,7 @@ class TestSurface:
         with pytest.raises(ValueError):
             VolSurface.constant(0.2, sigma_low=0.5, sigma_high=0.1)
         with pytest.raises(ValueError):
-            VolSurface.tabulated([1.0, 0.5], [0.0, 1.0], np.full((2, 2), 0.2))
+            VolSurface([1.0, 0.5], [0.0, 1.0], np.full((2, 2), 0.2))
 
 
 class TestDupireFromCalls:
@@ -74,6 +74,31 @@ class TestDupireFromCalls:
             dupire_from_calls(ts, ks, c, r=0.0)
         assert exc.value.nodes
 
+    @staticmethod
+    def mixture_grid():
+        # exact prices of an arbitrage-free lognormal mixture
+        ts = np.linspace(0.05, 0.5, 10)
+        ks = np.exp(np.linspace(-1.0, 1.0, 61))
+        c = 0.5 * bs_grid(1.0, 0.15, 0.0, ts, ks) + 0.5 * bs_grid(1.0, 0.35, 0.0, ts, ks)
+        return ts, ks, c
+
+    def test_rounding_curvature_is_repaired_not_refused(self):
+        # deep in the money at t = 0.05 and 0.1, C is intrinsic to the last
+        # bit and the three-point second derivative reads down to -8.5e-13
+        ts, ks, c = self.mixture_grid()
+        rep = dupire_from_calls(ts, ks, c, r=0.0)
+        assert {(ts[0], ks[2]), (ts[1], ks[1])} <= set(rep.flagged)
+        assert np.all(np.isfinite(rep.surface.values))
+
+    def test_curvature_beyond_rounding_is_refused(self):
+        # a dent of 1e-12 in one at-the-money price is still an arbitrage
+        ts, ks, c = self.mixture_grid()
+        h0, h1 = ks[30] - ks[29], ks[31] - ks[30]
+        c[5, 30] = (h1 * c[5, 29] + h0 * c[5, 31]) / (h0 + h1) + 1e-12
+        with pytest.raises(ArbitrageError) as exc:
+            dupire_from_calls(ts, ks, c, r=0.0)
+        assert exc.value.nodes == [(ts[5], ks[30])]
+
     def test_too_small_grids(self):
         with pytest.raises(ValueError):
             dupire_from_calls([0.5, 1.0], [1.0, 1.1], np.zeros((2, 2)), r=0.0)
@@ -85,8 +110,8 @@ class TestDupireFromCalls:
         # wide wings: far-OTM curvature underflows the density floor
         ks = np.concatenate([np.arange(0.7, 1.3001, 0.02), [2.5, 2.52, 2.54]])
         c = bs_grid(1.0, 0.2, 0.0, ts, ks)
-        rep = dupire_from_calls(ts, ks, c, r=0.0, denom_floor=1e-6)
-        assert rep.flagged
+        rep = dupire_from_calls(ts, ks, c, r=0.0)
+        assert len(rep.flagged) == 10
         assert np.all(np.isfinite(rep.surface.values))
         assert np.all(rep.surface.values >= rep.surface.sigma_low)
 

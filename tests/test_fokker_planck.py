@@ -177,7 +177,7 @@ class TestRslvAndLv:
         grid = SpatialGrid(L=6.0, m=301)
         xs = np.linspace(-6.0, 6.0, 25)
         vals = 0.2 + 0.05 * np.tanh(xs)[None, :]
-        surf = VolSurface.tabulated([0.0, 1.0], xs, np.vstack([vals, vals]))
+        surf = VolSurface([0.0, 1.0], xs, np.vstack([vals, vals]))
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=4)
         sol = solve_lv(cfg, grid, HorizonConfig(T=0.4, r=0.01), surf, Measure.point(0.0))
         total = sol.diagnostics.masses.sum(axis=1)
@@ -221,7 +221,7 @@ class TestOutputs:
         grid = SpatialGrid(L=4.0, m=81)
         cfg = PDSConfig(dt=5e-3, sigma_mollify=0.3, n_outputs=3)
         sol = solve_fbm(model_14(), cfg, grid, HorizonConfig(T=0.2), Measure.point(0.0))
-        meta = write_snapshots(sol, tmp_path, prefix="fbm")
+        meta = write_snapshots(sol, tmp_path, lambda t, x: np.zeros(x.size), "fbm")
         assert len(meta["snapshots"]) == 3
         first = tmp_path / meta["snapshots"][0]["file"]
         header = first.read_text().splitlines()[0]
@@ -236,7 +236,7 @@ class TestOutputs:
         assert tuple(diag.phase_s) == PHASES
         assert all(v > 0.0 for v in diag.phase_s.values())
         assert sum(diag.phase_s.values()) <= diag.wall_time
-        meta = write_snapshots(sol, tmp_path, prefix="rslv")
+        meta = write_snapshots(sol, tmp_path, lambda t, x: np.zeros(x.size), "rslv")
         assert meta["diagnostics"]["phase_s"] == diag.phase_s
 
     def test_record_diagnostics_are_read_off_the_records(self):
@@ -250,7 +250,7 @@ class TestOutputs:
                             q=IntensityTable(rates=rates, x=xs))
         sx = np.linspace(-4.0, 4.0, 9)
         values = 0.3 + 0.05 * np.sin(sx)[None, :] + np.array([[0.0], [0.1]])
-        surf = VolSurface.tabulated([0.0, 0.2], sx, values)
+        surf = VolSurface([0.0, 0.2], sx, values)
         cfg = PDSConfig(dt=1e-2, sigma_mollify=0.3, output_times=(0.05, 0.1, 0.2))
         sol = solve_rslv(model, cfg, grid, HorizonConfig(T=0.2, r=0.02), surf,
                          Measure.mixture([-3.2, 0.5], [0.4, 0.6]))

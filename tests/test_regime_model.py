@@ -129,20 +129,20 @@ class TestRatios:
 
 class TestHeatKernel:
     def test_point_mass_at_origin(self):
-        val = Measure.point(0.0).convolve_heat(1.0, np.array([0.0]))
+        val = Measure.point(0.0).density_on(np.array([0.0]), 1.0)
         assert val[0] == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
     def test_unit_mass(self):
         x = np.linspace(-8, 8, 2001)
         for t in (0.25, 1.0, 2.0):
-            dens = Measure.point(0.0).convolve_heat(t, x)
+            dens = Measure.point(0.0).density_on(x, np.sqrt(t))
             assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-6)
 
     def test_gaussian_convolution_identity(self):
         x = np.linspace(-10, 10, 4001)
         sigma2 = 0.5
         mu = Measure.tabulated(x, np.exp(-x * x / (2 * sigma2)) / np.sqrt(2 * np.pi * sigma2))
-        out = mu.convolve_heat(0.75, x)
+        out = mu.density_on(x, np.sqrt(0.75))
         v = sigma2 + 0.75
         ref = np.exp(-x * x / (2 * v)) / np.sqrt(2 * np.pi * v)
         np.testing.assert_allclose(out, ref, atol=1e-6)
@@ -150,7 +150,7 @@ class TestHeatKernel:
     def test_mixture_is_a_gaussian_mixture(self):
         mu = Measure.mixture([-1.0, 2.0], [0.25, 0.75])
         x = np.linspace(-8, 10, 1801)
-        out = mu.convolve_heat(0.5, x)
+        out = mu.density_on(x, np.sqrt(0.5))
         ref = (0.25 * np.exp(-(x + 1.0) ** 2) + 0.75 * np.exp(-(x - 2.0) ** 2)) \
             / np.sqrt(np.pi)
         np.testing.assert_allclose(out, ref, atol=1e-14)
@@ -158,7 +158,7 @@ class TestHeatKernel:
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
-            Measure.point(0.0).convolve_heat(0.0, np.array([0.0]))
+            Measure.point(0.0).density_on(np.array([0.0]), -1.0)
 
 
 class TestMeasure:

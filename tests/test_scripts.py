@@ -52,3 +52,16 @@ def test_calibrate_flat_vol_prints_the_ladder(capsys):
         assert float(ref) == pytest.approx(bs_call(1.0, float(k), 0.2, 0.1), abs=1e-5)
         assert float(se) > 0
     assert lines[-1].startswith("largest |pull| =")
+
+
+def test_fbm_heat_convergence_prints_the_ladder(capsys):
+    script = load_script("fbm_heat_convergence")
+    assert script.main(["--m", "61", "--dt", "1e-2", "--levels", "2", "--T", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert [(int(r[0]), float(r[1])) for r in rows] == [(61, 1e-2), (121, 5e-3)]
+    errors = [float(r[2]) for r in rows]
+    # first order in dt: halving (h, dt) cuts the error by at least 2
+    assert 0 < errors[1] <= errors[0] / 2
+    assert float(rows[1][3]) == pytest.approx(errors[0] / errors[1], abs=0.01)
+    assert lines[-1].startswith("finest level: mass drift")
