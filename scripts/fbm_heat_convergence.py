@@ -16,8 +16,7 @@ import time
 
 import numpy as np
 
-from rslv_lab.fokker_planck import (PDSConfig, SpatialGrid, l1_grid_distance,
-                                    solve_fbm)
+from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, heat_l1_max, solve_fbm
 from rslv_lab.regime_model import HorizonConfig, Measure, RegimeModel
 
 
@@ -28,13 +27,7 @@ def run_level(model, m_nodes, dt, sigma0, T):
     t0 = time.perf_counter()
     sol = solve_fbm(model, cfg, grid, HorizonConfig(T=T), initial)
     elapsed = time.perf_counter() - t0
-    err = 0.0
-    for k, t in enumerate(sol.times):
-        if t == 0:
-            continue
-        ref = initial.density_on(grid.x, math.sqrt(sigma0 * sigma0 + t))
-        err = max(err, l1_grid_distance(grid, sol.total_density(k), ref))
-    return err, elapsed, sol
+    return heat_l1_max(sol, initial, sigma0), elapsed, sol
 
 
 def main(argv=None) -> int:

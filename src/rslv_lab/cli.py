@@ -27,8 +27,8 @@ from .condition_c import (CertificateError, criterion_d3, criterion_diag,
                           satisfies_condition_c)
 from .dupire import ArbitrageError, VolSurface, dupire_from_calls
 from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
-                            SpatialGrid, l1_grid_distance, solve_fbm,
-                            solve_lv, solve_rslv)
+                            SpatialGrid, heat_l1_max, solve_fbm, solve_lv,
+                            solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import HorizonConfig, IntensityTable, Measure, RegimeModel
 
@@ -348,9 +348,7 @@ def _cmd_solve(args) -> int:
         return initial.density_on(x, math.sqrt(pds.sigma_mollify * pds.sigma_mollify + t))
     meta = write_snapshots(sol, out, ref, kind)
     if surface is None:
-        errs = [l1_grid_distance(grid, sol.total_density(k), ref(float(t), grid.x))
-                for k, t in enumerate(sol.times) if t > 0]
-        meta["diagnostics"]["heat_l1_max"] = max(errs) if errs else 0.0
+        meta["diagnostics"]["heat_l1_max"] = heat_l1_max(sol, initial, pds.sigma_mollify)
     meta["run"] = {"command": args.command, "config": os.path.abspath(args.config),
                    "config_data": cfg,
                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}

@@ -42,6 +42,7 @@ __all__ = [
     "solve_rslv",
     "solve_lv",
     "l1_grid_distance",
+    "heat_l1_max",
 ]
 
 
@@ -386,3 +387,16 @@ def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:
     """Trapezoid L1 distance between two nodal functions on the grid."""
     return float(np.trapezoid(np.abs(np.asarray(f) - np.asarray(g)), grid.x))
+
+
+def heat_l1_max(sol: GridSolution, initial: Measure, sigma: float) -> float:
+    """Largest L1 distance, over the outputs t > 0, between the summed density
+    and the ``initial`` law under the heat flow, mu * h_{sigma^2 + t}: the
+    exact marginal of the fake Brownian motion that solve_fbm approximates.
+    0 without an output t > 0.
+    """
+    x = sol.grid.x
+    errs = [l1_grid_distance(sol.grid, sol.total_density(k),
+                             initial.density_on(x, math.sqrt(sigma * sigma + float(t))))
+            for k, t in enumerate(sol.times) if t > 0]
+    return max(errs, default=0.0)

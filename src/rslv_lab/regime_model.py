@@ -248,7 +248,7 @@ class Measure:
 
         Atoms need a positive width; a tabulated density at width 0 is
         resampled, and otherwise convolved by trapezoid quadrature on its
-        nodes.
+        nodes: an atom at each node, of mass trapezoid weight x density.
         """
         if sigma < 0:
             raise ValueError("mollification width must be non-negative")
@@ -258,16 +258,17 @@ class Measure:
             if self.atoms:
                 raise ValueError("atomic measure needs a positive mollification width")
             return np.interp(x_grid, self.xs, self.weights, left=0.0, right=0.0)
-        if self.atoms:
-            out = np.zeros_like(x_grid)
-            for x0, w in zip(self.xs, self.weights):
-                out += w * _heat_kernel(t, x_grid - x0)
-            return out
-        dx = np.diff(self.xs)
-        tw = np.zeros_like(self.xs)
-        tw[:-1] += 0.5 * dx
-        tw[1:] += 0.5 * dx
-        return _heat_kernel(t, x_grid[:, None] - self.xs[None, :]) @ (tw * self.weights)
+        masses = self.weights
+        if not self.atoms:
+            dx = np.diff(self.xs)
+            masses = np.zeros_like(self.xs)
+            masses[:-1] += 0.5 * dx
+            masses[1:] += 0.5 * dx
+            masses *= self.weights
+        out = np.zeros_like(x_grid)
+        for x0, w in zip(self.xs, masses):
+            out += w * _heat_kernel(t, x_grid - x0)
+        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.atoms:

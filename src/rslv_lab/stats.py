@@ -4,9 +4,8 @@ small report type."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,9 +38,6 @@ class TestReport:
     @classmethod
     def check(cls, statistic: float, threshold: float, n: int, description: str) -> "TestReport":
         return cls(float(statistic), float(threshold), bool(statistic <= threshold), int(n), description)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def normal_cdf(x):

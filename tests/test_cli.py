@@ -538,6 +538,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] c03" in out
 
+    def test_check_c_inside_c01_prints_nothing(self, capsys):
+        assert cli.main(["verify", "--criteria", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("[PASS] c01 figure grid reproduction (d=5) (3 checks, ")
+        assert lines[1] == "1/1 criteria passed"
+
     def test_unknown_suite(self):
         assert cli.main(["verify", "--suite", "nonsense"]) == 2
 

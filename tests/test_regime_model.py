@@ -160,6 +160,20 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             Measure.point(0.0).density_on(np.array([0.0]), -1.0)
 
+    def test_tabulated_convolution_equals_the_dense_quadrature(self):
+        # uneven nodes, so each trapezoid weight differs
+        x = np.sort(np.random.default_rng(12).uniform(-3.0, 3.0, 300))
+        dens = np.exp(-x * x) * (1.5 + np.sin(3.0 * x))
+        xs = np.linspace(-4.0, 4.0, 1001)
+        sigma = 0.1
+        tw = np.zeros_like(x)
+        tw[:-1] += 0.5 * np.diff(x)
+        tw[1:] += 0.5 * np.diff(x)
+        kernel = np.exp(-(xs[:, None] - x[None, :]) ** 2 / (2 * sigma * sigma)) \
+            / np.sqrt(2 * np.pi * sigma * sigma)
+        out = Measure.tabulated(x, dens).density_on(xs, sigma)
+        np.testing.assert_allclose(out, kernel @ (tw * dens), rtol=0, atol=1e-14)
+
 
 class TestMeasure:
     def test_atoms_need_mollification(self):

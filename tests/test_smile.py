@@ -14,9 +14,12 @@ read the surface in shifted time t - T0; the prices are those of maturity
 T0 + T.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from rslv_lab import cli
 from rslv_lab.dupire import VolSurface
 from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_lv, solve_rslv
 from rslv_lab.particles import SimPlan, price_calls, simulate
@@ -37,6 +40,10 @@ GRID_TOL = 8e-4
 # chosen before the first run, never to be changed to make the test pass
 SEED = 7
 Z_TOL = 3.0
+# dupire-build on 81 log-strikes in [-0.5, 0.5] x 19 maturities, then
+# solve-lv at m = 1201, dt = 1e-3: largest price error 5.2e-5 (1.0e-4 on
+# 41 x 19, 1.5e-5 on 161 x 37); the bound is three times that
+CLI_TOL = 1.5e-4
 
 
 def log_phi(t, x):
@@ -98,3 +105,31 @@ def test_particle_prices_match_the_mixture(smile):
     rows = price_calls(res.X[-1], STRIKES, r=0.0, T=T)
     z = [(price - ref) / se for (_, price, se), ref in zip(rows, exact_calls())]
     assert max(abs(v) for v in z) <= Z_TOL, z
+
+
+def test_dupire_build_then_solve_lv_through_the_cli(tmp_path):
+    """The exact calls, at maturities measured from T0, through dupire-build
+    and then solve-lv from the mixture's start, priced from the last snapshot."""
+    ts = np.linspace(T / 19, T, 19).tolist()
+    ks = np.exp(np.linspace(-0.5, 0.5, 81)).tolist()
+    rows = [(t, k, float(W @ [bs_call(1.0, k, s, T0 + t) for s in VOLS]))
+            for t in ts for k in ks]
+    calls = tmp_path / "calls.csv"
+    calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{c!r}\n" for t, k, c in rows))
+    assert cli.main(["dupire-build", str(calls), "--out", str(tmp_path / "surface.json")]) == 0
+    x0 = np.linspace(-L, L, 1201)
+    config = {"horizon": {"T": T}, "grid": {"L": L, "m": 1201},
+              "pds": {"dt": 1e-3, "n_outputs": 2},
+              "initial": {"kind": "tabulated", "x": x0.tolist(),
+                          "density": mixture_density(T0, x0).tolist()},
+              "surface": {"file": "surface.json"}, "output_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["solve-lv", str(tmp_path / "config.json")]) == 0
+    meta = json.loads((tmp_path / "out" / "lv_metadata.json").read_text())
+    assert meta["times"][-1] == pytest.approx(T)
+    snap = np.genfromtxt(tmp_path / "out" / meta["snapshots"][-1]["file"],
+                         delimiter=",", names=True)
+    prices = [np.trapezoid(np.maximum(np.exp(snap["x"]) - k, 0.0) * snap["sum"], snap["x"])
+              for k in STRIKES]
+    err = np.abs(np.array(prices) - exact_calls())
+    assert err.max() <= CLI_TOL, err

@@ -1,6 +1,5 @@
 """Statistical utilities: CDF accuracy, KS statistic, histogram distance, moments."""
 
-import json
 import math
 
 import numpy as np
@@ -93,11 +92,6 @@ class TestMoments:
 
 
 class TestReportType:
-    def test_pass_rule_and_json(self):
-        rep = TestReport.check(0.5, 1.0, 10, "demo")
-        assert rep.passed
-        rep2 = TestReport.check(2.0, 1.0, 10, "demo")
-        assert not rep2.passed
-        payload = json.loads(rep.to_json())
-        assert payload["description"] == "demo"
-        assert payload["passed"] is True
+    def test_pass_rule(self):
+        assert TestReport.check(0.5, 1.0, 10, "demo").passed
+        assert not TestReport.check(2.0, 1.0, 10, "demo").passed
