@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, heat_l1_max, solve_fbm
+from rslv_lab.fokker_planck import (PDSConfig, SpatialGrid, heat_l1_max, heat_reference,
+                                    solve_fbm)
 from rslv_lab.regime_model import HorizonConfig, Measure, RegimeModel
 
 
@@ -27,7 +28,7 @@ def run_level(model, m_nodes, dt, sigma0, T):
     t0 = time.perf_counter()
     sol = solve_fbm(model, cfg, grid, HorizonConfig(T=T), initial)
     elapsed = time.perf_counter() - t0
-    return heat_l1_max(sol, initial, sigma0), elapsed, sol
+    return heat_l1_max(sol, heat_reference(sol, initial, sigma0)), elapsed, sol
 
 
 def main(argv=None) -> int:

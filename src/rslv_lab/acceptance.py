@@ -25,8 +25,8 @@ import numpy as np
 from .condition_c import (coercivity_certificate, criterion_d3, grid_search_diag,
                           sample_domain_states, sample_quadratic_min)
 from .dupire import VolSurface
-from .fokker_planck import (PDSConfig, SpatialGrid, heat_l1_max, l1_grid_distance,
-                            solve_fbm, solve_lv, solve_rslv)
+from .fokker_planck import (PDSConfig, SpatialGrid, heat_l1_max, heat_reference,
+                            l1_grid_distance, solve_fbm, solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import (HorizonConfig, IntensityTable, Measure,
                            RegimeModel, a_eps_batch)
@@ -182,7 +182,7 @@ def _fbm_heat_metrics(model, grid, dt):
     cfg = PDSConfig(dt=dt, sigma_mollify=math.sqrt(0.1), n_outputs=11)
     start = Measure.point(0.0)
     sol = solve_fbm(model, cfg, grid, HorizonConfig(T=1.0, r=0.0), start)
-    return heat_l1_max(sol, start, cfg.sigma_mollify), sol
+    return heat_l1_max(sol, heat_reference(sol, start, cfg.sigma_mollify)), sol
 
 
 def criterion_05_fbm_vs_heat(ctx: AcceptanceContext) -> list:

@@ -23,12 +23,11 @@ from itertools import chain, islice
 import numpy as np
 
 from .condition_c import (CertificateError, criterion_d3, criterion_diag,
-                          criterion_identity, grid_search_diag,
-                          satisfies_condition_c)
+                          grid_search_diag, satisfies_condition_c)
 from .dupire import ArbitrageError, VolSurface, dupire_from_calls
 from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
-                            SpatialGrid, heat_l1_max, solve_fbm, solve_lv,
-                            solve_rslv)
+                            SpatialGrid, heat_l1_max, heat_reference, solve_fbm,
+                            solve_lv, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import HorizonConfig, IntensityTable, Measure, RegimeModel
 
@@ -201,8 +200,8 @@ def write_csv(path: str, header: str, rows) -> None:
 def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:
     """CSV per output time (columns x, p_1..p_d, sum, heat_ref); returns the metadata.
 
-    ``reference`` is a callable (t, x_array) -> density that fills the
-    heat_ref column.  The caller completes the metadata and writes it as
+    Row k of the (n_outputs, m) array ``reference`` fills the heat_ref column
+    of output k.  The caller completes the metadata and writes it as
     ``<prefix>_metadata.json``.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -211,7 +210,7 @@ def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:
     header = "x," + ",".join(f"p_{i+1}" for i in range(d)) + ",sum,heat_ref"
     for k, t in enumerate(sol.times):
         cols = [sol.grid.x] + [sol.p[k, i] for i in range(d)] + \
-               [sol.total_density(k), np.asarray(reference(float(t), sol.grid.x), dtype=float)]
+               [sol.total_density(k), reference[k]]
         name = f"{prefix}_{k:04d}.csv"
         write_csv(os.path.join(out_dir, name), header, zip(*cols))
         files.append({"time": float(t), "file": name})
@@ -236,36 +235,47 @@ def _values(flag: str, text: str) -> np.ndarray:
         raise ConfigError(f"invalid {flag}: {exc}") from exc
 
 
+_VERDICT = {True: "SATISFIED", False: "NOT-SATISFIED"}
+
+
 def _cmd_check_c(args) -> int:
     lam = _values("--lambda", args.lam)
     if lam.size < 2 or np.any(lam <= 0):
         raise ConfigError("invalid --lambda: need at least two positive values")
-    alpha = np.full(lam.size, 1.0 / lam.size)
-    model = RegimeModel(lam=lam, alpha=alpha)
-    method = args.method
+    model = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
+    method, n = args.method, args.n
 
+    if method == "grid":
+        out = args.out or "points.csv"
+        report = grid_search_diag(model, n)
+        write_csv(out, "x,y", report.points)
+        ok = report.satisfied
+        if report.fallback:
+            line = f"degenerate multiset, decided by {report.fallback}: {_VERDICT[ok]}"
+        elif ok:
+            line = f"SATISFIED: {report.points.shape[0]} passing points at n={n} -> {out}"
+        elif lam.size == 3:     # an empty search at d = 3: the exact criterion decides
+            method = "d3"
+        else:       # a finite-resolution search cannot disprove Condition (C) for d >= 4
+            line = f"NOT-FOUND(n={n}): no passing point at this resolution (not a disproof)"
     if method == "d3":
         if lam.size != 3:
             raise ConfigError("--method d3 needs exactly three values")
         rep = criterion_d3(lam)
-        print(f"d3 criterion: lhs = {rep.lhs:.6g} vs 1/4 -> "
-              + ("SATISFIED" if rep.satisfied else "NOT-SATISFIED"))
-        return 0 if rep.satisfied else 1
-
-    if method == "identity":
-        ok = criterion_identity(model)
-        print("identity criterion: " + ("SATISFIED" if ok else
-                                        "NOT-SATISFIED (sufficient test only)"))
-        return 0 if ok else 1
-
-    if method == "diag":
+        ok = rep.satisfied
+        line = (f"d3 criterion: lhs = {rep.lhs:.6g} vs 1/4 -> {_VERDICT[ok]}"
+                if args.method == "d3" else
+                f"NOT-FOUND(n={n}); exact d=3 criterion says {_VERDICT[ok]}")
+    elif method == "identity":
+        ok = criterion_diag(model, np.ones(lam.size))
+        line = "identity criterion: " + ("SATISFIED" if ok else
+                                         "NOT-SATISFIED (sufficient test only)")
+    elif method == "diag":
         if not args.alpha:
             raise ConfigError("--method diag needs --alpha")
         ok = criterion_diag(model, _values("--alpha", args.alpha))
-        print("diagonal criterion: " + ("SATISFIED" if ok else "NOT-SATISFIED"))
-        return 0 if ok else 1
-
-    if method == "gamma":
+        line = f"diagonal criterion: {_VERDICT[ok]}"
+    elif method == "gamma":
         if not args.gamma:
             raise ConfigError("--method gamma needs --gamma file.json")
         try:
@@ -274,29 +284,9 @@ def _cmd_check_c(args) -> int:
             ok = satisfies_condition_c(gamma, model)
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid gamma matrix: {exc}") from exc
-        print("supplied gamma: " + ("SATISFIED" if ok else "NOT-SATISFIED"))
-        return 0 if ok else 1
-
-    # grid method
-    out = args.out or "points.csv"
-    report = grid_search_diag(model, args.n)
-    write_csv(out, "x,y", report.points)
-    if report.fallback:
-        verdict = "SATISFIED" if report.satisfied else "NOT-SATISFIED"
-        print(f"degenerate multiset, decided by {report.fallback}: {verdict}")
-        return 0 if report.satisfied else 1
-    if report.satisfied:
-        print(f"SATISFIED: {report.points.shape[0]} passing points at n={args.n} -> {out}")
-        return 0
-    # finite-resolution search cannot disprove Condition (C) for d >= 4
-    if lam.size == 3:
-        rep = criterion_d3(lam)
-        verdict = "SATISFIED" if rep.satisfied else "NOT-SATISFIED"
-        print(f"NOT-FOUND(n={args.n}); exact d=3 criterion says {verdict}")
-        return 0 if rep.satisfied else 1
-    print(f"NOT-FOUND(n={args.n}): no passing point at this resolution "
-          "(not a disproof)")
-    return 1
+        line = f"supplied gamma: {_VERDICT[ok]}"
+    print(line)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +333,10 @@ def _cmd_solve(args) -> int:
         sol = solve_rslv(model, pds, grid, horizon, surface, initial)
 
     kind = args.command.split("-", 1)[1]
-
-    def ref(t: float, x: np.ndarray) -> np.ndarray:     # the initial law under the heat flow
-        return initial.density_on(x, math.sqrt(pds.sigma_mollify * pds.sigma_mollify + t))
+    ref = heat_reference(sol, initial, pds.sigma_mollify)
     meta = write_snapshots(sol, out, ref, kind)
     if surface is None:
-        meta["diagnostics"]["heat_l1_max"] = heat_l1_max(sol, initial, pds.sigma_mollify)
+        meta["diagnostics"]["heat_l1_max"] = heat_l1_max(sol, ref)
     meta["run"] = {"command": args.command, "config": os.path.abspath(args.config),
                    "config_data": cfg,
                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
@@ -409,6 +397,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_dupire(args) -> int:
     try:
         raw = np.genfromtxt(args.calls, delimiter=",", names=True)
+        for name in ("t", "K", "C"):    # genfromtxt reads a cell that does not parse as NaN
+            bad = np.flatnonzero(~np.isfinite(raw[name]))
+            if bad.size:
+                raise ConfigError(f"column {name!r} is not a finite number in data row "
+                                  f"{bad[0] + 1}")
         ts = np.unique(raw["t"])
         ks = np.unique(raw["K"])
         grid = np.full((ts.size, ks.size), np.nan)
@@ -417,7 +410,7 @@ def _cmd_dupire(args) -> int:
         grid[ti, kj] = raw["C"]
         if np.any(~np.isfinite(grid)):
             raise ConfigError("call grid is not rectangular (missing (t, K) pairs)")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, IndexError) as exc:
         raise ConfigError(f"cannot read call grid: {exc}") from exc
     report = dupire_from_calls(ts, ks, grid, r=args.r,
                                sigma_low=args.sigma_low, sigma_high=args.sigma_high)

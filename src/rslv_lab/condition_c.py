@@ -6,8 +6,8 @@ structural hypothesis behind the uniform coercivity of Pi A on the state
 domain.  This module provides
 
   * the exact closed-form criterion for d = 3 (and its r-linkage),
-  * the sufficient identity-matrix criterion for any d,
-  * the exact criterion for a *given* diagonal matrix,
+  * the exact criterion for a *given* diagonal matrix; at the unit diagonal
+    it is exact for Gamma = I and only sufficient for (C),
   * the planar grid search that decides existence of a diagonal matrix,
     together with recovery of a concrete diagonal from a passing point,
   * a sampled coercivity certificate Pi = J_d + eps * Gamma with an
@@ -37,7 +37,6 @@ __all__ = [
     "gamma_k_submatrix",
     "satisfies_condition_c",
     "criterion_d3",
-    "criterion_identity",
     "criterion_diag",
     "grid_search_diag",
     "coercivity_certificate",
@@ -102,26 +101,27 @@ class D3Report:
 
 @dataclass(frozen=True)
 class GridSearchReport:
-    """Outcome of the planar diagonal-existence search at resolution n.
+    """Outcome of the planar diagonal-existence search.
 
     ``points`` are the (x, y) grid points satisfying the planar criterion;
     ``satisfied`` means a point was found (or, when ``fallback`` is set, that
     the degenerate-multiset fallback criterion decided the question).
     """
 
-    n: int
     points: np.ndarray
     satisfied: bool
     fallback: str | None = None
 
 
-def _as_gamma(gamma) -> np.ndarray:
-    """Gamma as a square float matrix, symmetrised after a 1e-12 symmetry check."""
+def _as_gamma(gamma, model: RegimeModel) -> np.ndarray:
+    """Gamma as a d x d float matrix, symmetrised after a 1e-12 symmetry check."""
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gamma must be a square matrix")
     if np.max(np.abs(g - g.T), initial=0.0) > _SYM_TOL:
         raise ValueError("gamma must be symmetric within 1e-12")
+    if g.shape[0] != model.d:
+        raise ValueError("gamma dimension does not match the model")
     return 0.5 * (g + g.T)
 
 
@@ -132,17 +132,17 @@ def gamma_k_submatrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
     definiteness of the returned (d-1) x (d-1) matrix on R^{d-1} is
     equivalent to positive definiteness of Gamma^(k) on e_k-perp.
     """
-    g = _as_gamma(gamma)
-    d = model.d
-    if g.shape[0] != d:
-        raise ValueError("gamma dimension does not match the model")
-    if not 1 <= k <= d:
-        raise ValueError(f"regime index k={k} out of range 1..{d}")
-    kk = k - 1
-    lam = model.lam
+    g = _as_gamma(gamma, model)
+    if not 1 <= k <= model.d:
+        raise ValueError(f"regime index k={k} out of range 1..{model.d}")
+    return _deleted(g, model.lam, k - 1)
+
+
+def _deleted(g: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
+    """gamma_k_submatrix for a checked g and the 0-based index k."""
     w = 0.5 * (lam[:, None] + lam[None, :])
-    full = w * (g + g[kk, kk] - g[kk, :][None, :] - g[:, kk][:, None])
-    keep = [i for i in range(d) if i != kk]
+    full = w * (g + g[k, k] - g[k, :][None, :] - g[:, k][:, None])
+    keep = [i for i in range(lam.size) if i != k]
     return full[np.ix_(keep, keep)]
 
 
@@ -154,22 +154,27 @@ def _pd_tol(mat: np.ndarray) -> float:
     return 1e-10 * float(np.max(np.abs(mat), initial=0.0))
 
 
-def satisfies_condition_c(gamma, model: RegimeModel) -> bool:
-    """True iff gamma is SPD and every deleted Gamma^(k) submatrix is PD.
+def _ztilde(g: np.ndarray, model: RegimeModel) -> np.ndarray | None:
+    """Smallest eigenvalue of each deleted Gamma^(k), k = 1..d, for a checked g.
 
-    The eigenvalue threshold is 1e-10 * ||matrix||_inf per tested matrix,
-    which is robust near the boundary of (C).
+    None unless g is SPD and every Gamma^(k) is PD.  The eigenvalue
+    threshold is 1e-10 * ||matrix||_inf per tested matrix, which is robust
+    near the boundary of (C).
     """
-    g = _as_gamma(gamma)
-    if g.shape[0] != model.d:
-        raise ValueError("gamma dimension does not match the model")
     if _smallest_eigenvalue(g) <= _pd_tol(g):
-        return False
-    for k in range(1, model.d + 1):
-        sub = gamma_k_submatrix(g, model, k)
-        if _smallest_eigenvalue(sub) <= _pd_tol(sub):
-            return False
-    return True
+        return None
+    ztilde = np.empty(model.d)
+    for k in range(model.d):
+        sub = _deleted(g, model.lam, k)
+        ztilde[k] = _smallest_eigenvalue(sub)
+        if ztilde[k] <= _pd_tol(sub):
+            return None
+    return ztilde
+
+
+def satisfies_condition_c(gamma, model: RegimeModel) -> bool:
+    """True iff gamma is SPD and every deleted Gamma^(k) submatrix is PD."""
+    return _ztilde(_as_gamma(gamma, model), model) is not None
 
 
 def criterion_d3(lam) -> D3Report:
@@ -199,21 +204,15 @@ def criterion_d3(lam) -> D3Report:
     return D3Report(r1=r1, r2=r2, r3=r3, lhs=lhs, satisfied=lhs > 0.25)
 
 
-def criterion_identity(model: RegimeModel) -> bool:
-    """Sufficient condition for Gamma = I_d:
-
-        max_k sqrt( sum_{i != k} lam_i * sum_{i != k} 1/lam_i ) < d + 1.
-    """
-    lam = model.lam
-    s1 = lam.sum() - lam
-    s2 = (1.0 / lam).sum() - 1.0 / lam
-    return bool(np.max(np.sqrt(s1 * s2)) < model.d + 1)
-
-
 def criterion_diag(model: RegimeModel, alpha_diag) -> bool:
     """Exact criterion for Diag(alpha): for every k,
 
         2/a_k + sum_{i != k} 1/a_i > sqrt( sum_{i != k} lam_i/a_i * sum_{i != k} 1/(lam_i a_i) ).
+
+    At alpha = 1 this is the identity criterion, exact for Gamma = I_d and only
+    sufficient for (C):
+
+        max_k sqrt( sum_{i != k} lam_i * sum_{i != k} 1/lam_i ) < d + 1.
     """
     a = np.asarray(alpha_diag, dtype=float)
     if a.shape != model.lam.shape:
@@ -248,23 +247,20 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
     M_0 < 1.  Moment sums run over the full lambda multiset.  Repeated
     lambda values collapse polygon segments and are deduplicated; if fewer
     than three distinct values remain (always so at d = 2) the question is
-    delegated to the exact d = 3 criterion or the identity criterion.
+    delegated to the exact d = 3 criterion or the identity criterion, the
+    diagonal criterion at alpha = 1.
     """
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
     lam_full = np.sort(model.lam)
     l = np.unique(lam_full)
-    if l.size == 1:
-        return GridSearchReport(n=n, points=np.empty((0, 2)), satisfied=True,
-                                fallback="identity")
-    if l.size < 3:
-        if model.d == 3:
-            rep = criterion_d3(model.lam)
-            return GridSearchReport(n=n, points=np.empty((0, 2)),
-                                    satisfied=rep.satisfied, fallback="d3")
-        return GridSearchReport(n=n, points=np.empty((0, 2)),
-                                satisfied=criterion_identity(model),
-                                fallback="identity")
+    empty = np.empty((0, 2))
+    if l.size == 2 and model.d == 3:
+        return GridSearchReport(points=empty, satisfied=criterion_d3(model.lam).satisfied,
+                                fallback="d3")
+    if l.size < 3:      # at equal levels the identity criterion always holds
+        return GridSearchReport(points=empty, fallback="identity",
+                                satisfied=criterion_diag(model, np.ones(model.d)))
 
     l1, ld = l[0], l[-1]
     hull_slope = 1.0 / (l1 * ld)
@@ -291,8 +287,8 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
         ok &= (Y > z_min + _MARGIN) & (Y < z_max - _MARGIN)
         if np.any(ok):
             found.append(np.column_stack([xx[ok], y[ok]]))
-    points = np.concatenate(found) if found else np.empty((0, 2))
-    return GridSearchReport(n=n, points=points, satisfied=points.shape[0] > 0)
+    points = np.concatenate(found) if found else empty
+    return GridSearchReport(points=points, satisfied=points.shape[0] > 0)
 
 
 def recover_alpha_from_point(model: RegimeModel, x: float, y: float) -> np.ndarray:
@@ -403,12 +399,11 @@ def coercivity_certificate(gamma, model: RegimeModel, samples: int = 100_000,
     smallest eigenvalue of the deleted Gamma^(k) submatrix.  kappa_hat is the
     sampled minimum of the quadratic form, capped at l_min(Pi)/2.
     """
-    g = _as_gamma(gamma)
-    if not satisfies_condition_c(g, model):
+    g = _as_gamma(gamma, model)
+    ztilde = _ztilde(g, model)
+    if ztilde is None:
         raise CertificateError("gamma does not satisfy Condition (C)")
     d = model.d
-    ztilde = np.array([_smallest_eigenvalue(gamma_k_submatrix(g, model, k))
-                       for k in range(1, d + 1)])
     z = float(np.min(ztilde / d) / (2.0 * model.lam_max))
     gnorm = float(np.max(np.abs(g)))
     ratio = 1.0 + model.lam_max / model.lam_min

@@ -43,6 +43,7 @@ __all__ = [
     "solve_lv",
     "l1_grid_distance",
     "heat_l1_max",
+    "heat_reference",
 ]
 
 
@@ -389,14 +390,20 @@ def l1_grid_distance(grid: SpatialGrid, f, g) -> float:
     return float(np.trapezoid(np.abs(np.asarray(f) - np.asarray(g)), grid.x))
 
 
-def heat_l1_max(sol: GridSolution, initial: Measure, sigma: float) -> float:
-    """Largest L1 distance, over the outputs t > 0, between the summed density
-    and the ``initial`` law under the heat flow, mu * h_{sigma^2 + t}: the
-    exact marginal of the fake Brownian motion that solve_fbm approximates.
-    0 without an output t > 0.
+def heat_reference(sol: GridSolution, initial: Measure, sigma: float) -> np.ndarray:
+    """The ``initial`` law under the heat flow, mu * h_{sigma^2 + t}, on the grid
+    at each output time t of ``sol``: shape (n_outputs, m).  It is the exact
+    marginal of the fake Brownian motion that solve_fbm approximates.
     """
-    x = sol.grid.x
-    errs = [l1_grid_distance(sol.grid, sol.total_density(k),
-                             initial.density_on(x, math.sqrt(sigma * sigma + float(t))))
+    return np.array([initial.density_on(sol.grid.x, math.sqrt(sigma * sigma + float(t)))
+                     for t in sol.times])
+
+
+def heat_l1_max(sol: GridSolution, reference: np.ndarray) -> float:
+    """Largest L1 distance, over the outputs t > 0, between the summed density
+    and the same output's row of ``reference``, the array heat_reference
+    returns; 0 without an output t > 0.
+    """
+    errs = [l1_grid_distance(sol.grid, sol.total_density(k), reference[k])
             for k, t in enumerate(sol.times) if t > 0]
     return max(errs, default=0.0)

@@ -21,7 +21,7 @@ the Gaussian stream (e.g. q = 0 reproduces the paths of a model without q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class SimPlan:
             raise ValueError("regression grid needs at least two nodes")
         if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0):
             raise ValueError("bandwidth constant must be positive and finite")
-
-    def validate(self, model: RegimeModel) -> None:
-        """Thinning validity: at most one switch per particle per step."""
-        if self.dt * (model.d - 1) * model.qbar >= 1.0:
-            raise ValueError("dt * (d - 1) * qbar must be < 1 for one-switch thinning")
 
 
 @dataclass(frozen=True)
@@ -229,7 +224,6 @@ class SimResult:
     qv: np.ndarray               # (k, N)
     gyongy_ratio: np.ndarray     # (n_steps,) ensemble mean of lam_Y / Ehat
     occupancy: np.ndarray        # (k, d) regime fractions at checkpoints
-    seed: int
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = recorded_index(self.times, t)
@@ -245,14 +239,17 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     frozen at the current ensemble; a ``surface`` adds the drift and scales
     the diffusion, and the model's q switches regimes.  Deterministic for a
     given (seed, plan, model): identical inputs give bit-identical
-    trajectories.  Checkpoints must lie on the step grid k * T / n_steps
-    (ValueError otherwise).  Non-finite positions or ensemble spread raise
+    trajectories.  Checkpoints must lie on the step grid k * T / n_steps,
+    and the step dt = T / n_steps must keep dt * (d - 1) * qbar below 1, so
+    that no switching probability of one step exceeds 1 (ValueError
+    otherwise).  Non-finite positions or ensemble spread raise
     NumericalError with the step index.
     """
-    plan.validate(model)
     T, r = horizon.T, horizon.r
     n_steps, dt = step_grid(T, plan.dt)
-    plan = replace(plan, dt=dt)
+    if dt * (model.d - 1) * model.qbar >= 1.0:
+        raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
+                         f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
     jumps = model.q is not None
@@ -299,8 +296,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
 
     return SimResult(times=np.asarray(times), X=np.asarray(xs),
                      Y=np.asarray(ys), qv=np.asarray(qvs),
-                     gyongy_ratio=ratios, occupancy=np.asarray(occ),
-                     seed=plan.seed)
+                     gyongy_ratio=ratios, occupancy=np.asarray(occ))
 
 
 def price_calls(x, strikes, r: float, T: float):

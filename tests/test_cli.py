@@ -14,6 +14,7 @@ import pytest
 from rslv_lab import cli
 from rslv_lab.dupire import dupire_from_calls
 from rslv_lab.fokker_planck import solve_lv
+from rslv_lab.regime_model import Measure
 from rslv_lab.stats import normal_cdf
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,7 +52,49 @@ def small_sim_config(tmp_path, extra=None):
     return path
 
 
+# the line check-c prints and its exit code per (lambda, method); "{out}" is
+# the points CSV
+CHECK_C_VERDICTS = [
+    ("1,9", "identity", "identity criterion: SATISFIED", 0),
+    ("1,9", "diag", "diagonal criterion: SATISFIED", 0),
+    ("1,9", "gamma", "supplied gamma: SATISFIED", 0),
+    ("1,9", "grid", "degenerate multiset, decided by identity: SATISFIED", 0),
+    ("1,1,4", "d3", "d3 criterion: lhs = inf vs 1/4 -> SATISFIED", 0),
+    ("1,1,4", "identity", "identity criterion: SATISFIED", 0),
+    ("1,1,4", "diag", "diagonal criterion: SATISFIED", 0),
+    ("1,1,4", "gamma", "supplied gamma: SATISFIED", 0),
+    ("1,1,4", "grid", "degenerate multiset, decided by d3: SATISFIED", 0),
+    ("2,2,2", "d3", "d3 criterion: lhs = inf vs 1/4 -> SATISFIED", 0),
+    ("2,2,2", "identity", "identity criterion: SATISFIED", 0),
+    ("2,2,2", "diag", "diagonal criterion: SATISFIED", 0),
+    ("2,2,2", "gamma", "supplied gamma: SATISFIED", 0),
+    ("2,2,2", "grid", "degenerate multiset, decided by identity: SATISFIED", 0),
+    ("1,2,3,5,10", "identity", "identity criterion: SATISFIED", 0),
+    ("1,2,3,5,10", "diag", "diagonal criterion: SATISFIED", 0),
+    ("1,2,3,5,10", "gamma", "supplied gamma: SATISFIED", 0),
+    ("1,2,3,5,10", "grid", "SATISFIED: 31406 passing points at n=200 -> {out}", 0),
+    ("1,100,10000", "d3", "d3 criterion: lhs = 0.0122234 vs 1/4 -> NOT-SATISFIED", 1),
+    ("1,100,10000", "identity", "identity criterion: NOT-SATISFIED (sufficient test only)", 1),
+    ("1,100,10000", "diag", "diagonal criterion: NOT-SATISFIED", 1),
+    ("1,100,10000", "gamma", "supplied gamma: NOT-SATISFIED", 1),
+    ("1,100,10000", "grid", "NOT-FOUND(n=200); exact d=3 criterion says NOT-SATISFIED", 1),
+    ("1,100,10000,1000000", "grid",
+     "NOT-FOUND(n=200): no passing point at this resolution (not a disproof)", 1),
+]
+
+
 class TestCheckC:
+    @pytest.mark.parametrize("lam,method,line,code", CHECK_C_VERDICTS)
+    def test_verdict_line_and_code(self, tmp_path, capsys, lam, method, line, code):
+        d = lam.count(",") + 1
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text(json.dumps(np.eye(d).tolist()))
+        out = tmp_path / "points.csv"
+        argv = ["check-c", "--lambda", lam, "--method", method, "--out", str(out),
+                "--alpha", ",".join(["1"] * d), "--gamma", str(gamma)]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == line.format(out=out) + "\n"
+
     def test_grid_satisfied(self, tmp_path):
         out = tmp_path / "points.csv"
         code = cli.main(["check-c", "--lambda", "1,2,3,5,10",
@@ -153,6 +196,15 @@ class TestSolveCommands:
         rows = np.loadtxt(tmp_path / "out" / "fbm_0000.csv", delimiter=",", skiprows=1)
         assert rows[:, -2].max() == pytest.approx(1.0)
         np.testing.assert_allclose(rows[:, -1], rows[:, -2], rtol=0, atol=1e-12)
+
+    def test_heat_reference_is_evaluated_once_per_output(self, tmp_path, monkeypatch):
+        calls = []
+        density_on = Measure.density_on
+        monkeypatch.setattr(Measure, "density_on",
+                            lambda self, *a: calls.append(a) or density_on(self, *a))
+        assert cli.main(["solve-fbm", str(small_solve_config(tmp_path))]) == 0
+        # the start's projection, then one reference per output time (3)
+        assert len(calls) == 1 + 3
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_solve_config(tmp_path)
@@ -268,6 +320,16 @@ class TestSimulateCommands:
         data["model"]["q"] = [[0.0, 200.0], [200.0, 0.0]]
         cfg.write_text(json.dumps(data))
         assert cli.main(["simulate-jump", str(cfg)]) == 2
+
+    def test_jump_step_bound_holds_at_the_step_dt(self, tmp_path, capsys):
+        # dt = 0.4 on T = 1 steps at 0.5, where dt * (d - 1) * qbar = 1.1
+        cfg = small_sim_config(tmp_path, extra={
+            "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5],
+                      "q": [[0.0, 2.2], [2.2, 0.0]]},
+            "horizon": {"T": 1.0, "r": 0.0},
+            "sim": {"dt": 0.4, "n_particles": 500, "seed": 5}})
+        assert cli.main(["simulate-jump", str(cfg)]) == 2
+        assert "one-switch thinning (step dt = 0.5)" in capsys.readouterr().err
 
 
 MASSLESS_MIXTURE = {"kind": "mixture", "xs": [-1.0, 1.0], "weights": [0.0, 0.0]}
@@ -530,6 +592,36 @@ class TestDupireBuild:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["dupire-build", str(tmp_path / "nope.csv")]) == 2
+
+    def test_empty_file(self, tmp_path):
+        calls = tmp_path / "calls.csv"
+        calls.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # numpy warns of the empty input
+            assert cli.main(["dupire-build", str(calls)]) == 2
+
+    @pytest.mark.parametrize("columns,cell,where", [
+        ("t", "0.5x", "column 't' is not a finite number in data row 5"),
+        ("C", "oops", "column 'C' is not a finite number in data row 5"),
+        ("tK", "np.float64({})", "column 't' is not a finite number in data row 1")],
+        ids=["0.5x", "oops", "np.float64"])
+    def test_cell_that_is_not_a_number_names_its_column(self, tmp_path, capsys,
+                                                        columns, cell, where):
+        # "0.5x" and "oops" replace one cell of data row 5; the repr of a numpy
+        # scalar wraps every t and K cell
+        calls = write_calls(tmp_path)[0]
+        head, *rows = calls.read_text().splitlines()
+        names = head.split(",")
+        for r, row in enumerate(rows):
+            cells = row.split(",")
+            for name in columns:
+                j = names.index(name)
+                if "{}" in cell or r == 4:
+                    cells[j] = cell.format(cells[j])
+            rows[r] = ",".join(cells)
+        calls.write_text("\n".join([head, *rows]) + "\n")
+        assert cli.main(["dupire-build", str(calls), "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read call grid: {where}\n"
 
 
 class TestVerify:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rslv_lab import condition_c
 from rslv_lab.condition_c import (
     CertificateError, RecoveryFailure, coercivity_certificate,
-    criterion_d3, criterion_diag, criterion_identity, gamma_k_submatrix,
+    criterion_d3, criterion_diag, gamma_k_submatrix,
     grid_search_diag, recover_alpha_from_point, sample_quadratic_min,
     satisfies_condition_c,
 )
@@ -110,14 +110,16 @@ class TestCriterionD3:
 
 
 class TestCriterionIdentity:
+    """The identity criterion is the diagonal criterion at the unit diagonal."""
+
     def test_equal_levels(self):
-        assert criterion_identity(uniform_model([2.0] * 6))
+        assert criterion_diag(uniform_model([2.0] * 6), np.ones(6))
 
     def test_d2_always(self):
-        assert criterion_identity(uniform_model([1.0, 123.0]))
+        assert criterion_diag(uniform_model([1.0, 123.0]), np.ones(2))
 
     def test_spread_fails(self):
-        assert not criterion_identity(uniform_model([1.0, 1.0, 1.0, 100.0]))
+        assert not criterion_diag(uniform_model([1.0, 1.0, 1.0, 100.0]), np.ones(4))
 
     def test_implies_condition_c(self):
         rng = np.random.default_rng(11)
@@ -126,20 +128,12 @@ class TestCriterionIdentity:
             d = rng.integers(2, 6)
             lam = np.exp(rng.uniform(-1.0, 1.0, d))
             m = uniform_model(lam)
-            if criterion_identity(m):
+            if criterion_diag(m, np.ones(d)):
                 found += 1
                 assert satisfies_condition_c(np.eye(d), m)
 
 
 class TestCriterionDiag:
-    def test_unit_diagonal_matches_identity_criterion(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            d = rng.integers(2, 6)
-            lam = np.exp(rng.uniform(-2.0, 2.0, d))
-            m = uniform_model(lam)
-            assert criterion_diag(m, np.ones(d)) == criterion_identity(m)
-
     def test_equal_levels_any_diagonal(self):
         m = uniform_model([3.0, 3.0, 3.0])
         rng = np.random.default_rng(12)
@@ -205,7 +199,7 @@ class TestGridSearch:
         m = uniform_model([1.0, 2.0])
         rep = grid_search_diag(m, 100)
         assert rep.fallback == "identity" and rep.points.shape == (0, 2)
-        assert rep.satisfied == criterion_identity(m)
+        assert rep.satisfied == criterion_diag(m, np.ones(2))
         with pytest.raises(ValueError):
             grid_search_diag(uniform_model([1.0, 2.0, 3.0]), 1)
 

@@ -221,7 +221,7 @@ class TestOutputs:
         grid = SpatialGrid(L=4.0, m=81)
         cfg = PDSConfig(dt=5e-3, sigma_mollify=0.3, n_outputs=3)
         sol = solve_fbm(model_14(), cfg, grid, HorizonConfig(T=0.2), Measure.point(0.0))
-        meta = write_snapshots(sol, tmp_path, lambda t, x: np.zeros(x.size), "fbm")
+        meta = write_snapshots(sol, tmp_path, np.zeros((3, grid.m)), "fbm")
         assert len(meta["snapshots"]) == 3
         first = tmp_path / meta["snapshots"][0]["file"]
         header = first.read_text().splitlines()[0]
@@ -236,7 +236,7 @@ class TestOutputs:
         assert tuple(diag.phase_s) == PHASES
         assert all(v > 0.0 for v in diag.phase_s.values())
         assert sum(diag.phase_s.values()) <= diag.wall_time
-        meta = write_snapshots(sol, tmp_path, lambda t, x: np.zeros(x.size), "rslv")
+        meta = write_snapshots(sol, tmp_path, np.zeros((3, grid.m)), "rslv")
         assert meta["diagnostics"]["phase_s"] == diag.phase_s
 
     def test_record_diagnostics_are_read_off_the_records(self):

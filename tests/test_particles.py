@@ -153,7 +153,16 @@ class TestStepAndSimulate:
         fast = IntensityTable(rates=np.array([[0.0, 60.0], [60.0, 0.0]]))
         plan = SimPlan(dt=2e-2, n_particles=500, seed=1)
         with pytest.raises(ValueError):
-            plan.validate(model_14(q=fast))
+            simulate(model_14(q=fast), plan, HorizonConfig(T=0.1))
+
+    def test_thinning_bound_is_checked_at_the_step_dt(self):
+        # dt = 0.4 on T = 1 steps at T / round(2.5) = 0.5, where
+        # dt * (d - 1) * qbar = 1.1: the requested dt alone would pass (0.88)
+        q = IntensityTable(rates=np.array([[0.0, 2.2], [2.2, 0.0]]))
+        for dt in (0.4, 0.5):
+            with pytest.raises(ValueError, match="one-switch thinning"):
+                simulate(model_14(q=q), SimPlan(dt=dt, n_particles=500, seed=1),
+                         HorizonConfig(T=1.0))
 
     def test_x_dependent_intensities_switch_only_where_active(self):
         # rates vanish for x < 0 and are 5 for x > 1: start all particles
