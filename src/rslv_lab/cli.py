@@ -177,6 +177,7 @@ def _write_surface(path: str, surface: VolSurface) -> None:
 
 
 def _out_dir(cfg: dict, args) -> str:
+    """The output directory, made here: call it once the run has succeeded."""
     out = args.out or cfg.get("output_dir") or "out"
     os.makedirs(out, exist_ok=True)
     return out
@@ -323,7 +324,6 @@ def _cmd_solve(args) -> int:
     grid = _section(cfg, "grid")
     pds = _section(cfg, "pds")
     initial = _section(cfg, "initial")
-    out = _out_dir(cfg, args)
 
     if surface is None:
         sol = solve_fbm(model, pds, grid, horizon, initial)
@@ -331,6 +331,7 @@ def _cmd_solve(args) -> int:
         sol = solve_lv(pds, grid, horizon, surface, initial)
     else:
         sol = solve_rslv(model, pds, grid, horizon, surface, initial)
+    out = _out_dir(cfg, args)
 
     kind = args.command.split("-", 1)[1]
     ref = heat_reference(sol, initial, pds.sigma_mollify)
@@ -357,9 +358,9 @@ def _cmd_simulate(args) -> int:
     horizon = _section(cfg, "horizon")
     plan = _section(cfg, "sim")
     initial = _section(cfg, "initial")
-    out = _out_dir(cfg, args)
     kind = args.command.split("-", 1)[1]
     res = simulate(model, plan, horizon, initial=initial, surface=surface)
+    out = _out_dir(cfg, args)
     for k, t in enumerate(res.times):
         rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
         write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
@@ -396,7 +397,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_dupire(args) -> int:
     try:
-        raw = np.genfromtxt(args.calls, delimiter=",", names=True)
+        with open(args.calls) as fh:
+            lines = [line for line in fh if line.strip()]
+        if len(lines) < 2:              # genfromtxt would warn, then fail on an empty file
+            raise ConfigError("no data rows")
+        raw = np.genfromtxt(lines, delimiter=",", names=True)
         for name in ("t", "K", "C"):    # genfromtxt reads a cell that does not parse as NaN
             bad = np.flatnonzero(~np.isfinite(raw[name]))
             if bad.size:

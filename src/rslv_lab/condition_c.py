@@ -229,13 +229,15 @@ def criterion_diag(model: RegimeModel, alpha_diag) -> bool:
 
 
 def _moment_sums(x, y, lam_full: np.ndarray):
-    """M_0, M_1, M_-1 at (x, y), summed over the full lambda multiset."""
-    inv = 1.0 / (2.0 + np.multiply.outer(x, 1.0 / lam_full) + np.multiply.outer(y, lam_full))
+    """M_0, M_1, M_-1 at (x, y), summed over the full lambda multiset one level at a time."""
+    s0 = s1 = sm1 = 0.0
+    for lam in lam_full:
+        inv = 1.0 / (2.0 + x * (1.0 / lam) + y * lam)
+        s0 += inv
+        s1 += inv * lam
+        sm1 += inv * (1.0 / lam)
     fac = np.asarray(x) * np.asarray(y) - 1.0
-    m0 = fac * inv.sum(axis=-1)
-    m1 = fac * (inv @ lam_full)
-    mm1 = fac * (inv @ (1.0 / lam_full))
-    return m0, m1, mm1
+    return fac * s0, fac * s1, fac * sm1
 
 
 def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
@@ -264,6 +266,7 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
 
     l1, ld = l[0], l[-1]
     hull_slope = 1.0 / (l1 * ld)
+    inv_l, chord = 1.0 / l, l[:-1] * l[1:]         # the lower chord of segment j
     k1 = np.arange(1, n) / n
     k2 = np.arange(1, n) / n
     found = []
@@ -272,7 +275,7 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
         y_min = (1.0 / l[i]) * (1.0 - k1) + (1.0 / l[i + 1]) * k1
         y_max = 1.0 / l1 - (x - l1) * hull_slope
         y = y_min[:, None] + (y_max - y_min)[:, None] * k2[None, :]   # (n-1, n-1)
-        xx = np.broadcast_to(x[:, None], y.shape)
+        xx = x[:, None]                                          # (n-1, 1)
 
         m0, m1, mm1 = _moment_sums(xx, y, lam_full)
         ok = m0 < 1.0 - _MARGIN
@@ -281,12 +284,12 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
         ok &= (X > l1 + _MARGIN) & (X < ld - _MARGIN)
         Xc = np.where(ok, X, l1)
         j = np.clip(np.searchsorted(l, Xc, side="right") - 1, 0, l.size - 2)
-        z_min = 1.0 / l[j] - (Xc - l[j]) / (l[j] * l[j + 1])
+        z_min = inv_l[j] - (Xc - l[j]) / chord[j]
         z_max = 1.0 / l1 - (Xc - l1) * hull_slope
         Y = (y - mm1) / denom
         ok &= (Y > z_min + _MARGIN) & (Y < z_max - _MARGIN)
         if np.any(ok):
-            found.append(np.column_stack([xx[ok], y[ok]]))
+            found.append(np.column_stack([np.broadcast_to(xx, y.shape)[ok], y[ok]]))
     points = np.concatenate(found) if found else empty
     return GridSearchReport(points=points, satisfied=points.shape[0] > 0)
 
@@ -340,23 +343,48 @@ def sample_domain_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray
     which exercises the boundary faces of the domain; rows are never all zero.
     """
     rho = rng.exponential(1.0, size=(n, d))
-    mask = rng.random((n, d)) < 0.35
-    keep_rows = rng.random(n) < 0.5
-    mask[keep_rows] = False
-    rho[mask] = 0.0
-    dead = ~np.any(rho > 0, axis=1)
-    if np.any(dead):
-        rho[dead, rng.integers(0, d, size=int(dead.sum()))] = 1.0
+    kept = rng.random((n, d)) >= 0.35
+    kept |= (rng.random(n) < 0.5)[:, None]          # half the rows keep every coordinate
+    rho *= kept
+    dead = np.flatnonzero(rho @ np.ones(d) == 0.0)   # entries are >= 0
+    if dead.size:
+        rho[dead, rng.integers(0, d, size=dead.size)] = 1.0
     return rho
+
+
+def _screening_form(pi: np.ndarray, rho: np.ndarray, xi: np.ndarray, lam: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """xi' Pi A_eps(rho) xi / xi'xi for each column of the (d, n) arrays rho >= 0 and xi.
+
+    Matrix-free, with u, s, t, c as in a_eps_batch (so c_i = s - lam_i t),
+    D = max(eps^2, s^2) and g = Pi' xi:
+
+        (A_eps xi)_i = xi_i / 2 + (u_i (c . xi) - s c_i xi_i) / (2 D),
+        xi' Pi A_eps xi = g . xi / 2 + ((c . xi)(g . u) - s (g o c) . xi) / (2 D).
+
+    Each sum over the d regimes is one matrix product, so no numpy loop runs
+    along the short axis and the (n, d, d) field is never built.
+    """
+    w = np.stack([np.ones_like(lam), lam])          # rows: sum over i, sum over lam_i
+    t, s = w @ rho
+    x1, xl = w @ xi
+    g = pi.T @ xi
+    g1, gl = w @ (g * xi)
+    gu = lam @ (g * rho)
+    num = (s * x1 - t * xl) * gu - s * (s * g1 - t * gl)
+    form = 0.5 * g1 + num / (2.0 * np.maximum(eps * eps, s * s))
+    return form / (w[0] @ (xi * xi))
 
 
 def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
                          seed: int = 0):
     """Minimum of xi' Pi A(rho) xi / xi'xi over random (rho, xi) pairs.
 
-    Deterministic for a given seed independent of the worker count: chunks
-    of _CHUNK draw from spawned child streams and the minima are reduced in
-    chunk order.  Returns (min_value, argmin_rho, argmin_xi).
+    Each chunk screens its draws with the matrix-free form on (d, n) arrays
+    and re-evaluates the minimising pair through a_eps_batch, the field the
+    solver uses.  Deterministic for a given seed independent of the worker
+    count: chunks of _CHUNK draw from spawned child streams and the minima
+    are reduced in chunk order.  Returns (min_value, argmin_rho, argmin_xi).
     """
     lam = model.lam
     eps = _EPS_REL * model.lam_min
@@ -368,12 +396,13 @@ def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
         rng = np.random.Generator(np.random.Philox(child))
         rho = sample_domain_states(model.d, count, rng)
         xi = rng.normal(size=(count, model.d))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        a = a_eps_batch(rho, lam, eps)
-        w = np.einsum("ij,nj->ni", pi, np.einsum("nij,nj->ni", a, xi))
-        q = np.einsum("ni,ni->n", xi, w)
-        k = int(np.argmin(q))
-        return float(q[k]), rho[k], xi[k]
+        k = int(np.argmin(_screening_form(pi, rho.T, xi.T, lam, eps)))
+        # report the minimiser through the dense field that the solver uses
+        rho_k = rho[k:k + 1].copy()
+        xi_k = xi[k:k + 1] / np.sqrt((xi[k] * xi[k]).sum())
+        a_xi = np.einsum("nij,nj->ni", a_eps_batch(rho_k, lam, eps), xi_k)
+        q = np.einsum("ni,ni->n", xi_k, np.einsum("ij,nj->ni", pi, a_xi))
+        return float(q[0]), rho_k[0], xi_k[0]
 
     sizes = [_CHUNK] * (n_chunks - 1) + [samples - _CHUNK * (n_chunks - 1)]
     jobs = list(zip(seeds, sizes))

@@ -331,6 +331,17 @@ class TestSimulateCommands:
         assert cli.main(["simulate-jump", str(cfg)]) == 2
         assert "one-switch thinning (step dt = 0.5)" in capsys.readouterr().err
 
+    def test_refused_run_leaves_no_output_directory(self, tmp_path):
+        # the thinning bound refuses this run inside simulate, after the
+        # config has been read; the directory is made only for the outputs
+        cfg = small_sim_config(tmp_path, extra={
+            "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5],
+                      "q": [[0.0, 2.2], [2.2, 0.0]]},
+            "horizon": {"T": 1.0, "r": 0.0},
+            "sim": {"dt": 0.4, "n_particles": 500, "seed": 5}})
+        assert cli.main(["simulate-jump", str(cfg)]) == 2
+        assert not (tmp_path / "sim").exists()
+
 
 MASSLESS_MIXTURE = {"kind": "mixture", "xs": [-1.0, 1.0], "weights": [0.0, 0.0]}
 MASSLESS_DENSITY = {"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 0.0, 0.0]}
@@ -593,12 +604,23 @@ class TestDupireBuild:
     def test_missing_file(self, tmp_path):
         assert cli.main(["dupire-build", str(tmp_path / "nope.csv")]) == 2
 
-    def test_empty_file(self, tmp_path):
+    def test_empty_file(self, tmp_path, capsys):
         calls = tmp_path / "calls.csv"
         calls.write_text("")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # numpy warns of the empty input
+            warnings.simplefilter("error")      # a warning would escape as a traceback
             assert cli.main(["dupire-build", str(calls)]) == 2
+        assert capsys.readouterr().err == "error: cannot read call grid: no data rows\n"
+
+    @pytest.mark.parametrize("text", ["\n \n", "t,K,C\n", "t,K,C\n\n"],
+                             ids=["blank", "header", "header-blank"])
+    def test_file_without_data_rows(self, tmp_path, capsys, text):
+        calls = tmp_path / "calls.csv"
+        calls.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["dupire-build", str(calls)]) == 2
+        assert capsys.readouterr().err == "error: cannot read call grid: no data rows\n"
 
     @pytest.mark.parametrize("columns,cell,where", [
         ("t", "0.5x", "column 't' is not a finite number in data row 5"),

@@ -13,7 +13,7 @@ from rslv_lab.condition_c import (
     grid_search_diag, recover_alpha_from_point, sample_quadratic_min,
     satisfies_condition_c,
 )
-from rslv_lab.regime_model import RegimeModel
+from rslv_lab.regime_model import RegimeModel, a_eps_batch
 
 # frozen from the sampling run with seed 7 and 1e5 draws
 KAPPA_HAT_REGRESSION = 0.00013884794555569613
@@ -24,6 +24,26 @@ D3_LHS_EXTREME = 0.0122234445666789
 def uniform_model(lam):
     lam = np.asarray(lam, dtype=float)
     return RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
+
+
+def outer_moment_sums(x, y, lam_full):
+    """The moment sums through (..., d) outer-product arrays: the reference form."""
+    inv = 1.0 / (2.0 + np.multiply.outer(x, 1.0 / lam_full) + np.multiply.outer(y, lam_full))
+    fac = np.asarray(x) * np.asarray(y) - 1.0
+    return fac * inv.sum(axis=-1), fac * (inv @ lam_full), fac * (inv @ (1.0 / lam_full))
+
+
+def dense_form(pi, rho, xi, lam, eps):
+    """xi' Pi A_eps(rho) xi per row, through the (n, d, d) field."""
+    a_xi = np.einsum("nij,nj->ni", a_eps_batch(rho, lam, eps), xi)
+    return np.einsum("ni,ni->n", xi, np.einsum("ij,nj->ni", pi, a_xi))
+
+
+def levels(d_min, d_max, spread):
+    """Generated level multisets: d values log-uniform in [1/spread, spread]."""
+    log = math.log(spread)
+    return st.integers(d_min, d_max).flatmap(
+        lambda d: st.lists(st.floats(-log, log), min_size=d, max_size=d)).map(np.exp)
 
 
 class TestGammaK:
@@ -203,6 +223,27 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_diag(uniform_model([1.0, 2.0, 3.0]), 1)
 
+    @settings(max_examples=25, deadline=None)
+    @given(lam=levels(3, 6, 100.0), n=st.integers(2, 100))
+    def test_points_match_the_outer_product_sums(self, lam, n):
+        self.assert_points_match(lam, n)
+
+    @pytest.mark.parametrize("lam", [[1.0, 2.0, 3.0, 5.0, 10.0], [1.0, 100.0, 1e4, 1e6]])
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_points_match_the_outer_product_sums_on_fixed_families(self, lam, n):
+        self.assert_points_match(lam, n)
+
+    @staticmethod
+    def assert_points_match(lam, n):
+        model = uniform_model(lam)
+        rep = grid_search_diag(model, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(condition_c, "_moment_sums", outer_moment_sums)
+            ref = grid_search_diag(model, n)
+        assert (rep.satisfied, rep.fallback) == (ref.satisfied, ref.fallback)
+        assert rep.points.shape == ref.points.shape
+        assert rep.points.tobytes() == ref.points.tobytes()
+
 
 class TestRecovery:
     def test_all_equal_levels(self):
@@ -254,6 +295,39 @@ class TestCertificate:
         m = uniform_model([1.0, 100.0, 10000.0])
         with pytest.raises(CertificateError):
             coercivity_certificate(np.eye(3), m)
+
+
+class TestScreeningForm:
+    """The sampler's matrix-free form against the dense field a_eps_batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=levels(2, 5, 4.0), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.0, 100.0))
+    def test_matches_the_dense_form(self, lam, seed, scale):
+        d = lam.size
+        rng = np.random.default_rng(seed)
+        rho = condition_c.sample_domain_states(d, 500, rng)
+        rho[::50] = 0.0                                  # rho = 0, where A_eps = I/2
+        xi = rng.normal(size=(500, d))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        g = rng.normal(size=(d, d))
+        pi = np.ones((d, d)) + scale * (g + g.T)
+        eps = condition_c._EPS_REL * lam.min()
+        form = condition_c._screening_form(pi, rho.T, xi.T, lam, eps)
+        tol = 1e-13 * max(1.0, np.linalg.norm(pi, 2))
+        assert np.abs(form - dense_form(pi, rho, xi, lam, eps)).max() <= tol
+        half = 0.5 * np.einsum("ni,ij,nj->n", xi[::50], pi, xi[::50])
+        assert np.abs(form[::50] - half).max() <= tol
+        # the column sums of M = 2 A_eps - I vanish
+        a = a_eps_batch(rho, lam, eps)
+        assert np.abs(2.0 * a.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_sampler_reports_the_dense_form_at_its_minimiser(self):
+        model = uniform_model([1.0, 2.0, 4.0])
+        pi = np.ones((3, 3)) + 0.05 * np.eye(3)
+        value, rho, xi = sample_quadratic_min(pi, model, 5000, seed=4)
+        eps = condition_c._EPS_REL * model.lam_min
+        assert value == dense_form(pi, rho[None, :], xi[None, :], model.lam, eps)[0]
+        assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestThreads:
