@@ -291,7 +291,7 @@ def _cmd_check_c(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# PDE solves
+# solve-* and simulate-*
 
 def _dynamics(args, cfg: dict):
     """The model and surface that a ``solve-*`` or ``simulate-*`` command runs.
@@ -317,78 +317,66 @@ def _dynamics(args, cfg: dict):
     return model, surface
 
 
-def _cmd_solve(args) -> int:
+def _cmd_run(args) -> int:
+    """One ``solve-*`` or ``simulate-*`` run: its CSVs, then one JSON record
+    whose ``run`` block names the command and the config that produced it."""
     cfg = _load_config(args.config)
     model, surface = _dynamics(args, cfg)
     horizon = _section(cfg, "horizon")
-    grid = _section(cfg, "grid")
-    pds = _section(cfg, "pds")
     initial = _section(cfg, "initial")
-
-    if surface is None:
-        sol = solve_fbm(model, pds, grid, horizon, initial)
-    elif model is None:
-        sol = solve_lv(pds, grid, horizon, surface, initial)
+    verb, kind = args.command.split("-", 1)
+    if verb == "solve":
+        grid = _section(cfg, "grid")
+        pds = _section(cfg, "pds")
+        if surface is None:
+            sol = solve_fbm(model, pds, grid, horizon, initial)
+        elif model is None:
+            sol = solve_lv(pds, grid, horizon, surface, initial)
+        else:
+            sol = solve_rslv(model, pds, grid, horizon, surface, initial)
+        out = _out_dir(cfg, args)
+        ref = heat_reference(sol, initial, pds.sigma_mollify)
+        meta = write_snapshots(sol, out, ref, kind)
+        if surface is None:
+            meta["diagnostics"]["heat_l1_max"] = heat_l1_max(sol, ref)
+        name = f"{kind}_metadata.json"
+        summary = (f"{len(sol.times)} snapshots to {out} (mass drift "
+                   f"{sol.diagnostics.max_mass_drift:.3g}, min value "
+                   f"{sol.diagnostics.min_value.min():.3g})")
     else:
-        sol = solve_rslv(model, pds, grid, horizon, surface, initial)
-    out = _out_dir(cfg, args)
-
-    kind = args.command.split("-", 1)[1]
-    ref = heat_reference(sol, initial, pds.sigma_mollify)
-    meta = write_snapshots(sol, out, ref, kind)
-    if surface is None:
-        meta["diagnostics"]["heat_l1_max"] = heat_l1_max(sol, ref)
+        plan = _section(cfg, "sim")
+        res = simulate(model, plan, horizon, initial=initial, surface=surface)
+        with np.errstate(over="ignore"):    # the square overflows once |qv| passes ~1e154
+            qv_std = float(res.qv[-1].std())
+        if not math.isfinite(qv_std):
+            raise NumericalError("the spread of the quadratic variation at T is not finite")
+        meta = {"mode": kind, "times": res.times.tolist(),
+                "occupancy": res.occupancy.tolist(),
+                "gyongy_ratio_min": float(res.gyongy_ratio.min()),
+                "gyongy_ratio_max": float(res.gyongy_ratio.max()),
+                "qv_T_mean": float(res.qv[-1].mean()), "qv_T_std": qv_std,
+                "seed": plan.seed, "n_particles": plan.n_particles}
+        prices = None
+        if surface is not None and cfg.get("strikes"):
+            # the last checkpoint is the maturity of the options priced from it
+            maturity = float(res.times[-1])
+            prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=maturity)
+            meta.update(prices_file="prices.csv", prices_time=maturity)
+        out = _out_dir(cfg, args)
+        for k, t in enumerate(res.times):
+            rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
+            write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
+                      "particle_id,X,Y,qv", rows)
+        if prices:
+            write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
+        name = f"simulate_{kind}_diagnostics.json"
+        summary = (f"{len(res.times)} checkpoints to {out} (gyongy ratio in "
+                   f"[{meta['gyongy_ratio_min']:.5f}, {meta['gyongy_ratio_max']:.5f}])")
     meta["run"] = {"command": args.command, "config": os.path.abspath(args.config),
-                   "config_data": cfg,
-                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    with open(os.path.join(out, f"{kind}_metadata.json"), "w") as fh:
+                   "config_data": cfg, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    with open(os.path.join(out, name), "w") as fh:
         json.dump(meta, fh, indent=2)
-    print(f"wrote {len(sol.times)} snapshots to {out} "
-          f"(mass drift {sol.diagnostics.max_mass_drift:.3g}, "
-          f"min value {sol.diagnostics.min_value.min():.3g})")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# particle simulations
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    model, surface = _dynamics(args, cfg)
-    horizon = _section(cfg, "horizon")
-    plan = _section(cfg, "sim")
-    initial = _section(cfg, "initial")
-    kind = args.command.split("-", 1)[1]
-    res = simulate(model, plan, horizon, initial=initial, surface=surface)
-    out = _out_dir(cfg, args)
-    for k, t in enumerate(res.times):
-        rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
-        write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
-                  "particle_id,X,Y,qv", rows)
-    diag = {
-        "mode": kind,
-        "times": res.times.tolist(),
-        "occupancy": res.occupancy.tolist(),
-        "gyongy_ratio_min": float(res.gyongy_ratio.min()),
-        "gyongy_ratio_max": float(res.gyongy_ratio.max()),
-        "qv_T_mean": float(res.qv[-1].mean()),
-        "qv_T_std": float(res.qv[-1].std()),
-        "seed": plan.seed,
-        "n_particles": plan.n_particles,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    if surface is not None and cfg.get("strikes"):
-        # the last checkpoint is the maturity of the options priced from it
-        maturity = float(res.times[-1])
-        prices = price_calls(res.X[-1], cfg["strikes"], r=horizon.r, T=maturity)
-        write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
-        diag["prices_file"] = "prices.csv"
-        diag["prices_time"] = maturity
-    with open(os.path.join(out, f"simulate_{kind}_diagnostics.json"), "w") as fh:
-        json.dump(diag, fh, indent=2)
-    print(f"wrote {len(res.times)} checkpoints to {out} "
-          f"(gyongy ratio in [{diag['gyongy_ratio_min']:.5f}, "
-          f"{diag['gyongy_ratio_max']:.5f}])")
+    print(f"wrote {summary}")
     return 0
 
 
@@ -398,7 +386,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_dupire(args) -> int:
     try:
         with open(args.calls) as fh:
-            lines = [line for line in fh if line.strip()]
+            # genfromtxt would take its field names from a comment line
+            lines = [line for line in fh if line.strip()[:1] not in ("", "#")]
         if len(lines) < 2:              # genfromtxt would warn, then fail on an empty file
             raise ConfigError("no data rows")
         raw = np.genfromtxt(lines, delimiter=",", names=True)
@@ -465,16 +454,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--gamma", help="JSON file with a candidate matrix")
     pc.add_argument("--alpha", help="comma-separated diagonal for --method diag")
     pc.add_argument("--out", help="CSV output for grid points")
+    pc.set_defaults(run=_cmd_check_c)
 
-    for kind in ("fbm", "rslv", "lv", "jump"):
-        ps = sub.add_parser(f"solve-{kind}", help=f"grid solve of the {kind} system")
-        ps.add_argument("config", help="experiment config JSON")
-        ps.add_argument("--out", help="output directory")
-
-    for mode in ("fbm", "rslv", "jump"):
-        pm = sub.add_parser(f"simulate-{mode}", help=f"particle run in {mode} mode")
-        pm.add_argument("config", help="experiment config JSON")
-        pm.add_argument("--out", help="output directory")
+    runs = {"solve": ("grid solve of the {} system", ("fbm", "rslv", "lv", "jump")),
+            "simulate": ("particle run in {} mode", ("fbm", "rslv", "jump"))}
+    for verb, (about, kinds) in runs.items():
+        for kind in kinds:
+            pr = sub.add_parser(f"{verb}-{kind}", help=about.format(kind))
+            pr.add_argument("config", help="experiment config JSON")
+            pr.add_argument("--out", help="output directory")
+            pr.set_defaults(run=_cmd_run)
 
     pd = sub.add_parser("dupire-build", help="build a surface from call prices")
     pd.add_argument("calls", help="CSV with header t,K,C")
@@ -482,35 +471,25 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--sigma-low", type=float, default=VolSurface.sigma_low)
     pd.add_argument("--sigma-high", type=float, default=VolSurface.sigma_high)
     pd.add_argument("--out", default="surface.json")
+    pd.set_defaults(run=_cmd_dupire)
 
     pv = sub.add_parser("verify", help="run the acceptance criteria")
     pv.add_argument("--suite", default="all")
     pv.add_argument("--criteria", help="comma-separated criterion ids, e.g. 3,5")
+    pv.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check-c":
-            return _cmd_check_c(args)
-        if args.command.startswith("solve-"):
-            return _cmd_solve(args)
-        if args.command.startswith("simulate-"):
-            return _cmd_simulate(args)
-        if args.command == "dupire-build":
-            return _cmd_dupire(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ArbitrageError, CertificateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -48,10 +48,10 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Linear-solve failure or NaN blow-up, annotated with the step index."""
+    """Linear-solve failure or NaN blow-up, annotated with the step index if any."""
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message if step is None else f"{message} (step {step})")
         self.step = step
 
 
@@ -158,7 +158,12 @@ def recorded_index(times: np.ndarray, t: float) -> int:
 
 
 def step_grid(T: float, dt: float) -> tuple[int, float]:
-    """The round(T / dt) equal steps, at least one, that split [0, T]: (n_steps, dt)."""
+    """The round(T / dt) equal steps, at least one, that split [0, T]: (n_steps, dt).
+
+    Step indices are int64, so T / dt must be below 2**63 (ValueError otherwise).
+    """
+    if not T / dt < 2.0 ** 63:
+        raise ValueError(f"dt = {dt} splits T = {T} into 2**63 or more steps")
     n_steps = max(1, int(round(T / dt)))
     return n_steps, T / n_steps
 

@@ -112,7 +112,8 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     (grid spans the sample range +/- 4 bandwidths).  Nodes with vanishing
     kernel mass take the ensemble mean of f^2(Y).  The estimate at the
     particles themselves (``at_samples``) is read off the same bins.  A
-    non-finite spread of X raises FloatingPointError.
+    spread of X that is not finite, or too small for distinct grid nodes,
+    raises FloatingPointError.
     """
     if x.size < 100:
         raise ValueError("need at least 100 particles for the kernel estimate")
@@ -132,6 +133,8 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     lo = float(x.min()) - 4.0 * delta
     hi = float(x.max()) + 4.0 * delta
     grid = np.linspace(lo, hi, G)
+    if not np.all(np.diff(grid) > 0):
+        raise FloatingPointError("ensemble spread is below the float spacing at its location")
     step_w = (hi - lo) / (G - 1)
 
     pos = (x - lo) / step_w
@@ -303,12 +306,18 @@ def price_calls(x, strikes, r: float, T: float):
     """Discounted call prices and standard errors from terminal log-prices.
 
     Returns a list of (strike, price, stderr) triples, discounted over the
-    maturity T.
+    maturity T.  A price that overflows raises NumericalError.
     """
-    disc = math.exp(-r * T)
-    s = np.exp(np.asarray(x, dtype=float))
+    try:
+        disc = math.exp(-r * T)
+    except OverflowError:
+        disc = math.inf
     out = []
-    for k in np.atleast_1d(np.asarray(strikes, dtype=float)):
-        payoff = np.maximum(s - k, 0.0)
-        out.append((float(k), disc * float(payoff.mean()), disc * mc_stderr(payoff)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.exp(np.asarray(x, dtype=float))
+        for k in np.atleast_1d(np.asarray(strikes, dtype=float)):
+            payoff = np.maximum(s - k, 0.0)
+            out.append((float(k), disc * float(payoff.mean()), disc * mc_stderr(payoff)))
+    if not np.isfinite(out).all():
+        raise NumericalError(f"call prices discounted at r = {r} over T = {T} are not finite")
     return out

@@ -1,21 +1,25 @@
 """Command-line surface: exit codes, file outputs and reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rslv_lab import cli
 from rslv_lab.dupire import dupire_from_calls
 from rslv_lab.fokker_planck import solve_lv
 from rslv_lab.regime_model import Measure
-from rslv_lab.stats import normal_cdf
+from rslv_lab.stats import bs_call
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -314,6 +318,25 @@ class TestSimulateCommands:
         err = capsys.readouterr().err
         assert "positions are no longer finite (step 1)" in err
 
+    @pytest.mark.parametrize("command,horizon,dt,message", [
+        ("simulate-rslv", {"T": 0.01, "r": -1e30}, 0.01, "call prices discounted at r = -1e+30"),
+        ("simulate-rslv", {"T": 0.01, "r": 1e30}, 0.01, "call prices discounted at r = 1e+30"),
+        ("simulate-fbm", {"T": 1e300, "r": 0.0}, 1e299, "spread of the quadratic variation")],
+        ids=["discount-overflows", "spot-overflows", "qv-spread-overflows"])
+    def test_overflowing_record_is_a_numerical_failure(self, tmp_path, capsys, command,
+                                                       horizon, dt, message):
+        cfg = small_sim_config(tmp_path, extra={
+            "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]}, "horizon": horizon,
+            "sim": {"dt": dt, "n_particles": 500, "seed": 5},
+            "surface": {"kind": "constant", "value": 0.2}, "strikes": [1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "sim").exists()
+
     def test_jump_step_bound_is_a_config_error(self, tmp_path):
         cfg = small_sim_config(tmp_path)
         data = json.loads(cfg.read_text())
@@ -479,14 +502,27 @@ CONTRACT = [
 ]
 
 
+def record_name(command: str) -> str:
+    """The JSON file in which a run of ``command`` records itself."""
+    verb, kind = command.split("-", 1)
+    return f"{kind}_metadata.json" if verb == "solve" else f"simulate_{kind}_diagnostics.json"
+
+
 @pytest.mark.parametrize("command,q,surface,code", CONTRACT)
 def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
-    assert cli.main([command, contract_config(tmp_path, q, surface)]) == code
+    path = contract_config(tmp_path, q, surface)
+    assert cli.main([command, path]) == code
     if code:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    elif command.startswith("simulate"):
-        out = tmp_path / "out"
+        return
+    out = tmp_path / "out"
+    record = json.loads((out / record_name(command)).read_text())
+    assert record["run"]["command"] == command
+    assert record["run"]["config"] == os.path.abspath(path)
+    assert record["run"]["config_data"] == json.loads(Path(path).read_text())
+    assert "timestamp" in record["run"] and "timestamp" not in record
+    if command.startswith("simulate"):
         y0, y1 = (np.loadtxt(out / f"checkpoint_{k:02d}.csv", delimiter=",",
                              skiprows=1)[:, 2] for k in (0, 1))
         # simulate-fbm runs without switching, even when the model has q
@@ -495,6 +531,86 @@ def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
 
 # each command with a q and a surface that it runs on
 RUNNABLE = {command: (q, surface) for command, q, surface, code in CONTRACT if code == 0}
+
+# one value a drawn config may take to an extreme, as (section, key, value):
+# "step" is the dt of both pds and sim, and a huge T is split into ten steps
+HOSTILE = [None, ("horizon", "r", 1e30), ("horizon", "r", -1e30), ("step", "dt", 5e-324),
+           ("step", "dt", 1e-300), ("grid", "L", 1e-12), ("horizon", "T", 1e300)]
+
+
+@st.composite
+def run_configs(draw, command):
+    """A small config that ``command`` reads, at most one value of it hostile."""
+    d = draw(st.integers(2, 3))
+    levels = st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)
+    weights = draw(levels)
+    model = {"lambda": draw(levels), "alpha": [w / sum(weights) for w in weights]}
+
+    def rates():
+        return [[0.0 if i == j else draw(st.floats(0.0, 2.0)) for j in range(d)]
+                for i in range(d)]
+
+    q = draw(st.sampled_from(["none", "constant", "tabulated"]))
+    if command.endswith("jump") and q == "none":
+        q = "constant"
+    if command == "solve-fbm":
+        q = "none"
+    if q == "constant":
+        model["q"] = rates()
+    elif q == "tabulated":
+        model["q"] = {"x": [-0.5, 0.5], "rates": [rates(), rates()]}
+    initial = draw(st.sampled_from([
+        {"kind": "point", "x": 0.1},
+        {"kind": "mixture", "xs": [-0.5, 0.5], "weights": [0.3, 0.7]},
+        {"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 1.0, 0.0]}]))
+    T = draw(st.floats(0.01, 0.5))
+    steps = draw(st.integers(1, 10))
+    cfg = {"model": model, "horizon": {"T": T, "r": draw(st.floats(-0.1, 0.1))},
+           "grid": {"L": draw(st.floats(1.0, 6.0)), "m": draw(st.integers(3, 41))},
+           "pds": {"dt": T / steps, "sigma_mollify": draw(st.floats(0.05, 0.5)),
+                   "n_outputs": 2},
+           "sim": {"dt": T / steps, "n_particles": draw(st.integers(100, 300)),
+                   "checkpoints": [0.0, T], "seed": draw(st.integers(0, 2 ** 32 - 1))},
+           "initial": initial,
+           "surface": draw(st.sampled_from([
+               {"kind": "constant", "value": 0.2},
+               {"kind": "tabulated", "t": [0.0, T], "x": [-1.0, 0.0, 1.0],
+                "values": [[0.3, 0.2, 0.25], [0.25, 0.2, 0.3]]}])),
+           "strikes": [0.9, 1.0, 1.1]}
+    hostile = draw(st.sampled_from(HOSTILE))
+    if hostile:
+        section, key, value = hostile
+        for name in (("pds", "sim") if section == "step" else (section,)):
+            cfg[name][key] = value
+        if key == "T":
+            cfg["pds"]["dt"] = cfg["sim"]["dt"] = value / 10
+            cfg["sim"]["checkpoints"] = [0.0, value]
+    return cfg
+
+
+@pytest.mark.parametrize("command", RUNNABLE)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_commands_exit_cleanly_and_rerun_identically(command, data):
+    cfg = data.draw(run_configs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "config.json"), Path(tmp, "out")
+        path.write_text(json.dumps(cfg))
+        outputs = []
+        for _ in range(2):
+            err = io.StringIO()
+            with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+                  contextlib.redirect_stdout(io.StringIO())):
+                warnings.simplefilter("error")      # a warning would escape as a traceback
+                code = cli.main([command, str(path), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().count("\n") == 1 and not out.exists()
+                return
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 # (entries merged into a config that the command runs, or a document that
 # replaces it): each one is a config error at the top level
@@ -527,6 +643,19 @@ def test_bad_document_is_a_config_error(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve-fbm", "simulate-fbm"])
+@pytest.mark.parametrize("dt", [5e-324, 1e-300])
+def test_step_count_past_int64_is_a_config_error(tmp_path, capsys, command, dt):
+    path = Path(contract_config(tmp_path, False, False))
+    cfg = json.loads(path.read_text())
+    cfg["horizon"]["T"] = 1.0
+    cfg["pds"]["dt"] = cfg["sim"]["dt"] = dt
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: dt = {dt} splits T = 1.0 into 2**63 or more steps\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["check-c", "solve-fbm", "dupire-build"])
 def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
     missing = tmp_path / "missing"
@@ -555,13 +684,10 @@ def test_import_leaves_the_optimizer_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def write_calls(tmp_path):
-    """A 7 x 9 grid of Black-Scholes calls (vol 0.2, zero rate) as the CSV dupire-build reads."""
-    ts = np.linspace(0.25, 0.85, 7)
-    ks = np.linspace(0.85, 1.15, 9)
+def write_calls(tmp_path, ts=np.linspace(0.25, 0.85, 7), ks=np.linspace(0.85, 1.15, 9)):
+    """Black-Scholes calls (vol 0.2, zero rate) on ts x ks as the CSV dupire-build reads."""
+    c = np.array([[bs_call(1.0, k, 0.2, t) for k in ks] for t in ts])
     T, K = np.meshgrid(ts, ks, indexing="ij")
-    d1 = (np.log(1.0 / K) + 0.02 * T) / (0.2 * np.sqrt(T))
-    c = normal_cdf(d1) - K * normal_cdf(d1 - 0.2 * np.sqrt(T))
     calls = tmp_path / "calls.csv"
     rows = zip(T.ravel().tolist(), K.ravel().tolist(), c.ravel().tolist())
     calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{v!r}\n" for t, k, v in rows))
@@ -570,17 +696,8 @@ def write_calls(tmp_path):
 
 class TestDupireBuild:
     def test_build_from_csv(self, tmp_path):
-        ts = np.arange(0.25, 0.8601, 0.02)
-        ks = np.arange(0.85, 1.1801, 0.02)
-        T, K = np.meshgrid(ts, ks, indexing="ij")
-        d1 = (np.log(1.0 / K) + 0.02 * T) / (0.2 * np.sqrt(T))
-        c = normal_cdf(d1) - K * normal_cdf(d1 - 0.2 * np.sqrt(T))
-        calls = tmp_path / "calls.csv"
-        with open(calls, "w") as fh:
-            fh.write("t,K,C\n")
-            for i in range(ts.size):
-                for j in range(ks.size):
-                    fh.write(f"{ts[i]:.10g},{ks[j]:.10g},{c[i, j]:.17g}\n")
+        calls = write_calls(tmp_path, np.arange(0.25, 0.8601, 0.02),
+                            np.arange(0.85, 1.1801, 0.02))[0]
         out = tmp_path / "surface.json"
         assert cli.main(["dupire-build", str(calls), "--r", "0", "--out", str(out)]) == 0
         surf = json.loads(out.read_text())
@@ -612,8 +729,8 @@ class TestDupireBuild:
             assert cli.main(["dupire-build", str(calls)]) == 2
         assert capsys.readouterr().err == "error: cannot read call grid: no data rows\n"
 
-    @pytest.mark.parametrize("text", ["\n \n", "t,K,C\n", "t,K,C\n\n"],
-                             ids=["blank", "header", "header-blank"])
+    @pytest.mark.parametrize("text", ["\n \n", "t,K,C\n", "t,K,C\n\n", "# calls\n#t,K,C\n"],
+                             ids=["blank", "header", "header-blank", "comments"])
     def test_file_without_data_rows(self, tmp_path, capsys, text):
         calls = tmp_path / "calls.csv"
         calls.write_text(text)
@@ -621,6 +738,15 @@ class TestDupireBuild:
             warnings.simplefilter("error")
             assert cli.main(["dupire-build", str(calls)]) == 2
         assert capsys.readouterr().err == "error: cannot read call grid: no data rows\n"
+
+    def test_comment_lines_are_skipped(self, tmp_path):
+        calls = write_calls(tmp_path)[0]
+        head, *rows = calls.read_text().splitlines(keepends=True)
+        commented = tmp_path / "commented.csv"
+        commented.write_text("# calls\n" + head + "# vol 0.2\n" + "".join(rows))
+        for path, name in ((calls, "plain.json"), (commented, "commented.json")):
+            assert cli.main(["dupire-build", str(path), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "commented.json").read_text() == (tmp_path / "plain.json").read_text()
 
     @pytest.mark.parametrize("columns,cell,where", [
         ("t", "0.5x", "column 't' is not a finite number in data row 5"),

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from rslv_lab.dupire import ArbitrageError, VolSurface, dupire_from_calls
-from rslv_lab.stats import normal_cdf
+from rslv_lab.stats import bs_call
 
 
 def bs_grid(s0, vol, r, ts, ks):
-    T, K = np.meshgrid(ts, ks, indexing="ij")
-    d1 = (np.log(s0 / K) + (r + 0.5 * vol * vol) * T) / (vol * np.sqrt(T))
-    d2 = d1 - vol * np.sqrt(T)
-    return s0 * normal_cdf(d1) - K * np.exp(-r * T) * normal_cdf(d2)
+    return np.array([[bs_call(s0, k, vol, t, r) for k in ks] for t in ts])
 
 
 class TestSurface:

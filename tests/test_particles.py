@@ -1,11 +1,13 @@
 """Particle simulator: determinism, kernel regression, thinning and pricing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rslv_lab.fokker_planck import NumericalError
 from rslv_lab.particles import (SimPlan, _switch_table, _thinning, cond_expect_f2,
                                 init_ensemble, price_calls, simulate)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
@@ -89,6 +91,17 @@ class TestCondExpect:
         x[:] = 1e308                       # the mean overflows
         with pytest.raises(FloatingPointError):
             cond_expect_f2(x, y, plan, model)
+
+    def test_spread_below_the_float_spacing_is_a_floating_point_error(self):
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
+        x, y = init_ensemble(model, plan)
+        x[:] = 4e28                        # two neighbouring floats: grid nodes coincide
+        x[::2] = np.nextafter(4e28, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="float spacing"):
+                cond_expect_f2(x, y, plan, model)
 
 
 class TestStepAndSimulate:
@@ -206,6 +219,14 @@ class TestPricing:
     def test_needs_maturity_for_raw_samples(self):
         with pytest.raises(TypeError):
             price_calls(np.zeros(10), [1.0], r=0.0)
+
+    @pytest.mark.parametrize("x,r", [(0.0, -1e30), (1e28, 1e30)], ids=["discount", "spot"])
+    def test_overflowing_price_is_a_numerical_failure(self, x, r):
+        # exp(-r T) overflows in the first case, exp(x) in the second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="call prices .* are not finite"):
+                price_calls(np.full(10, x), [1.0], r=r, T=0.01)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_fbm
+from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_fbm, step_grid
 from rslv_lab.particles import SimPlan, simulate
 from rslv_lab.regime_model import HorizonConfig, Measure, RegimeModel
 
@@ -63,3 +63,11 @@ def test_checkpoints_are_recorded_at_their_step_or_rejected(case):
     for t in times:
         k = round(t * n_steps / T)
         np.testing.assert_array_equal(res.at_time(t)[0], ref.X[k])
+
+
+def test_step_count_stays_below_int64():
+    # step indices are int64: 2**62 steps are allowed, 2**63 are refused
+    assert step_grid(1.0, 2.0 ** -62) == (2 ** 62, 2.0 ** -62)
+    for T, dt in ((1.0, 2.0 ** -63), (1.0, 5e-324), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="2\\*\\*63 or more steps"):
+            step_grid(T, dt)
