@@ -75,7 +75,7 @@ def _text(value):
 
 
 def _intensities(value):
-    """A list is a constant Q; a dict tabulates Q at the nodes ``x``."""
+    """A list is a constant Q; a dict tabulates Q at the nodes ``x`` (one node: constant)."""
     if value is None:
         return None
     if isinstance(value, dict):

@@ -9,7 +9,6 @@ domain.  This module provides
   * the exact criterion for a *given* diagonal matrix; at the unit diagonal
     it is exact for Gamma = I and only sufficient for (C),
   * the planar grid search that decides existence of a diagonal matrix,
-    together with recovery of a concrete diagonal from a passing point,
   * a sampled coercivity certificate Pi = J_d + eps * Gamma with an
     estimated coercivity constant kappa_hat.
 
@@ -30,7 +29,6 @@ from .regime_model import RegimeModel, a_eps_batch
 
 __all__ = [
     "CertificateError",
-    "RecoveryFailure",
     "CoercivityCertificate",
     "D3Report",
     "GridSearchReport",
@@ -42,7 +40,6 @@ __all__ = [
     "coercivity_certificate",
     "sample_quadratic_min",
     "sample_domain_states",
-    "recover_alpha_from_point",
     "worker_count",
 ]
 
@@ -55,14 +52,6 @@ _CHUNK = 200_000
 
 class CertificateError(RuntimeError):
     """Raised when no coercivity certificate can be issued."""
-
-
-class RecoveryFailure(RuntimeError):
-    """Raised when no auxiliary distribution realises a passing grid point.
-
-    Distinct from "Condition (C) is false": the point itself passed the
-    criterion, only the constructive search ran out of room.
-    """
 
 
 def worker_count() -> int:
@@ -292,48 +281,6 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
             found.append(np.column_stack([np.broadcast_to(xx, y.shape)[ok], y[ok]]))
     points = np.concatenate(found) if found else empty
     return GridSearchReport(points=points, satisfied=points.shape[0] > 0)
-
-
-def recover_alpha_from_point(model: RegimeModel, x: float, y: float) -> np.ndarray:
-    """Diagonal entries alpha = 1/p recovered from a passing grid point.
-
-    Finds a strictly positive probability vector q with sum lam q = X(x, y)
-    and sum q/lam = Y(x, y) (linear program maximising the smallest entry),
-    then sets p_i = (1 - M_0) q_i + (xy - 1) / (2 + x/lam_i + lam_i y).
-    The result is validated through the exact diagonal criterion.
-    """
-    from scipy.optimize import linprog     # here, so that importing the package skips it
-    lam = model.lam
-    m0, m1, mm1 = _moment_sums(float(x), float(y), lam)
-    if not m0 < 1.0:
-        raise RecoveryFailure(f"point ({x}, {y}) has M_0 = {m0} >= 1")
-    X = (x - m1) / (1.0 - m0)
-    Y = (y - mm1) / (1.0 - m0)
-
-    d = model.d
-    # variables (q_1..q_d, t): maximise t subject to q_i >= t and the moment matches
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((3, d + 1))
-    a_eq[0, :d] = lam
-    a_eq[1, :d] = 1.0 / lam
-    a_eq[2, :d] = 1.0
-    b_eq = np.array([X, Y, 1.0])
-    a_ub = np.hstack([-np.eye(d), np.ones((d, 1))])
-    b_ub = np.zeros(d)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0.0, 1.0)] * d + [(0.0, 1.0)], method="highs")
-    if not res.success or res.x[-1] <= 1e-12:
-        raise RecoveryFailure(
-            f"no strictly positive distribution realises (X, Y) = ({X}, {Y})")
-    q = res.x[:d]
-    p = (1.0 - m0) * q + (x * y - 1.0) / (2.0 + x / lam + lam * y)
-    if np.any(p <= 0):
-        raise RecoveryFailure("recovered weights are not strictly positive")
-    alpha = 1.0 / p
-    if not criterion_diag(model, alpha):
-        raise RecoveryFailure("recovered diagonal fails the exact criterion")
-    return alpha
 
 
 def sample_domain_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -235,11 +235,11 @@ class _Operator:
         eye = np.eye(lam.size)
         self.mass_blocks = _mass_diag(grid)[:, None, None] * eye[None, :, :]  # (m, d, d)
         self.mass_off = (grid.h / 6.0) * eye
-        # exchange coupling, transposed so rows act on the test-function regime;
-        # a constant Q stays one (d, d) block
+        # exchange coupling per cell, transposed so rows act on the test-function
+        # regime; contiguous, as a transposed view costs twice as much per step
         self.q_diag = self.q_off = None
         if q_table is not None:
-            c_mid = np.swapaxes(q_table.value(self.x_mid), -1, -2)
+            c_mid = np.ascontiguousarray(np.swapaxes(q_table.value(self.x_mid), -1, -2))
             self.q_diag = dt * (grid.h / 3.0) * c_mid
             self.q_off = dt * (grid.h / 6.0) * c_mid
 
@@ -271,9 +271,11 @@ class _Operator:
             diag[1:] -= self.q_diag
             off -= self.q_off
         if b_e is not None:
-            flux = b_e * pm
-            WU[:-1] -= self.dt * flux
-            WU[1:] += self.dt * flux
+            # an overflowing flux is reported by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                flux = b_e * pm
+                WU[:-1] -= self.dt * flux
+                WU[1:] += self.dt * flux
         if not (np.isfinite(diag).all() and np.isfinite(off).all()
                 and np.isfinite(WU).all()):
             raise NumericalError("the linear system is no longer finite", step)

@@ -250,21 +250,21 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     """
     T, r = horizon.T, horizon.r
     n_steps, dt = step_grid(T, plan.dt)
-    if dt * (model.d - 1) * model.qbar >= 1.0:
+    jumps = model.q is not None
+    if jumps and dt * (model.d - 1) * model.q.qbar >= 1.0:
         raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
                          f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
-    jumps = model.q is not None
-    table = (_switch_table(model.q.rates.copy(), np.arange(model.d), dt)
-             if jumps and model.q.is_constant else None)
+    # a constant Q (one node) switches through one per-regime table
+    table = (_switch_table(model.q.rates[0].copy(), np.arange(model.d), dt)
+             if jumps and model.q.x.size == 1 else None)
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
         check_steps.setdefault(step_at(tc, T, n_steps), float(tc))
 
-    times, xs, ys, qvs, occ = [], [], [], [], []
-    ratios = np.empty(n_steps)
+    times, xs, ys, qvs, occ, ratios = [], [], [], [], [], []
 
     def record(step_idx):
         if step_idx in check_steps:
@@ -284,7 +284,9 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         if surface is not None:
             s = np.asarray(surface.sigma(n * dt, x), dtype=float)
             diff2 = ratio * s * s
-            x += (r - 0.5 * diff2) * dt
+            # an overflowing drift is reported by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                x += (r - 0.5 * diff2) * dt
         else:
             diff2 = ratio
         dw = gauss_rng.normal(size=x.size) * math.sqrt(dt)
@@ -294,12 +296,12 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             _thinning(x, y, model, dt, jump_rng, table)
         if not np.all(np.isfinite(x)):
             raise NumericalError("particle positions are no longer finite", n + 1)
-        ratios[n] = float(ratio.mean())
+        ratios.append(float(ratio.mean()))
         record(n + 1)
 
     return SimResult(times=np.asarray(times), X=np.asarray(xs),
                      Y=np.asarray(ys), qv=np.asarray(qvs),
-                     gyongy_ratio=ratios, occupancy=np.asarray(occ))
+                     gyongy_ratio=np.asarray(ratios), occupancy=np.asarray(occ))
 
 
 def price_calls(x, strikes, r: float, T: float):

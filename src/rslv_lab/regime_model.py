@@ -29,41 +29,38 @@ _ALPHA_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IntensityTable:
-    """Jump intensities q_ij(x), either constant or piecewise linear in x.
+    """Jump intensities q_ij(x), piecewise linear in x.
 
-    ``rates`` is a (d, d) matrix of constant rates, or a (k, d, d) array of
-    matrices tabulated at the strictly increasing nodes ``x`` (piecewise
-    linear in between, constant outside).  Rates and nodes must be finite,
-    off-diagonal rates non-negative; the diagonal is recomputed as
-    q_ii = -sum_{j != i} q_ij.
+    ``rates`` is a (k, d, d) array of matrices tabulated at the strictly
+    increasing nodes ``x`` (piecewise linear in between, constant outside).
+    A (d, d) matrix given without ``x`` is a constant Q, the one-node table
+    at x = 0, so after construction ``x`` is 1-d and ``rates`` (k, d, d).
+    Rates and nodes must be finite, off-diagonal rates non-negative; the
+    diagonal is recomputed as q_ii = -sum_{j != i} q_ij.
     """
 
     rates: np.ndarray
     x: np.ndarray | None = None
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
+        rates = np.array(self.rates, dtype=float)
         if self.x is None:
-            if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
-                raise ValueError("constant intensity table must be a square matrix")
-            stack = rates[None, :, :]
+            x, rates = np.zeros(1), rates[None]
         else:
             x = np.asarray(self.x, dtype=float)
-            if (x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x))
-                    or np.any(np.diff(x) <= 0)):
-                raise ValueError("tabulation nodes must be finite and strictly increasing")
-            if rates.ndim != 3 or rates.shape[0] != x.size or rates.shape[1] != rates.shape[2]:
-                raise ValueError("tabulated rates must have shape (len(x), d, d)")
-            object.__setattr__(self, "x", x)
-            stack = rates
-        off = ~np.eye(stack.shape[1], dtype=bool)
-        if not np.all(np.isfinite(stack)) or np.any(stack[:, off] < 0):
+        if (x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x))
+                or np.any(np.diff(x) <= 0)):
+            raise ValueError("tabulation nodes must be finite and strictly increasing")
+        if rates.ndim != 3 or rates.shape[0] != x.size or rates.shape[1] != rates.shape[2]:
+            raise ValueError("rates must be a (d, d) matrix, or have shape (len(x), d, d)")
+        off = ~np.eye(rates.shape[1], dtype=bool)
+        if not np.all(np.isfinite(rates)) or np.any(rates[:, off] < 0):
             raise ValueError("intensities must be finite, and non-negative off the diagonal")
-        stack = stack.copy()
-        for k in range(stack.shape[0]):
-            np.fill_diagonal(stack[k], 0.0)
-            np.fill_diagonal(stack[k], -stack[k].sum(axis=1))
-        object.__setattr__(self, "rates", stack[0] if self.x is None else stack)
+        diag = np.arange(rates.shape[1])
+        rates[:, diag, diag] = 0.0
+        rates[:, diag, diag] = -rates.sum(axis=2)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "rates", rates)
 
     @property
     def d(self) -> int:
@@ -74,17 +71,13 @@ class IntensityTable:
         """Uniform bound on |q_ij| over the table."""
         return float(np.max(np.abs(self.rates)))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.x is None
-
     def value(self, x) -> np.ndarray:
         """Q(x): a d x d matrix, or one per entry of an array x."""
-        return self.rates if self.x is None else self._interp(x)
+        return self._interp(x)
 
     def rates_from(self, y_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Outgoing rate rows q_{y, .}(x) for 0-based regime indices y."""
-        return self.rates[y_idx] if self.x is None else self._interp(x, y_idx)
+        return self._interp(x, y_idx)
 
     def _interp(self, x, rows=None) -> np.ndarray:
         """np.interp of every entry over the nodes, at x clipped to the table.
@@ -144,10 +137,6 @@ class RegimeModel:
     def lam_max(self) -> float:
         return float(self.lam.max())
 
-    @property
-    def qbar(self) -> float:
-        return 0.0 if self.q is None else self.q.qbar
-
 
 @dataclass(frozen=True)
 class HorizonConfig:
@@ -198,7 +187,8 @@ def ratio_r_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarra
 
 def _heat_kernel(t: float, x: np.ndarray) -> np.ndarray:
     """Gaussian heat kernel h_t(x) = exp(-x^2 / 2t) / sqrt(2 pi t), t > 0."""
-    return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+    with np.errstate(over="ignore"):     # x * x = inf gives exactly 0
+        return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,26 @@ class TestSolveCommands:
             assert cli.main(["solve-rslv", path]) == 3
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,config,section,key,value", [
+        ("solve-rslv", "rslv_flat.json", "horizon", "r", 1e300),
+        ("solve-rslv", "rslv_flat.json", "horizon", "r", -1e300),
+        ("solve-fbm", "fbm_d2.json", "grid", "L", 1e300)],
+        ids=["rate-1e300", "rate-minus-1e300", "width-1e300"])
+    def test_extreme_input_fails_without_numpy_warnings(self, tmp_path, capsys, command,
+                                                       config, section, key, value):
+        cfg = json.loads((CONFIGS / config).read_text())
+        cfg[section][key] = value
+        cfg["grid"]["m"] = 201
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / config
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_heat_reference_of_an_unmollified_tabulated_start(self, tmp_path):
         # a hat on the grid nodes lies in the finite-element space, so its
         # projection is exact, and at t = 0 the reference is that same hat
@@ -321,8 +341,11 @@ class TestSimulateCommands:
     @pytest.mark.parametrize("command,horizon,dt,message", [
         ("simulate-rslv", {"T": 0.01, "r": -1e30}, 0.01, "call prices discounted at r = -1e+30"),
         ("simulate-rslv", {"T": 0.01, "r": 1e30}, 0.01, "call prices discounted at r = 1e+30"),
-        ("simulate-fbm", {"T": 1e300, "r": 0.0}, 1e299, "spread of the quadratic variation")],
-        ids=["discount-overflows", "spot-overflows", "qv-spread-overflows"])
+        ("simulate-fbm", {"T": 1e300, "r": 0.0}, 1e299, "spread of the quadratic variation"),
+        # 1e15 steps: nothing may be allocated per step before the first one
+        ("simulate-rslv", {"T": 1e300, "r": 1e300}, 1e285, "positions are no longer finite")],
+        ids=["discount-overflows", "spot-overflows", "qv-spread-overflows",
+             "drift-overflows-among-1e15-steps"])
     def test_overflowing_record_is_a_numerical_failure(self, tmp_path, capsys, command,
                                                        horizon, dt, message):
         cfg = small_sim_config(tmp_path, extra={
@@ -529,13 +552,29 @@ def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
         assert np.array_equal(y0, y1) == (command == "simulate-fbm" or not q)
 
 
+@pytest.mark.parametrize("command", ["solve-jump", "simulate-jump"])
+def test_one_node_q_is_the_constant_q(tmp_path, command):
+    path = Path(contract_config(tmp_path, True, False))
+    cfg = json.loads(path.read_text())
+    constant = cfg["model"]["q"]
+    outputs = []
+    for q in (constant, {"x": [0.3], "rates": [constant]}):
+        out = tmp_path / f"out-{len(outputs)}"
+        cfg["model"]["q"] = q
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, str(path), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 # each command with a q and a surface that it runs on
 RUNNABLE = {command: (q, surface) for command, q, surface, code in CONTRACT if code == 0}
 
 # one value a drawn config may take to an extreme, as (section, key, value):
 # "step" is the dt of both pds and sim, and a huge T is split into ten steps
-HOSTILE = [None, ("horizon", "r", 1e30), ("horizon", "r", -1e30), ("step", "dt", 5e-324),
-           ("step", "dt", 1e-300), ("grid", "L", 1e-12), ("horizon", "T", 1e300)]
+HOSTILE = [None, ("horizon", "r", 1e30), ("horizon", "r", -1e30), ("horizon", "r", 1e300),
+           ("horizon", "r", -1e300), ("step", "dt", 5e-324), ("step", "dt", 1e-300),
+           ("grid", "L", 1e-12), ("grid", "L", 1e300), ("horizon", "T", 1e300)]
 
 
 @st.composite
@@ -550,13 +589,15 @@ def run_configs(draw, command):
         return [[0.0 if i == j else draw(st.floats(0.0, 2.0)) for j in range(d)]
                 for i in range(d)]
 
-    q = draw(st.sampled_from(["none", "constant", "tabulated"]))
+    q = draw(st.sampled_from(["none", "constant", "one-node", "tabulated"]))
     if command.endswith("jump") and q == "none":
         q = "constant"
     if command == "solve-fbm":
         q = "none"
     if q == "constant":
         model["q"] = rates()
+    elif q == "one-node":
+        model["q"] = {"x": [draw(st.floats(-1.0, 1.0))], "rates": [rates()]}
     elif q == "tabulated":
         model["q"] = {"x": [-0.5, 0.5], "rates": [rates(), rates()]}
     initial = draw(st.sampled_from([
@@ -676,7 +717,7 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
 
 
 def test_import_leaves_the_optimizer_unloaded():
-    # scipy.optimize is loaded only by condition_c.recover_alpha_from_point
+    # scipy.optimize is loaded only by scripts/condition_c_map.py
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, rslv_lab.cli, rslv_lab.acceptance; "

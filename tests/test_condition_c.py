@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from rslv_lab import condition_c
 from rslv_lab.condition_c import (
-    CertificateError, RecoveryFailure, coercivity_certificate,
-    criterion_d3, criterion_diag, gamma_k_submatrix,
-    grid_search_diag, recover_alpha_from_point, sample_quadratic_min,
-    satisfies_condition_c,
+    CertificateError, coercivity_certificate, criterion_d3, criterion_diag,
+    gamma_k_submatrix, grid_search_diag, sample_quadratic_min, satisfies_condition_c,
 )
 from rslv_lab.regime_model import RegimeModel, a_eps_batch
+from test_scripts import load_script
+
+# the recovery of a diagonal from a grid point lives in its one caller, the map script
+condition_c_map = load_script("condition_c_map")
+RecoveryFailure = condition_c_map.RecoveryFailure
+recover_alpha_from_point = condition_c_map.recover_alpha_from_point
 
 # frozen from the sampling run with seed 7 and 1e5 draws
 KAPPA_HAT_REGRESSION = 0.00013884794555569613

@@ -301,7 +301,7 @@ def test_thinning_matches_the_full_gather(d, tabulated):
     y_ref = rng.integers(1, d + 1, n)
     y = y_ref.copy()
     rng_ref, rng_new = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
-    table = None if tabulated else _switch_table(q.rates.copy(), np.arange(d), dt)
+    table = None if tabulated else _switch_table(q.rates[0].copy(), np.arange(d), dt)
     switched = 0
     for _ in range(50):
         before = y.copy()

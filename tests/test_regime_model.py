@@ -221,9 +221,25 @@ class TestModelTypes:
         assert rates[0, 1] == pytest.approx(1.0)
         assert rates[1, 0] == pytest.approx(2.0)  # constant extrapolation
 
+    def test_constant_q_is_the_one_node_table(self):
+        off = np.array([[0.0, 1.0, 2.0], [0.5, 0.0, 0.0], [3.0, 0.25, 0.0]])
+        q = IntensityTable(rates=off)
+        assert q.x.tolist() == [0.0] and q.rates.shape == (1, 3, 3)
+        np.testing.assert_array_equal(np.diag(q.rates[0]), [-3.0, -0.5, -3.25])
+        one = IntensityTable(rates=[off], x=[0.7])
+        np.testing.assert_array_equal(one.rates, q.rates)
+        x = np.array([-np.inf, -2.0, 0.0, 0.7, 5.0, np.inf])
+        for table in (q, one):
+            np.testing.assert_array_equal(table.value(x), np.broadcast_to(q.rates[0], (6, 3, 3)))
+            np.testing.assert_array_equal(table.value(1.0), q.rates[0])
+            np.testing.assert_array_equal(table.rates_from(np.array([2, 0]), x[:2]),
+                                          q.rates[0][[2, 0]])
+
     def test_intensity_validation(self):
         with pytest.raises(ValueError):
             IntensityTable(rates=np.array([[0.0, -1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            IntensityTable(rates=np.array([[[0.0, -1.0], [1.0, 0.0]]]), x=[0.0])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 IntensityTable(rates=np.array([[0.0, bad], [1.0, 0.0]]))
@@ -231,9 +247,23 @@ class TestModelTypes:
                 IntensityTable(rates=np.array([[bad, 1.0], [1.0, 0.0]]))
             with pytest.raises(ValueError):
                 IntensityTable(rates=np.array([[[0.0, 1.0], [bad, 0.0]]] * 2), x=[0.0, 1.0])
+            with pytest.raises(ValueError):
+                IntensityTable(rates=np.array([[[bad, 1.0], [1.0, 0.0]]]), x=[0.0])
         for nodes in ([0.0, np.nan, 2.0], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf]):
             with pytest.raises(ValueError):
                 IntensityTable(rates=np.zeros((3, 2, 2)), x=nodes)
+        for node in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                IntensityTable(rates=np.zeros((1, 2, 2)), x=[node])
+        # rates whose shape does not match the nodes, or not square
+        for rates, nodes in ((np.zeros((2, 2)), [0.0]), (np.zeros((2, 2, 2)), [0.0]),
+                             (np.zeros((3, 2, 2)), [0.0, 1.0]), (np.zeros((1, 2, 2)), None),
+                             (np.zeros((2, 3)), None), (np.zeros((1, 2, 3)), [0.0]),
+                             (np.zeros((0, 2, 2)), []), (np.zeros(2), None)):
+            with pytest.raises(ValueError):
+                IntensityTable(rates=rates, x=nodes)
+        with pytest.raises(ValueError):                      # nodes not increasing
+            IntensityTable(rates=np.zeros((2, 2, 2)), x=[1.0, 1.0])
 
 
 def interp_reference(table, x):
@@ -252,7 +282,7 @@ def same_bits(a, b):
 @st.composite
 def tabulated_case(draw):
     d = draw(st.integers(2, 5))
-    k = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 6))
     nodes = np.sort(np.array(draw(st.lists(
         st.floats(-5.0, 5.0, allow_subnormal=False), min_size=k, max_size=k, unique=True))))
     off = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0),
