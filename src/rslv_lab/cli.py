@@ -342,7 +342,8 @@ def _cmd_run(args) -> int:
         name = f"{kind}_metadata.json"
         summary = (f"{len(sol.times)} snapshots to {out} (mass drift "
                    f"{sol.diagnostics.max_mass_drift:.3g}, min value "
-                   f"{sol.diagnostics.min_value.min():.3g})")
+                   f"{sol.diagnostics.min_value.min():.3g}, step min "
+                   f"{sol.diagnostics.step_min_value:.3g})")
     else:
         plan = _section(cfg, "sim")
         res = simulate(model, plan, horizon, initial=initial, surface=surface)
@@ -355,7 +356,8 @@ def _cmd_run(args) -> int:
                 "gyongy_ratio_min": float(res.gyongy_ratio.min()),
                 "gyongy_ratio_max": float(res.gyongy_ratio.max()),
                 "qv_T_mean": float(res.qv[-1].mean()), "qv_T_std": qv_std,
-                "seed": plan.seed, "n_particles": plan.n_particles}
+                "seed": plan.seed, "n_particles": plan.n_particles,
+                "phase_s": res.phase_s}
         prices = None
         if surface is not None and cfg.get("strikes"):
             # the last checkpoint is the maturity of the options priced from it

@@ -38,6 +38,7 @@ __all__ = [
     "Diagnostics",
     "GridSolution",
     "NumericalError",
+    "PhaseClock",
     "solve_fbm",
     "solve_rslv",
     "solve_lv",
@@ -107,6 +108,19 @@ class PDSConfig:
 PHASES = ("coefficients", "assemble", "solve", "observe")
 
 
+class PhaseClock:
+    """Seconds summed per phase since ``start``; a lap charges the time since the last."""
+
+    def __init__(self, phases):
+        self.phase_s = dict.fromkeys(phases, 0.0)
+        self.start = self.mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.phase_s[phase] += now - self.mark
+        self.mark = now
+
+
 @dataclass
 class Diagnostics:
     """Per-output-time records plus step-level conservation summaries."""
@@ -116,6 +130,7 @@ class Diagnostics:
     l2: np.ndarray              # (k, d) per-state L2 norms
     boundary_mass: np.ndarray   # (k,) total density mass in the outermost cells
     max_mass_drift: float       # max over steps of relative total-mass drift
+    step_min_value: float       # smallest nodal value over every step, outputs or not
     max_energy_increase: float  # max over steps of the L2-energy increment
     boundary_warning: bool
     n_steps: int
@@ -283,7 +298,7 @@ class _Operator:
 
 
 class _Observer:
-    """W U, the records at the output steps, the mass and energy bookkeeping and phase_s."""
+    """W U, the records at the output steps, the mass and energy bookkeeping and the clock."""
 
     def __init__(self, grid: SpatialGrid, U: np.ndarray, T: float, n_steps: int,
                  config: PDSConfig):
@@ -301,14 +316,8 @@ class _Observer:
         self.mass = float((self.tw @ U).sum())
         self.energy = float(np.einsum("md,md->", U, self.WU))
         self.max_drift, self.max_energy_inc = 0.0, -math.inf
-        self.phase_s = dict.fromkeys(PHASES, 0.0)
-        self.wall = self.mark = time.perf_counter()
-
-    def lap(self, phase: str) -> None:
-        """Charge the time since the last lap to ``phase``."""
-        now = time.perf_counter()
-        self.phase_s[phase] += now - self.mark
-        self.mark = now
+        self.step_min = float(U.min())
+        self.clock = PhaseClock(PHASES)
 
     def observe(self, U: np.ndarray, step: int) -> None:
         if not np.all(np.isfinite(U)):
@@ -317,6 +326,7 @@ class _Observer:
         self.max_drift = max(self.max_drift,
                              abs(mass - self.mass) / max(abs(self.mass), 1e-300))
         self.mass = mass
+        self.step_min = min(self.step_min, float(U.min()))
         self.WU = _mass_apply(U, self.grid.h)
         energy = float(np.einsum("md,md->", U, self.WU))
         self.max_energy_inc = max(self.max_energy_inc, energy - self.energy)
@@ -336,12 +346,13 @@ class _Observer:
                            for u in records]),
             boundary_mass=bm,
             max_mass_drift=self.max_drift,
+            step_min_value=self.step_min,
             max_energy_increase=self.max_energy_inc,
             boundary_warning=bool(np.any(bm > 1e-4)),
             n_steps=n_steps,
             dt=self.dt,
-            wall_time=time.perf_counter() - self.wall,
-            phase_s=self.phase_s,
+            wall_time=time.perf_counter() - self.clock.start,
+            phase_s=self.clock.phase_s,
         )
         times = np.asarray([k * self.dt for k in self.records])
         return GridSolution(grid=self.grid, times=times, p=np.asarray([u.T for u in records]),
@@ -358,16 +369,16 @@ def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: Spatial
     observer = _Observer(grid, U, horizon.T, n_steps, config)
     for step in range(1, n_steps + 1):
         field = operator.field(U, (step - 1) * dt)
-        observer.lap("coefficients")
+        observer.clock.lap("coefficients")
         diag, off, rhs = operator.system(*field, observer.WU, step)
-        observer.lap("assemble")
+        observer.clock.lap("assemble")
         try:
             U = solve_block_tridiag(diag, off, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"banded solve failed: {exc}", step) from exc
-        observer.lap("solve")
+        observer.clock.lap("solve")
         observer.observe(U, step)
-        observer.lap("observe")
+        observer.clock.lap("observe")
     return observer.solution(n_steps)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dupire import VolSurface
-from .fokker_planck import NumericalError, recorded_index, step_at, step_grid
+from .fokker_planck import (NumericalError, PhaseClock, recorded_index, step_at,
+                            step_grid)
 from .regime_model import HorizonConfig, Measure, RegimeModel
 from .stats import mc_stderr
 
@@ -39,6 +40,12 @@ __all__ = [
     "simulate",
     "price_calls",
 ]
+
+
+# where a particle step spends its time: the kernel regression, the
+# Euler-Maruyama move with its Gaussian draws, the regime thinning, and the
+# finiteness check with the checkpoint copies
+PHASES = ("regression", "draws", "thinning", "record")
 
 
 @dataclass(frozen=True)
@@ -198,23 +205,25 @@ def _switch_table(rates, regimes, dt) -> np.ndarray:
     return np.cumsum(rates * dt, axis=1)
 
 
-def _thinning(x, y, model, dt, rng, table) -> None:
-    """One-switch-per-step regime update of the 1-based Y, in place.
+def _leaving_bound(q, dt) -> np.ndarray:
+    """Each regime's largest leaving probability at q's nodes, raised by 1e-12
+    relative: rows are linear in x between nodes, so a row that _thinning
+    builds sums to at most that, plus a few ulps of rounding that the pad covers."""
+    rows = np.tile(np.arange(q.d), q.x.size)
+    cum = _switch_table(q.rates_from(rows, np.repeat(q.x, q.d)), rows, dt)
+    return cum[:, -1].reshape(-1, q.d).max(axis=0) * (1.0 + 1e-12)
 
-    ``table`` is the (d, d) switching table of a constant Q; without it each
-    particle's row is built from the intensities at its X.  One uniform is
-    drawn per particle either way.
-    """
-    rows = y - 1
+
+def _thinning(x, y, q, dt, rng, bound) -> None:
+    """One-switch-per-step regime update of the 1-based Y, in place, from one
+    uniform u per particle: only the candidates, u < bound[Y - 1], get their
+    rows of q at X, and each switches iff u is below its row's last entry, to
+    the first entry above u."""
     u = rng.random(y.size)
-    if table is None:
-        cum = _switch_table(model.q.rates_from(rows, x), rows, dt)
-        switch = np.flatnonzero(u < cum[:, -1])
-        cum = cum[switch]
-    else:
-        switch = np.flatnonzero(u < table[:, -1].take(rows))
-        cum = table[rows[switch]]
-    y[switch] = np.argmax(u[switch, None] < cum, axis=1) + 1
+    cand = np.flatnonzero(u < bound.take(y - 1))
+    u, rows = u[cand, None], y[cand] - 1
+    cum = _switch_table(q.rates_from(rows, x[cand]), rows, dt)
+    y[cand] = np.where(u[:, 0] < cum[:, -1], np.argmax(u < cum, axis=1) + 1, y[cand])
 
 
 @dataclass
@@ -227,6 +236,7 @@ class SimResult:
     qv: np.ndarray               # (k, N)
     gyongy_ratio: np.ndarray     # (n_steps,) ensemble mean of lam_Y / Ehat
     occupancy: np.ndarray        # (k, d) regime fractions at checkpoints
+    phase_s: dict                # seconds summed over the steps, per PHASES entry
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = recorded_index(self.times, t)
@@ -256,9 +266,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
                          f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
-    # a constant Q (one node) switches through one per-regime table
-    table = (_switch_table(model.q.rates[0].copy(), np.arange(model.d), dt)
-             if jumps and model.q.x.size == 1 else None)
+    bound = _leaving_bound(model.q, dt) if jumps else None
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
@@ -274,13 +282,16 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             qvs.append(qv.copy())
             occ.append(np.bincount(y - 1, minlength=model.d) / y.size)
 
+    clock = PhaseClock(PHASES)
     record(0)
+    clock.lap("record")
     for n in range(n_steps):
         try:
             reg = cond_expect_f2(x, y, plan, model)
         except FloatingPointError as exc:
             raise NumericalError(str(exc), n + 1) from exc
         ratio = model.lam[y - 1] / reg.at_samples
+        clock.lap("regression")
         if surface is not None:
             s = np.asarray(surface.sigma(n * dt, x), dtype=float)
             diff2 = ratio * s * s
@@ -292,16 +303,20 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         dw = gauss_rng.normal(size=x.size) * math.sqrt(dt)
         x += np.sqrt(diff2) * dw
         qv += diff2 * dt
+        clock.lap("draws")
         if jumps:
-            _thinning(x, y, model, dt, jump_rng, table)
+            _thinning(x, y, model.q, dt, jump_rng, bound)
+        clock.lap("thinning")
         if not np.all(np.isfinite(x)):
             raise NumericalError("particle positions are no longer finite", n + 1)
         ratios.append(float(ratio.mean()))
         record(n + 1)
+        clock.lap("record")
 
     return SimResult(times=np.asarray(times), X=np.asarray(xs),
                      Y=np.asarray(ys), qv=np.asarray(qvs),
-                     gyongy_ratio=np.asarray(ratios), occupancy=np.asarray(occ))
+                     gyongy_ratio=np.asarray(ratios), occupancy=np.asarray(occ),
+                     phase_s=clock.phase_s)
 
 
 def price_calls(x, strikes, r: float, T: float):

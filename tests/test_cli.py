@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from rslv_lab import cli
 from rslv_lab.dupire import dupire_from_calls
 from rslv_lab.fokker_planck import solve_lv
+from rslv_lab.particles import PHASES
 from rslv_lab.regime_model import Measure
 from rslv_lab.stats import bs_call
 
@@ -156,12 +157,15 @@ class TestCheckC:
 
 
 class TestSolveCommands:
-    def test_solve_fbm_outputs(self, tmp_path):
+    def test_solve_fbm_outputs(self, tmp_path, capsys):
         cfg = small_solve_config(tmp_path)
         assert cli.main(["solve-fbm", str(cfg)]) == 0
         out = tmp_path / "out"
         meta = json.loads((out / "fbm_metadata.json").read_text())
         assert meta["diagnostics"]["heat_l1_max"] <= 5e-3
+        step_min = meta["diagnostics"]["step_min_value"]
+        assert step_min <= min(meta["diagnostics"]["min_value"])
+        assert capsys.readouterr().out.endswith(f", step min {step_min:.3g})\n")
         assert len(meta["snapshots"]) == 3
         snap = (out / meta["snapshots"][-1]["file"]).read_text().splitlines()
         assert snap[0] == "x,p_1,p_2,sum,heat_ref"
@@ -268,6 +272,7 @@ class TestSimulateCommands:
         assert len(rows) == 501
         diag = json.loads((out / "simulate_fbm_diagnostics.json").read_text())
         assert diag["n_particles"] == 500
+        assert tuple(diag["phase_s"]) == PHASES
 
     def test_checkpoint_defaults_to_the_horizon(self, tmp_path):
         cfg = small_sim_config(tmp_path, extra={
@@ -578,8 +583,8 @@ HOSTILE = [None, ("horizon", "r", 1e30), ("horizon", "r", -1e30), ("horizon", "r
 
 
 @st.composite
-def run_configs(draw, command):
-    """A small config that ``command`` reads, at most one value of it hostile."""
+def run_configs(draw, command, hostile):
+    """A small config that ``command`` reads, with the ``hostile`` value, if any."""
     d = draw(st.integers(2, 3))
     levels = st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)
     weights = draw(levels)
@@ -618,7 +623,6 @@ def run_configs(draw, command):
                {"kind": "tabulated", "t": [0.0, T], "x": [-1.0, 0.0, 1.0],
                 "values": [[0.3, 0.2, 0.25], [0.25, 0.2, 0.3]]}])),
            "strikes": [0.9, 1.0, 1.1]}
-    hostile = draw(st.sampled_from(HOSTILE))
     if hostile:
         section, key, value = hostile
         for name in (("pds", "sim") if section == "step" else (section,)):
@@ -629,11 +633,14 @@ def run_configs(draw, command):
     return cfg
 
 
-@pytest.mark.parametrize("command", RUNNABLE)
-@settings(max_examples=10, deadline=None, derandomize=True)
+# every hostile value meets every command; hypothesis draws the rest
+@pytest.mark.parametrize("command,hostile", [
+    pytest.param(c, h, id=c if h is None else f"{c}-{h[1]}={h[2]!r}")
+    for c in RUNNABLE for h in HOSTILE])
+@settings(max_examples=2, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_run_commands_exit_cleanly_and_rerun_identically(command, data):
-    cfg = data.draw(run_configs(command))
+def test_run_commands_exit_cleanly_and_rerun_identically(command, hostile, data):
+    cfg = data.draw(run_configs(command, hostile))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "config.json"), Path(tmp, "out")
         path.write_text(json.dumps(cfg))

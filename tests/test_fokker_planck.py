@@ -239,6 +239,20 @@ class TestOutputs:
         meta = write_snapshots(sol, tmp_path, np.zeros((3, grid.m)), "rslv")
         assert meta["diagnostics"]["phase_s"] == diag.phase_s
 
+    def test_step_minimum_sees_the_undershoot_between_outputs(self, tmp_path):
+        # a sharp start undershoots within its first steps and has recovered
+        # by the one output at T
+        grid, horizon = SpatialGrid(L=3.0, m=601), HorizonConfig(T=0.05)
+        sols = [solve_fbm(model_14(), PDSConfig(dt=1e-3, sigma_mollify=0.02, output_times=t),
+                          grid, horizon, Measure.point(0.0))
+                for t in ((0.05,), tuple(k * 1e-3 for k in range(51)))]
+        every = sols[1].diagnostics.min_value.min()
+        diag = sols[0].diagnostics
+        assert every < -1e-3 < diag.min_value.min()
+        assert diag.step_min_value == sols[1].diagnostics.step_min_value == every
+        meta = write_snapshots(sols[0], tmp_path, np.zeros((2, grid.m)), "fbm")
+        assert meta["diagnostics"]["step_min_value"] == every
+
     def test_record_diagnostics_are_read_off_the_records(self):
         # d = 3 with x-dependent Q and a tabulated surface; an atom near the
         # edge puts mass in the outermost cells

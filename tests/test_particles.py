@@ -1,6 +1,7 @@
 """Particle simulator: determinism, kernel regression, thinning and pricing."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rslv_lab.fokker_planck import NumericalError
-from rslv_lab.particles import (SimPlan, _switch_table, _thinning, cond_expect_f2,
-                                init_ensemble, price_calls, simulate)
+from rslv_lab.dupire import VolSurface
+from rslv_lab.particles import (PHASES, SimPlan, _leaving_bound, _switch_table,
+                                _thinning, cond_expect_f2, init_ensemble, price_calls,
+                                simulate)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -162,6 +165,16 @@ class TestStepAndSimulate:
         res = simulate(model, plan, HorizonConfig(T=1.0))
         assert np.abs(res.occupancy[:, 0] - 0.5).max() <= 4.0 / math.sqrt(n)
 
+    def test_phase_times(self):
+        plan = SimPlan(dt=1e-2, n_particles=500, checkpoints=(0.05, 0.1), seed=2)
+        start = time.perf_counter()
+        res = simulate(model_14(q=SYM_Q), plan, HorizonConfig(T=0.1),
+                       surface=VolSurface.constant(0.2))
+        wall = time.perf_counter() - start
+        assert tuple(res.phase_s) == PHASES
+        assert all(v > 0.0 for v in res.phase_s.values())
+        assert sum(res.phase_s.values()) <= wall
+
     def test_thinning_respects_the_step_bound(self):
         fast = IntensityTable(rates=np.array([[0.0, 60.0], [60.0, 0.0]]))
         plan = SimPlan(dt=2e-2, n_particles=500, seed=1)
@@ -285,29 +298,73 @@ def thinning_by_full_gather(x, y, model, dt, rng):
     return y
 
 
-@pytest.mark.parametrize("tabulated", [False, True], ids=["constant", "tabulated"])
+def intensity_case(case, d, rng):
+    """An IntensityTable of the named shape with off-diagonal rates in [0, 5)."""
+    if case == "constant":
+        return IntensityTable(rates=rng.uniform(0.0, 5.0, (d, d)))
+    if case == "one-node":
+        return IntensityTable(rates=rng.uniform(0.0, 5.0, (1, d, d)), x=np.array([0.4]))
+    rates = rng.uniform(0.0, 5.0, (4, d, d))
+    if case == "zero-row":
+        rates[:, 1] = 0.0       # regime 2 never leaves, at any node
+    return IntensityTable(rates=rates, x=np.array([-1.0, -0.2, 0.3, 1.0]))
+
+
+@pytest.mark.parametrize("case", ["constant", "one-node", "tabulated", "zero-row"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_thinning_matches_the_full_gather(d, tabulated):
+def test_thinning_matches_the_full_gather(d, case):
     rng = np.random.default_rng(d)
-    if tabulated:
-        q = IntensityTable(rates=rng.uniform(0.0, 5.0, (4, d, d)),
-                           x=np.array([-1.0, -0.2, 0.3, 1.0]))
-    else:
-        q = IntensityTable(rates=rng.uniform(0.0, 5.0, (d, d)))
+    q = intensity_case(case, d, rng)
     model = RegimeModel(lam=np.arange(1.0, d + 1.0), alpha=np.full(d, 1.0 / d), q=q)
+    # almost every particle is a candidate
     dt = 0.9 / ((d - 1) * q.qbar)
+    bound = _leaving_bound(q, dt)
     n = 4000
     x = rng.standard_normal(n)
     y_ref = rng.integers(1, d + 1, n)
     y = y_ref.copy()
     rng_ref, rng_new = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
-    table = None if tabulated else _switch_table(q.rates[0].copy(), np.arange(d), dt)
     switched = 0
     for _ in range(50):
         before = y.copy()
         y_ref = thinning_by_full_gather(x, y_ref, model, dt, rng_ref)
-        _thinning(x, y, model, dt, rng_new, table)
+        _thinning(x, y, q, dt, rng_new, bound)
         assert np.array_equal(y, y_ref)
         switched += np.count_nonzero(y != before)
+        if case == "zero-row":
+            assert np.all(before[y != before] != 2)
         x += 0.2 * rng.standard_normal(n)
-    assert switched > 50 * n // 10
+    # regime 2 absorbs every particle of a zero row within a few steps
+    assert switched > (n // 4 if case == "zero-row" else 50 * n // 10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_leaving_bound_dominates_every_row_between_the_nodes(d):
+    # each node permutes the same rates within a row, so every node has the
+    # same leaving probability and a row read between two nodes rounds
+    # above it about as often as below
+    rng = np.random.default_rng(10 + d)
+    base = rng.uniform(0.0, 5.0, (d, d))
+    q = IntensityTable(rates=np.stack([rng.permuted(base, axis=1) for _ in range(3)]),
+                       x=np.array([-0.5, 0.1, 0.7]))
+    dt = 0.9 / ((d - 1) * q.qbar)
+    bound = _leaving_bound(q, dt)
+    x = rng.uniform(-0.6, 0.8, 100_000)
+    rows = rng.integers(0, d, x.size)
+    leave = _switch_table(q.rates_from(rows, x), rows, dt)[:, -1]
+    assert np.all(leave < bound[rows])
+
+
+@pytest.mark.parametrize("surface", [None, VolSurface.constant(0.2)], ids=["fbm", "rslv"])
+def test_one_node_q_switches_as_the_same_q_at_two_nodes(surface):
+    rates = np.array([[0.0, 3.0, 1.0], [0.5, 0.0, 2.0], [4.0, 0.2, 0.0]])
+    plan = SimPlan(dt=2e-3, n_particles=2000, checkpoints=(0.1, 0.2), seed=3)
+    results = []
+    for q in (IntensityTable(rates=rates),
+              IntensityTable(rates=np.stack([rates, rates]), x=np.array([-0.3, 0.2]))):
+        model = RegimeModel(lam=[1.0, 2.0, 4.0], alpha=[0.6, 0.3, 0.1], q=q)
+        results.append(simulate(model, plan, HorizonConfig(T=0.2), surface=surface))
+    one, two = results
+    assert np.count_nonzero(one.Y[-1] != one.Y[0]) > plan.n_particles // 10
+    for name in ("X", "Y", "qv"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
