@@ -3,7 +3,8 @@
 Subcommands: check-c, solve-fbm, solve-rslv, solve-lv, solve-jump,
 simulate-fbm, simulate-rslv, simulate-jump, dupire-build, verify.
 Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
-verification; 2 invalid input or configuration; 3 numerical failure.
+verification; 2 invalid input or configuration, an input whose arrays cannot
+be allocated included; 3 numerical failure.
 RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
 minimum (condition_c.sample_quadratic_min); nothing else is threaded here.
 """
@@ -298,17 +299,17 @@ def _dynamics(args, cfg: dict):
 
     The inputs pick the dynamics: a surface adds the drifts and the model's
     q the regime switching.  ``*-rslv`` and solve-lv read the surface
-    section, solve-lv has no model, ``*-jump`` needs q, solve-fbm refuses q
-    and simulate-fbm runs without it.
+    section, solve-lv has no model, ``*-jump`` needs a nonzero q, solve-fbm
+    refuses one and simulate-fbm runs with the zero Q.
     """
     command = args.command
     kind = command.split("-", 1)[1]
     model = surface = None
     if kind != "lv":
         model = _section(cfg, "model")
-        if kind == "jump" and model.q is None:
-            raise ConfigError(f"{command} needs the intensities q in the model section")
-        if command == "solve-fbm" and model.q is not None:
+        if kind == "jump" and model.q.qbar == 0:
+            raise ConfigError(f"{command} needs nonzero intensities q in the model section")
+        if command == "solve-fbm" and model.q.qbar > 0:
             raise ConfigError("solve-fbm has no regime switching; use solve-jump")
         if command == "simulate-fbm":
             model = replace(model, q=None)
@@ -489,7 +490,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ArbitrageError, CertificateError, ValueError, OSError) as exc:
+    except (ConfigError, ArbitrageError, CertificateError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,11 @@ with central finite differences and a repair policy for degenerate nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .regime_model import node_slopes, read_table
 
 __all__ = ["VolSurface", "ArbitrageError", "DupireBuildReport",
            "dupire_from_calls"]
@@ -37,9 +39,9 @@ class ArbitrageError(ValueError):
 class VolSurface:
     """Bounded local-volatility function on log-price coordinates.
 
-    A (t, x) table, read by bilinear interpolation with clamped
-    extrapolation; a flat surface is the one-node table.  Every evaluation
-    is clamped to [sigma_low, sigma_high].
+    A (t, x) table, read by np.interp in t (read_table), then np.interp in
+    x, both with clamped extrapolation; a flat surface is the one-node
+    table.  Every evaluation is clamped to [sigma_low, sigma_high].
     """
 
     t: np.ndarray
@@ -47,6 +49,8 @@ class VolSurface:
     values: np.ndarray
     sigma_low: float = 0.01
     sigma_high: float = 2.0
+    slopes: np.ndarray = field(init=False, repr=False)    # node_slopes in t
+    dx_step: float = field(init=False, repr=False)        # dsigma_dx's step
 
     def __post_init__(self):
         if not 0 < self.sigma_low <= self.sigma_high < np.inf:
@@ -54,17 +58,19 @@ class VolSurface:
         t = np.atleast_1d(np.asarray(self.t, dtype=float))
         x = np.asarray(self.x, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or x.ndim != 1 or v.shape != (t.size, x.size):
+        if t.ndim != 1 or x.ndim != 1 or 0 in v.shape or v.shape != (t.size, x.size):
             raise ValueError("tabulated surface needs values of shape (len(t), len(x))")
         if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(v).all()):
             raise ValueError("tabulated surface nodes and values must be finite")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
+        if np.any(np.diff(t) <= 0):
             raise ValueError("t nodes must be strictly increasing")
         if np.any(np.diff(x) <= 0):
             raise ValueError("x nodes must be strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "slopes", node_slopes(t, v))
+        object.__setattr__(self, "dx_step", 0.5 * np.min(np.diff(x), initial=x[-1] - x[0] + 1.0))
 
     @classmethod
     def constant(cls, value: float, **bounds) -> "VolSurface":
@@ -75,28 +81,19 @@ class VolSurface:
 
     def sigma(self, t, x):
         """Clamped sigma_tilde(t, x); accepts scalars or arrays in x."""
-        tn, xn, v = self.t, self.x, self.values
-        if tn.size == 1:
-            row = v[0]
-        else:
-            tc = min(max(float(t), tn[0]), tn[-1])
-            # tc >= tn[0], so the bracket index is never below 0
-            it = min(int(np.searchsorted(tn, tc, side="right") - 1), tn.size - 2)
-            w = (tc - tn[it]) / (tn[it + 1] - tn[it])
-            row = (1.0 - w) * v[it] + w * v[it + 1]
-        out = np.clip(np.interp(np.asarray(x, dtype=float), xn, row),
+        row = read_table(t, self.t, self.values, self.slopes)
+        out = np.clip(np.interp(np.asarray(x, dtype=float), self.x, row),
                       self.sigma_low, self.sigma_high)
         return float(out) if np.ndim(out) == 0 else out
 
     def dsigma_dx(self, t, x):
         """Spatial derivative by central differencing of the clamped surface.
 
-        The step is half the finest node gap.  The span plus one exceeds
-        every gap and stands in for the gap of a one-node x axis, whose
-        difference is then exactly 0.
+        The step, ``dx_step``, is half the finest node gap.  The span plus one
+        exceeds every gap and stands in for the gap of a one-node x axis,
+        whose difference is then exactly 0.
         """
-        x = np.asarray(x, dtype=float)
-        step = 0.5 * float(np.min(np.diff(self.x), initial=self.x[-1] - self.x[0] + 1.0))
+        x, step = np.asarray(x, dtype=float), self.dx_step
         return (self.sigma(t, x + step) - self.sigma(t, x - step)) / (2.0 * step)
 
 

@@ -7,7 +7,7 @@ Three systems share one linearised backward-Euler stepper:
             + (v', 1/2 R_eps(p+) s (s + 2 s_x) Lam p) + (v', s^2 A_eps(p+) p') = (Qv, p)
   * "lv":   the scalar analogue of "rslv" (d = 1, A = 1/2, R = 1)
 
-with s = sigma_tilde(t, x); a model without intensities has no (Qv, p).
+with s = sigma_tilde(t, x); a model without intensities has the zero Q.
 Diffusion and exchange are treated implicitly with coefficients frozen at
 the current iterate; the drift terms are explicit.  The boundary is
 zero-flux (natural) on [-L, L], which preserves mass exactly; degrees of
@@ -30,7 +30,8 @@ import numpy as np
 
 from .banded import solve_block_tridiag
 from .dupire import VolSurface
-from .regime_model import (Measure, RegimeModel, a_eps_batch, ratio_r_eps_batch)
+from .regime_model import (IntensityTable, Measure, RegimeModel, a_eps_batch,
+                           ratio_r_eps_batch)
 
 __all__ = [
     "SpatialGrid",
@@ -88,7 +89,8 @@ class PDSConfig:
     """Step size and output cadence for one PDS solve.
 
     sigma_mollify is the width of the initial heat-kernel mollification,
-    finite and non-negative (required positive for atomic data).
+    finite and non-negative (required positive for atomic data).  Without
+    output_times, n_outputs >= 2 equally spaced times from 0 to T are recorded.
     """
 
     dt: float
@@ -101,6 +103,8 @@ class PDSConfig:
             raise ValueError("time step must be positive")
         if not 0 <= self.sigma_mollify < math.inf:
             raise ValueError("mollification width must be non-negative and finite")
+        if self.n_outputs < 2:
+            raise ValueError("n_outputs must be at least 2 (the start and the horizon)")
 
 
 # where a grid step spends its time: the operator's coefficient field and
@@ -242,7 +246,7 @@ class _Operator:
     """Built once per solve: eps, the step-invariant mass blocks and the exchange blocks."""
 
     def __init__(self, lam: np.ndarray, grid: SpatialGrid, dt: float, r: float,
-                 surface: VolSurface | None, q_table):
+                 surface: VolSurface | None, q: IntensityTable):
         self.lam, self.h, self.dt, self.r, self.surface = lam, grid.h, dt, r, surface
         self.x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
         # regularise A_eps far below any attained sum(lam * p) away from the tails
@@ -252,11 +256,9 @@ class _Operator:
         self.mass_off = (grid.h / 6.0) * eye
         # exchange coupling per cell, transposed so rows act on the test-function
         # regime; contiguous, as a transposed view costs twice as much per step
-        self.q_diag = self.q_off = None
-        if q_table is not None:
-            c_mid = np.ascontiguousarray(np.swapaxes(q_table.value(self.x_mid), -1, -2))
-            self.q_diag = dt * (grid.h / 3.0) * c_mid
-            self.q_off = dt * (grid.h / 6.0) * c_mid
+        c_mid = np.ascontiguousarray(np.swapaxes(q.value(self.x_mid), -1, -2))
+        self.q_diag = dt * (grid.h / 3.0) * c_mid
+        self.q_off = dt * (grid.h / 6.0) * c_mid
 
     def field(self, U: np.ndarray, t: float):
         """(cell means pm of U, diffusion field frozen at pm, drift velocity or None)."""
@@ -281,10 +283,9 @@ class _Operator:
         diag[:-1] += cf
         diag[1:] += cf
         off = self.mass_off - cf
-        if self.q_diag is not None:
-            diag[:-1] -= self.q_diag
-            diag[1:] -= self.q_diag
-            off -= self.q_off
+        diag[:-1] -= self.q_diag
+        diag[1:] -= self.q_diag
+        off -= self.q_off
         if b_e is not None:
             # an overflowing flux is reported by the finiteness check below
             with np.errstate(over="ignore", invalid="ignore"):
@@ -306,7 +307,7 @@ class _Observer:
         if config.output_times is not None:
             self.out_steps = {step_at(t, T, n_steps) for t in config.output_times}
         else:
-            times = np.linspace(0.0, T, max(2, config.n_outputs))
+            times = np.linspace(0.0, T, config.n_outputs)
             steps = np.clip(np.round(times / self.dt).astype(int), 0, n_steps)
             self.out_steps = set(steps.tolist())
         self.tw = grid.trapezoid_weights()
@@ -360,11 +361,11 @@ class _Observer:
 
 
 def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: SpatialGrid,
-             horizon, config: PDSConfig,
-             surface: VolSurface | None = None, q_table=None) -> GridSolution:
+             horizon, config: PDSConfig, q: IntensityTable,
+             surface: VolSurface | None = None) -> GridSolution:
     """Step the projected initial law to the horizon: operator, banded solve, observer."""
     n_steps, dt = step_grid(horizon.T, config.dt)
-    operator = _Operator(lam, grid, dt, horizon.r, surface, q_table)
+    operator = _Operator(lam, grid, dt, horizon.r, surface, q)
     U = _project_initial(initial, config.sigma_mollify, grid, alpha)    # (m, d)
     observer = _Observer(grid, U, horizon.T, n_steps, config)
     for step in range(1, n_steps + 1):
@@ -384,23 +385,23 @@ def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: Spatial
 
 def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
               horizon, initial: Measure) -> GridSolution:
-    """Driftless sub-density system; the model's q, if any, adds the exchange (Qv, p)."""
-    return _advance(model.lam, model.alpha, initial, grid, horizon, config,
-                    q_table=model.q)
+    """Driftless sub-density system with the exchange (Qv, p) of the model's q."""
+    return _advance(model.lam, model.alpha, initial, grid, horizon, config, model.q)
 
 
 def solve_rslv(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
                horizon, surface: VolSurface, initial: Measure) -> GridSolution:
-    """Full system with rate drift, leverage drift, scaled diffusion and jumps."""
-    return _advance(model.lam, model.alpha, initial, grid, horizon, config,
-                    surface=surface, q_table=model.q)
+    """Full system with rate drift, leverage drift, scaled diffusion and switching."""
+    return _advance(model.lam, model.alpha, initial, grid, horizon, config, model.q,
+                    surface=surface)
 
 
 def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
              surface: VolSurface, initial: Measure) -> GridSolution:
     """Scalar local-volatility equation (the d = 1 reduction of the full system)."""
     one = np.ones(1)
-    return _advance(one, one, initial, grid, horizon, config, surface=surface)
+    return _advance(one, one, initial, grid, horizon, config,
+                    IntensityTable(np.zeros((1, 1))), surface=surface)
 
 
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:

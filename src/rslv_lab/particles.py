@@ -8,8 +8,8 @@ discretisation of a McKean-type SDE.  The inputs pick the dynamics:
   * a surface:   dX = (r - lam_Y/Ehat * s^2 / 2) dt + sqrt(lam_Y/Ehat) s dW,
                  s = sigma_tilde(t, X) (the calibrated RSLV model)
 
-and Y, drawn from alpha at t = 0, switches with the intensities q_ij(X) when
-the model has them and stays put otherwise.
+and Y, drawn from alpha at t = 0, switches with the model's intensities
+q_ij(X); under the zero Q of a model built without q it stays put.
 
 Per-path quadratic variation accumulates the Riemann sum of the squared
 diffusion coefficient.  Randomness comes from three counter-based streams
@@ -52,7 +52,7 @@ PHASES = ("regression", "draws", "thinning", "record")
 class SimPlan:
     """Step size, kernel-regression parameters and output cadence.
 
-    ``checkpoints`` None records the horizon only.
+    ``checkpoints`` None records the horizon only; an empty tuple is refused.
     """
 
     dt: float
@@ -71,6 +71,8 @@ class SimPlan:
             raise ValueError("regression grid needs at least two nodes")
         if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0):
             raise ValueError("bandwidth constant must be positive and finite")
+        if self.checkpoints is not None and len(self.checkpoints) == 0:
+            raise ValueError("checkpoints must name at least one time")
 
 
 @dataclass(frozen=True)
@@ -260,13 +262,12 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     """
     T, r = horizon.T, horizon.r
     n_steps, dt = step_grid(T, plan.dt)
-    jumps = model.q is not None
-    if jumps and dt * (model.d - 1) * model.q.qbar >= 1.0:
+    if dt * (model.d - 1) * model.q.qbar >= 1.0:
         raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
                          f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
-    bound = _leaving_bound(model.q, dt) if jumps else None
+    bound = _leaving_bound(model.q, dt)
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
@@ -304,7 +305,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         x += np.sqrt(diff2) * dw
         qv += diff2 * dt
         clock.lap("draws")
-        if jumps:
+        if bound.any():     # a zero bound switches nobody: skip its uniforms
             _thinning(x, y, model.q, dt, jump_rng, bound)
         clock.lap("thinning")
         if not np.all(np.isfinite(x)):

@@ -11,7 +11,7 @@ functions of their inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,28 @@ __all__ = [
 ]
 
 _ALPHA_TOL = 1e-12
+
+
+def node_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """read_table's slopes of ``values`` (k, ...) at ``nodes`` (k,): np.interp's
+    (f_{j+1} - f_j) / (x_{j+1} - x_j), then an unused 0 (the last node is a hit)."""
+    gaps = np.diff(nodes).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.concatenate([np.diff(values, axis=0) / gaps, np.zeros_like(values[:1])])
+
+
+def read_table(x, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+               rows=None) -> np.ndarray:
+    """np.interp of each entry of ``values`` (k, ...) at x clipped to the strictly
+    increasing ``nodes`` (k,): one searchsorted bracket, then slope_j * (x - x_j)
+    + f_j inside, f_j itself on a node (slope_j * 0 + f_j would turn -0.0 into
+    0.0).  ``rows`` gathers only entry rows[n] of the second axis at x[n]."""
+    xc = np.clip(x, nodes[0], nodes[-1])
+    j = np.searchsorted(nodes, xc, side="right") - 1
+    at = j if rows is None else (j, rows)
+    f = values[at]
+    off = xc - nodes[j]
+    shape = off.shape + (1,) * (f.ndim - off.ndim)
+    return np.where((off == 0.0).reshape(shape), f, slopes[at] * off.reshape(shape) + f)
 
 
 @dataclass(frozen=True)
@@ -41,6 +63,7 @@ class IntensityTable:
 
     rates: np.ndarray
     x: np.ndarray | None = None
+    slopes: np.ndarray = field(init=False, repr=False)    # node_slopes of the table
 
     def __post_init__(self):
         rates = np.array(self.rates, dtype=float)
@@ -61,6 +84,7 @@ class IntensityTable:
         rates[:, diag, diag] = -rates.sum(axis=2)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "slopes", node_slopes(x, rates))
 
     @property
     def d(self) -> int:
@@ -73,32 +97,11 @@ class IntensityTable:
 
     def value(self, x) -> np.ndarray:
         """Q(x): a d x d matrix, or one per entry of an array x."""
-        return self._interp(x)
+        return read_table(x, self.x, self.rates, self.slopes)
 
     def rates_from(self, y_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Outgoing rate rows q_{y, .}(x) for 0-based regime indices y."""
-        return self._interp(x, y_idx)
-
-    def _interp(self, x, rows=None) -> np.ndarray:
-        """np.interp of every entry over the nodes, at x clipped to the table.
-
-        One searchsorted bracket for all entries, with np.interp's arithmetic:
-        slope_j * (x - x_j) + f_j on x_j < x < x_{j+1}, and f_j itself on a
-        node and at the right end (where slope_j * 0 + f_j would turn a -0.0
-        into 0.0).  ``rows`` gathers only row rows[n] of Q(x[n]).
-        """
-        xp = self.x
-        xc = np.clip(x, xp[0], xp[-1])
-        j = np.searchsorted(xp, xc, side="right") - 1
-        # the zero slope past the right end is never used: that node is a hit
-        slopes = np.concatenate([np.diff(self.rates, axis=0) / np.diff(xp)[:, None, None],
-                                 np.zeros_like(self.rates[:1])])
-        at = j if rows is None else (j, rows)
-        f = self.rates[at]
-        off = xc - xp[j]
-        shape = off.shape + (1,) * (f.ndim - off.ndim)
-        return np.where((off == 0.0).reshape(shape), f,
-                        slopes[at] * off.reshape(shape) + f)
+        return read_table(x, self.x, self.rates, self.slopes, y_idx)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class RegimeModel:
 
     lam: np.ndarray
     alpha: np.ndarray
-    q: IntensityTable | None = None
+    q: IntensityTable | None = None     # None is the zero Q: no switching
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -120,10 +123,12 @@ class RegimeModel:
             raise ValueError("alpha must be non-negative with one entry per regime")
         if abs(alpha.sum() - 1.0) > _ALPHA_TOL:
             raise ValueError("alpha must sum to 1 within 1e-12")
-        if self.q is not None and self.q.d != lam.size:
+        q = self.q or IntensityTable(np.zeros((lam.size, lam.size)))
+        if q.d != lam.size:
             raise ValueError("intensity table dimension does not match lam")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "q", q)
 
     @property
     def d(self) -> int:

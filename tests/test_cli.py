@@ -428,6 +428,9 @@ BAD_SECTIONS = [
     pytest.param("simulate-fbm", "sim", {"checkpoints": [0.055]}, id="sim-off-grid-time"),
     pytest.param("simulate-fbm", "sim", {"checkpoints": [5.0]}, id="sim-time-past-T"),
     pytest.param("simulate-fbm", "sim", {"bandwidth_c": 0.0}, id="sim-zero-bandwidth"),
+    pytest.param("simulate-fbm", "sim", {"checkpoints": []}, id="sim-empty-checkpoints"),
+    pytest.param("solve-fbm", "pds", {"n_outputs": 1}, id="pds-one-output"),
+    pytest.param("solve-fbm", "pds", {"n_outputs": -3}, id="pds-negative-outputs"),
     pytest.param("simulate-fbm", "initial", {"x": float("inf")},
                  id="simulate-infinite-point"),
     pytest.param("solve-jump", "model", {"q": [[0.0, math.nan], [1.0, 0.0]]},
@@ -570,6 +573,44 @@ def test_one_node_q_is_the_constant_q(tmp_path, command):
         assert cli.main([command, str(path), "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_zero_q_is_no_switching(tmp_path):
+    path = Path(contract_config(tmp_path, False, False))
+    cfg = json.loads(path.read_text())
+    outputs = {}
+    for q in (None, [[0.0, 0.0], [0.0, 0.0]]):
+        if q is not None:
+            cfg["model"]["q"] = q
+        path.write_text(json.dumps(cfg))
+        for command in ("solve-fbm", "simulate-fbm"):
+            out = tmp_path / f"{command}-{q is None}"
+            assert cli.main([command, str(path), "--out", str(out)]) == 0
+            outputs.setdefault(command, []).append(
+                {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    for command in ("solve-jump", "simulate-jump"):
+        assert cli.main([command, str(path), "--out", str(tmp_path / command)]) == 2
+        assert not (tmp_path / command).exists()
+    for first, second in outputs.values():
+        assert first and first == second
+
+
+# each key that asks for an array far larger than any memory: numpy refuses
+# 1e15 elements, 8 PB, beyond any address space, before it touches memory
+# (sizes near 1e8-1e10 could allocate)
+@pytest.mark.parametrize("command,section,key", [
+    ("solve-fbm", "grid", "m"), ("solve-fbm", "pds", "n_outputs"),
+    ("simulate-fbm", "sim", "n_particles")])
+def test_allocation_that_cannot_succeed_is_a_config_error(tmp_path, capsys, command,
+                                                          section, key):
+    path = Path(contract_config(tmp_path, False, False))
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = 10 ** 15
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # each command with a q and a surface that it runs on

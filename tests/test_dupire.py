@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rslv_lab.dupire import ArbitrageError, VolSurface, dupire_from_calls
 from rslv_lab.stats import bs_call
@@ -9,6 +10,30 @@ from rslv_lab.stats import bs_call
 
 def bs_grid(s0, vol, r, ts, ks):
     return np.array([[bs_call(s0, k, vol, t, r) for k in ks] for t in ts])
+
+
+def nodes_and_probes(draw, k):
+    """k sorted distinct nodes, and probes on, between, inside and outside them."""
+    nodes = np.sort(np.array(draw(st.lists(
+        st.floats(-5.0, 5.0, allow_subnormal=False), min_size=k, max_size=k, unique=True))))
+    inside = draw(st.lists(st.floats(nodes[0], nodes[-1]), min_size=1, max_size=4))
+    probes = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), inside,
+                             [nodes[0] - 1.0, nodes[-1] + 1.0, -np.inf, np.inf]])
+    return nodes, probes
+
+
+@st.composite
+def surface_case(draw):
+    ts, t_probes = nodes_and_probes(draw, draw(st.integers(1, 5)))
+    xs, x_probes = nodes_and_probes(draw, draw(st.integers(1, 6)))
+    values = np.array(draw(st.lists(st.floats(0.005, 2.5), min_size=ts.size * xs.size,
+                                    max_size=ts.size * xs.size))).reshape(ts.size, xs.size)
+    return VolSurface(ts, xs, values, sigma_low=0.01, sigma_high=2.0), t_probes, x_probes
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestSurface:
@@ -30,6 +55,21 @@ class TestSurface:
         assert v == pytest.approx(0.5)
         s2 = VolSurface.constant(v, sigma_low=0.01, sigma_high=0.5)
         assert s2.sigma(0.0, 0.0) == pytest.approx(v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(surface_case())
+    def test_bit_equal_to_interp_in_t_then_in_x(self, case):
+        s, t_probes, x_probes = case
+        for t in t_probes:
+            row = [np.interp(t, s.t, s.values[:, j]) for j in range(s.x.size)]
+            ref = np.clip(np.interp(x_probes, s.x, row), 0.01, 2.0)
+            assert same_bits(s.sigma(t, x_probes), ref)
+            assert same_bits(s.sigma(t, x_probes[0]), ref[0])
+
+    def test_empty_axis_is_refused(self):
+        for t, x in (([], [0.0]), ([0.0], [])):
+            with pytest.raises(ValueError):
+                VolSurface(t, x, np.zeros((len(t), len(x))))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rslv_lab.dupire import VolSurface
 from rslv_lab.regime_model import (
     HorizonConfig, IntensityTable, Measure, RegimeModel, a_eps_batch, ratio_r_eps_batch,
 )
@@ -235,6 +236,16 @@ class TestModelTypes:
             np.testing.assert_array_equal(table.rates_from(np.array([2, 0]), x[:2]),
                                           q.rates[0][[2, 0]])
 
+    def test_a_model_without_q_has_the_zero_q(self):
+        for model in (model2(), RegimeModel(lam=[1.0, 2.0, 3.0], alpha=[0.5, 0.25, 0.25],
+                                            q=None)):
+            q = model.q
+            assert isinstance(q, IntensityTable) and q.qbar == 0.0
+            assert q.x.tolist() == [0.0] and q.rates.shape == (1, model.d, model.d)
+            np.testing.assert_array_equal(q.value(np.array([-1.0, 2.0])), 0.0)
+        with pytest.raises(ValueError):
+            RegimeModel(lam=[1.0, 2.0, 3.0], alpha=[0.5, 0.25, 0.25], q=model2().q)
+
     def test_intensity_validation(self):
         with pytest.raises(ValueError):
             IntensityTable(rates=np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -305,6 +316,21 @@ class TestIntensityInterpolation:
         assert same_bits(table.rates_from(rows, x), ref[np.arange(x.size), rows])
         for v, r in zip(x, ref):
             assert same_bits(table.value(v), r)
+
+    def test_a_read_builds_no_slopes(self, monkeypatch):
+        table = IntensityTable(rates=np.arange(27.0).reshape(3, 3, 3), x=[-1.0, 0.0, 2.0])
+        surface = VolSurface([0.0, 1.0], [-1.0, 0.0, 1.0], [[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
+        x = np.linspace(-3.0, 3.0, 13)
+        expected = (table.value(x), table.rates_from(x.astype(int) % 3, x),
+                    surface.sigma(0.4, x), surface.dsigma_dx(0.4, x))
+
+        def no_diff(*args, **kwargs):
+            raise AssertionError("np.diff on a read")
+        monkeypatch.setattr(np, "diff", no_diff)
+        got = (table.value(x), table.rates_from(x.astype(int) % 3, x),
+               surface.sigma(0.4, x), surface.dsigma_dx(0.4, x))
+        for a, b in zip(got, expected):
+            assert same_bits(a, b)
 
     def test_zero_row_keeps_its_signed_zero_on_nodes(self):
         table = IntensityTable(rates=np.zeros((3, 2, 2)), x=np.array([-1.0, 0.0, 1.0]))
