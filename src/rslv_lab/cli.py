@@ -6,7 +6,9 @@ Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
 verification; 2 invalid input or configuration, an input whose arrays cannot
 be allocated included; 3 numerical failure.
 RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
-minimum (condition_c.sample_quadratic_min); nothing else is threaded here.
+minimum (condition_c.sample_quadratic_min); at 2 or more, simulate-* also
+draws each particle step's random numbers on one helper thread.  Runs are
+deterministic either way.
 """
 
 from __future__ import annotations

@@ -93,8 +93,14 @@ class VolSurface:
         exceeds every gap and stands in for the gap of a one-node x axis,
         whose difference is then exactly 0.
         """
+        return self.sigma_dx(t, x)[1]
+
+    def sigma_dx(self, t, x):
+        """(sigma(t, x), dsigma_dx(t, x)) from one sigma call at the stacked
+        x - dx_step, x, x + dx_step, so the t row is read once."""
         x, step = np.asarray(x, dtype=float), self.dx_step
-        return (self.sigma(t, x + step) - self.sigma(t, x - step)) / (2.0 * step)
+        lo, mid, hi = self.sigma(t, np.stack([x - step, x, x + step]))
+        return mid, (hi - lo) / (2.0 * step)
 
 
 @dataclass(frozen=True)

@@ -269,8 +269,7 @@ class _Operator:
             a_e = a_eps_batch(pm, self.lam, self.eps)
             if self.surface is None:
                 return pm, a_e, None
-            s_e = np.asarray(self.surface.sigma(t, self.x_mid), dtype=float)
-            ds_e = np.asarray(self.surface.dsigma_dx(t, self.x_mid), dtype=float)
+            s_e, ds_e = self.surface.sigma_dx(t, self.x_mid)
             r_e = ratio_r_eps_batch(pm, self.lam, self.eps)
             c_lev = 0.5 * r_e * s_e * (s_e + 2.0 * ds_e)                # (m-1,)
             b_e = self.r - c_lev[:, None] * self.lam[None, :]           # (m-1, d)

@@ -21,10 +21,13 @@ the Gaussian stream (e.g. q = 0 reproduces the paths of a model without q).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from .condition_c import worker_count
 from .dupire import VolSurface
 from .fokker_planck import (NumericalError, PhaseClock, recorded_index, step_at,
                             step_grid)
@@ -42,9 +45,9 @@ __all__ = [
 ]
 
 
-# where a particle step spends its time: the kernel regression, the
-# Euler-Maruyama move with its Gaussian draws, the regime thinning, and the
-# finiteness check with the checkpoint copies
+# where a particle step spends its time: the kernel regression, the wait for
+# the step's prefetched draws plus the Euler-Maruyama move, the regime
+# thinning, and the finiteness check with the checkpoint copies
 PHASES = ("regression", "draws", "thinning", "record")
 
 
@@ -112,9 +115,10 @@ def init_ensemble(model: RegimeModel, plan: SimPlan,
     return np.asarray(x, dtype=float), y.astype(np.int64)
 
 
-def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
+def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
                    model: RegimeModel) -> Regression:
-    """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax].
+    """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax],
+    from the particles' positions x and their values lam_y = f^2(Y).
 
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
     kernel sums are accumulated by linear binning onto the regression grid
@@ -126,7 +130,6 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     """
     if x.size < 100:
         raise ValueError("need at least 100 particles for the kernel estimate")
-    lam_y = model.lam[y - 1]
     mean_lam = float(lam_y.mean())
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(x.std())
@@ -216,16 +219,17 @@ def _leaving_bound(q, dt) -> np.ndarray:
     return cum[:, -1].reshape(-1, q.d).max(axis=0) * (1.0 + 1e-12)
 
 
-def _thinning(x, y, q, dt, rng, bound) -> None:
-    """One-switch-per-step regime update of the 1-based Y, in place, from one
-    uniform u per particle: only the candidates, u < bound[Y - 1], get their
-    rows of q at X, and each switches iff u is below its row's last entry, to
-    the first entry above u."""
-    u = rng.random(y.size)
+def _thinning(x, y, q, dt, u, bound) -> np.ndarray:
+    """One-switch-per-step regime update of the 1-based Y, in place, from the
+    uniforms u, one per particle: only the candidates, u < bound[Y - 1], get
+    their rows of q at X, and each switches iff u is below its row's last
+    entry, to the first entry above u.  Returns the candidates' indices, the
+    only entries of Y that can have changed."""
     cand = np.flatnonzero(u < bound.take(y - 1))
     u, rows = u[cand, None], y[cand] - 1
     cum = _switch_table(q.rates_from(rows, x[cand]), rows, dt)
     y[cand] = np.where(u[:, 0] < cum[:, -1], np.argmax(u < cum, axis=1) + 1, y[cand])
+    return cand
 
 
 @dataclass
@@ -254,11 +258,13 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     frozen at the current ensemble; a ``surface`` adds the drift and scales
     the diffusion, and the model's q switches regimes.  Deterministic for a
     given (seed, plan, model): identical inputs give bit-identical
-    trajectories.  Checkpoints must lie on the step grid k * T / n_steps,
-    and the step dt = T / n_steps must keep dt * (d - 1) * qbar below 1, so
-    that no switching probability of one step exceeds 1 (ValueError
-    otherwise).  Non-finite positions or ensemble spread raise
-    NumericalError with the step index.
+    trajectories, with or without the helper thread that draws the next
+    step's random numbers while a step runs (condition_c.worker_count of 2
+    or more).  Checkpoints must lie on the step grid k * T / n_steps, and
+    the step dt = T / n_steps must keep dt * (d - 1) * qbar below 1, so that
+    no switching probability of one step exceeds 1 (ValueError otherwise).
+    Non-finite positions or ensemble spread raise NumericalError with the
+    step index.
     """
     T, r = horizon.T, horizon.r
     n_steps, dt = step_grid(T, plan.dt)
@@ -266,8 +272,10 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
                          f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
+    lam_y = model.lam[y - 1]    # f^2(Y); only thinning candidates can change it
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
     bound = _leaving_bound(model.q, dt)
+    thin = bool(bound.any())    # a zero bound switches nobody: draw no uniforms
     qv = np.zeros(plan.n_particles)
     check_steps = {}
     for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
@@ -283,36 +291,53 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             qvs.append(qv.copy())
             occ.append(np.bincount(y - 1, minlength=model.d) / y.size)
 
+    # step n's Gaussian increments and uniforms go to slot n % 2, so that a
+    # helper thread can fill step n + 1's slot while step n reads its own;
+    # each stream is consumed in step order either way
+    sqrt_dt = math.sqrt(dt)
+    dws = np.empty((2, plan.n_particles))
+    us = np.empty((2 if thin else 0, plan.n_particles))
+
+    def draws(n):
+        dw = gauss_rng.standard_normal(out=dws[n % 2])
+        dw *= sqrt_dt
+        return dw, jump_rng.random(out=us[n % 2]) if thin else None
+
     clock = PhaseClock(PHASES)
     record(0)
     clock.lap("record")
-    for n in range(n_steps):
-        try:
-            reg = cond_expect_f2(x, y, plan, model)
-        except FloatingPointError as exc:
-            raise NumericalError(str(exc), n + 1) from exc
-        ratio = model.lam[y - 1] / reg.at_samples
-        clock.lap("regression")
-        if surface is not None:
-            s = np.asarray(surface.sigma(n * dt, x), dtype=float)
-            diff2 = ratio * s * s
-            # an overflowing drift is reported by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                x += (r - 0.5 * diff2) * dt
-        else:
-            diff2 = ratio
-        dw = gauss_rng.normal(size=x.size) * math.sqrt(dt)
-        x += np.sqrt(diff2) * dw
-        qv += diff2 * dt
-        clock.lap("draws")
-        if bound.any():     # a zero bound switches nobody: skip its uniforms
-            _thinning(x, y, model.q, dt, jump_rng, bound)
-        clock.lap("thinning")
-        if not np.all(np.isfinite(x)):
-            raise NumericalError("particle positions are no longer finite", n + 1)
-        ratios.append(float(ratio.mean()))
-        record(n + 1)
-        clock.lap("record")
+    with ThreadPoolExecutor(max_workers=1) if worker_count() > 1 else nullcontext() as pool:
+        ahead = pool.submit(draws, 0) if pool else None
+        for n in range(n_steps):
+            try:
+                reg = cond_expect_f2(x, lam_y, plan, model)
+            except FloatingPointError as exc:
+                raise NumericalError(str(exc), n + 1) from exc
+            ratio = lam_y / reg.at_samples
+            clock.lap("regression")
+            if surface is not None:
+                s = np.asarray(surface.sigma(n * dt, x), dtype=float)
+                diff2 = ratio * s * s
+                # an overflowing drift is reported by the finiteness check below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x += (r - 0.5 * diff2) * dt
+            else:
+                diff2 = ratio
+            dw, u = ahead.result() if pool else draws(n)
+            if pool and n + 1 < n_steps:
+                ahead = pool.submit(draws, n + 1)
+            x += np.sqrt(diff2) * dw
+            qv += diff2 * dt
+            clock.lap("draws")
+            if thin:
+                cand = _thinning(x, y, model.q, dt, u, bound)
+                lam_y[cand] = model.lam.take(y[cand] - 1)
+            clock.lap("thinning")
+            if not np.all(np.isfinite(x)):
+                raise NumericalError("particle positions are no longer finite", n + 1)
+            ratios.append(float(ratio.mean()))
+            record(n + 1)
+            clock.lap("record")
 
     return SimResult(times=np.asarray(times), X=np.asarray(xs),
                      Y=np.asarray(ys), qv=np.asarray(qvs),

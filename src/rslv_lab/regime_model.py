@@ -29,9 +29,14 @@ _ALPHA_TOL = 1e-12
 
 def node_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """read_table's slopes of ``values`` (k, ...) at ``nodes`` (k,): np.interp's
-    (f_{j+1} - f_j) / (x_{j+1} - x_j), then an unused 0 (the last node is a hit)."""
+    (f_{j+1} - f_j) / (x_{j+1} - x_j), then an unused 0 (the last node is a hit).
+    A slope that overflows raises ValueError."""
     gaps = np.diff(nodes).reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.concatenate([np.diff(values, axis=0) / gaps, np.zeros_like(values[:1])])
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values, axis=0) / gaps
+    if not np.isfinite(slopes).all():
+        raise ValueError("table slopes overflow: nodes too close for the change in values")
+    return np.concatenate([slopes, np.zeros_like(values[:1])])
 
 
 def read_table(x, nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
@@ -81,7 +86,10 @@ class IntensityTable:
             raise ValueError("intensities must be finite, and non-negative off the diagonal")
         diag = np.arange(rates.shape[1])
         rates[:, diag, diag] = 0.0
-        rates[:, diag, diag] = -rates.sum(axis=2)
+        with np.errstate(over="ignore"):
+            rates[:, diag, diag] = -rates.sum(axis=2)
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("intensities overflow: a row's leaving rate is not finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "slopes", node_slopes(x, rates))

@@ -453,6 +453,17 @@ BAD_SECTIONS = [
     pytest.param("solve-lv", "surface", NAN_SURFACE_VALUE, id="solve-lv-nan-surface-value"),
     pytest.param("simulate-rslv", "surface", NAN_SURFACE_NODE,
                  id="simulate-rslv-nan-surface-node"),
+    pytest.param("solve-lv", "surface", {"kind": "tabulated", "t": [0.0, 1e-310],
+                                         "x": [0.0, 1.0], "values": [[0.2, 0.2], [0.3, 0.3]]},
+                 id="surface-slope-overflows"),
+    pytest.param("simulate-jump", "model",
+                 {"q": {"x": [0.0, 1e-310],
+                        "rates": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]]}},
+                 id="q-table-slope-overflows"),
+    pytest.param("solve-jump", "model", {"q": [[0.0, 1e308, 1e308], [1.0, 0.0, 1.0],
+                                              [1.0, 1.0, 0.0]],
+                                        "lambda": [1.0, 4.0, 9.0], "alpha": [0.4, 0.3, 0.3]},
+                 id="q-leaving-rate-overflows"),
     pytest.param("solve-lv", "surface", {"kind": "constant", "value": 0.2, "sigma_hi": 0.1},
                  id="surface-unknown-key"),
     pytest.param("solve-lv", "surface", {"file": "surface.json", "sigma_high": 0.1},

@@ -1,14 +1,18 @@
 """Particle simulator: determinism, kernel regression, thinning and pricing."""
 
 import math
+import sys
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rslv_lab.fokker_planck import NumericalError
+from rslv_lab import particles
+from rslv_lab.fokker_planck import NumericalError, step_grid
 from rslv_lab.dupire import VolSurface
 from rslv_lab.particles import (PHASES, SimPlan, _leaving_bound, _switch_table,
                                 _thinning, cond_expect_f2, init_ensemble, price_calls,
@@ -30,7 +34,7 @@ class TestCondExpect:
         x, y = init_ensemble(model, plan)
         y[:] = 2
         x[:] = np.linspace(-1, 1, x.size)
-        reg = cond_expect_f2(x, y, plan, model)
+        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
         np.testing.assert_allclose(reg(np.linspace(-1, 1, 7)), 4.0, atol=1e-12)
 
     def test_equal_levels_are_constant(self):
@@ -38,7 +42,7 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
         x, y = init_ensemble(model, plan)
         x[:] = np.linspace(-1, 1, x.size)
-        reg = cond_expect_f2(x, y, plan, model)
+        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
         np.testing.assert_allclose(reg(np.array([-0.5, 0.0, 0.5])), 2.0, atol=1e-12)
 
     def test_independent_regimes_give_the_mean(self):
@@ -49,8 +53,8 @@ class TestCondExpect:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
-        reg = cond_expect_f2(x, y, plan, model)
         lam_y = model.lam[y - 1]
+        reg = cond_expect_f2(x, lam_y, plan, model)
         sd_f2 = lam_y.std()
         delta = plan.bandwidth_c * x.std() * plan.n_particles ** (-0.2)
         inner = (reg.grid > -2.0) & (reg.grid < 2.0)
@@ -68,7 +72,7 @@ class TestCondExpect:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
-        reg = cond_expect_f2(x, y, plan, model)
+        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
         assert reg.values.shape == reg.grid.shape == (50,)
         np.testing.assert_allclose(reg.values, model.lam[y - 1].mean(), rtol=1e-3)
 
@@ -77,13 +81,13 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=100, seed=1)
         x, y = init_ensemble(model, plan)
         with pytest.raises(ValueError):
-            cond_expect_f2(x[:50], y[:50], plan, model)
+            cond_expect_f2(x[:50], model.lam[y[:50] - 1], plan, model)
 
     def test_degenerate_spread_falls_back_to_the_mean(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=1000, seed=2)
         x, y = init_ensemble(model, plan)   # all particles at X = 0
-        reg = cond_expect_f2(x, y, plan, model)
+        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
         expected = model.lam[y - 1].mean()
         assert reg(0.0) == pytest.approx(expected, abs=1e-12)
 
@@ -93,7 +97,7 @@ class TestCondExpect:
         x, y = init_ensemble(model, plan)
         x[:] = 1e308                       # the mean overflows
         with pytest.raises(FloatingPointError):
-            cond_expect_f2(x, y, plan, model)
+            cond_expect_f2(x, model.lam[y - 1], plan, model)
 
     def test_spread_below_the_float_spacing_is_a_floating_point_error(self):
         model = model_14()
@@ -104,7 +108,7 @@ class TestCondExpect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="float spacing"):
-                cond_expect_f2(x, y, plan, model)
+                cond_expect_f2(x, model.lam[y - 1], plan, model)
 
 
 class TestStepAndSimulate:
@@ -268,7 +272,7 @@ def ensembles(draw):
     elif kind == "nodes":
         inner = np.argsort(x)[n // 4: n // 4 + 10]
         for _ in range(10):
-            grid = cond_expect_f2(x, y, plan, model).grid
+            grid = cond_expect_f2(x, model.lam[y - 1], plan, model).grid
             k = np.rint((x[inner] - grid[0]) / (grid[1] - grid[0])).astype(np.int64)
             x[inner] = grid[k]
     return x, y, plan, model
@@ -278,7 +282,7 @@ def ensembles(draw):
 @given(ensembles())
 def test_at_samples_is_the_clamped_interpolant(case):
     x, y, plan, model = case
-    reg = cond_expect_f2(x, y, plan, model)
+    reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
     expected = np.clip(np.interp(x, reg.grid, reg.values), model.lam_min, model.lam_max)
     assert np.array_equal(reg.at_samples, expected)
 
@@ -328,8 +332,10 @@ def test_thinning_matches_the_full_gather(d, case):
     for _ in range(50):
         before = y.copy()
         y_ref = thinning_by_full_gather(x, y_ref, model, dt, rng_ref)
-        _thinning(x, y, q, dt, rng_new, bound)
+        cand = _thinning(x, y, q, dt, rng_new.random(n), bound)
         assert np.array_equal(y, y_ref)
+        # the candidates returned cover every particle that switched
+        assert np.isin(np.flatnonzero(y != before), cand).all()
         switched += np.count_nonzero(y != before)
         if case == "zero-row":
             assert np.all(before[y != before] != 2)
@@ -368,3 +374,107 @@ def test_one_node_q_switches_as_the_same_q_at_two_nodes(surface):
     assert np.count_nonzero(one.Y[-1] != one.Y[0]) > plan.n_particles // 10
     for name in ("X", "Y", "qv"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
+
+
+# (model, surface) per dynamics: no uniforms are drawn under the zero Q
+THREAD_CASES = {
+    "fbm": (model_14(), None),
+    "rslv": (model_14(q=SYM_Q), VolSurface([0.0, 0.05], [-0.5, 0.5],
+                                           [[0.15, 0.25], [0.3, 0.2]])),
+    "jump": (model_14(q=IntensityTable(
+        rates=np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 4.0], [1.0, 0.0]]]),
+        x=np.array([-0.05, 0.05]))), None),
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The executors simulate opens, counted; none may outlive the run."""
+    opened = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(particles, "ThreadPoolExecutor", Counted)
+    start = threading.active_count()
+    yield opened
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("dynamics", list(THREAD_CASES))
+def test_thread_count_does_not_change_the_output(dynamics, monkeypatch, pools):
+    model, surface = THREAD_CASES[dynamics]
+    plan = SimPlan(dt=1e-2, n_particles=3000, checkpoints=(0.05, 0.1), seed=31)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        # switch threads every microsecond, so that a step reading a slot the
+        # helper still writes would show
+        sys.setswitchinterval(1e-6)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+            start = threading.active_count()
+            results.append(simulate(model, plan, HorizonConfig(T=0.1, r=0.02),
+                                    surface=surface))
+            assert threading.active_count() == start
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(pools) == 1          # the second run drew on the helper thread
+    one, two = results
+    if dynamics != "fbm":
+        assert np.count_nonzero(one.Y[-1] != one.Y[0]) > 0
+    for name in ("times", "X", "Y", "qv", "gyongy_ratio", "occupancy"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+
+def serial_reference(model, plan, horizon, surface):
+    """(X, Y, qv) at T from the step loop written out serially: each step
+    regresses model.lam[Y - 1], then draws its normals and its uniforms."""
+    n_steps, dt = step_grid(horizon.T, plan.dt)
+    x, y = init_ensemble(model, plan)
+    _, gauss_rng, jump_rng = particles._make_rngs(plan.seed)
+    bound = _leaving_bound(model.q, dt)
+    qv = np.zeros(x.size)
+    for n in range(n_steps):
+        ratio = model.lam[y - 1] / cond_expect_f2(x, model.lam[y - 1], plan, model).at_samples
+        diff2 = ratio
+        if surface is not None:
+            s = surface.sigma(n * dt, x)
+            diff2 = ratio * s * s
+            x += (horizon.r - 0.5 * diff2) * dt
+        x += np.sqrt(diff2) * (gauss_rng.normal(size=x.size) * math.sqrt(dt))
+        qv += diff2 * dt
+        if bound.any():
+            _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound)
+    return x, y, qv
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dynamics", list(THREAD_CASES))
+def test_simulate_is_the_serial_step_loop(dynamics, threads, monkeypatch, pools):
+    # the regression must see every switch of the step before, and the
+    # prefetched draws must be each stream's numbers in step order
+    model, surface = THREAD_CASES[dynamics]
+    monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+    plan = SimPlan(dt=1e-2, n_particles=3000, seed=8)
+    horizon = HorizonConfig(T=0.1, r=0.02)
+    res = simulate(model, plan, horizon, surface=surface)
+    for got, want in zip((res.X[-1], res.Y[-1], res.qv[-1]),
+                         serial_reference(model, plan, horizon, surface)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_numerical_failure_mid_run_leaves_no_thread(threads, monkeypatch, pools):
+    # r = 1e306 moves every particle by 5e304 in the first step; the squares
+    # of their deviations from the mean, ulps of about 1e288, overflow the
+    # spread at step 2 of 10, while the helper draws that step's numbers
+    monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+    start = threading.active_count()
+    with pytest.raises(NumericalError, match=r"spread is no longer finite \(step 2\)"):
+        simulate(model_14(q=SYM_Q), SimPlan(dt=0.05, n_particles=500, seed=4),
+                 HorizonConfig(T=0.5, r=1e306), surface=VolSurface.constant(0.2))
+    assert threading.active_count() == start
+    assert len(pools) == (threads == "2")

@@ -1,5 +1,7 @@
 """Coefficient fields, ratios, heat kernel and domain types."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,3 +339,20 @@ class TestIntensityInterpolation:
         out = table.value(np.array([-1.0, -0.5, 1.0]))
         assert np.signbit(out[[0, 2], 0, 0]).all()
         assert not np.signbit(out[1, 0, 0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: VolSurface([0.0, 1e-310], [0.0, 1.0], [[0.2, 0.2], [0.3, 0.3]]),
+        lambda: IntensityTable(rates=[[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]],
+                               x=[0.0, 1e-310]),
+        lambda: IntensityTable(rates=[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1e308], [0.0, 0.0]]],
+                               x=[0.0, 0.5]),
+        lambda: IntensityTable(rates=[[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    ], ids=["surface-close-t-nodes", "q-close-x-nodes", "q-steep-rise", "q-row-sum"])
+    def test_tables_that_overflow_are_refused(self, build):
+        # a gap of 1e-310 (or 0.5 under a rise of 1e308) makes a slope
+        # overflow to inf, and two rates of 1e308 a leaving rate: refused at
+        # construction, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                build()
