@@ -7,8 +7,9 @@ verification; 2 invalid input or configuration, an input whose arrays cannot
 be allocated included; 3 numerical failure.
 RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
 minimum (condition_c.sample_quadratic_min); at 2 or more, simulate-* also
-draws each particle step's random numbers on one helper thread.  Runs are
-deterministic either way.
+draws each particle step's random numbers on one helper thread.  Unset, it
+is min(2, os.cpu_count()).  Runs are deterministic either way.  Only the
+grid solves (solve-*, verify) load scipy, for its LAPACK drivers.
 """
 
 from __future__ import annotations

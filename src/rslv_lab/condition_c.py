@@ -55,8 +55,11 @@ class CertificateError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap from RSLV_LAB_THREADS (default 1, deterministic either way)."""
-    raw = os.environ.get("RSLV_LAB_THREADS", "1")
+    """Worker cap from RSLV_LAB_THREADS: unset, min(2, os.cpu_count()); a value
+    that is not a positive integer, 1.  Outputs are the same bits at any cap."""
+    raw = os.environ.get("RSLV_LAB_THREADS")
+    if raw is None:
+        return min(2, os.cpu_count() or 1)
     try:
         return max(1, int(raw))
     except ValueError:

@@ -133,6 +133,13 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     mean_lam = float(lam_y.mean())
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(x.std())
+        if not math.isfinite(sd):
+            # std squares the deviations, which overflow past about 1e154 while
+            # the spread is finite (one ulp at 1e170): measure it on the span
+            low = float(x.min())
+            span = float(x.max()) - low
+            if 0.0 < span < math.inf:
+                sd = span * float(((x - low) / span).std())
     if not math.isfinite(sd):
         raise FloatingPointError("ensemble spread is no longer finite")
     G = plan.regression_grid

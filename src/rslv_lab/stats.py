@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "TestReport",
@@ -40,13 +39,18 @@ class TestReport:
         return cls(float(statistic), float(threshold), bool(statistic <= threshold), int(n), description)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)     # one path for scalars and arrays
+
+
 def normal_cdf(x):
     """Standard normal CDF via the complementary error function.
 
-    Phi(x) = erfc(-x / sqrt(2)) / 2, accurate to well below 1e-7 everywhere.
+    Phi(x) = erfc(-x / sqrt(2)) / 2 from math.erfc.  The rounding of
+    -x / sqrt(2) bounds the relative error by about 4e-16 * max(1, x^2):
+    2e-13 at x = -37, where Phi is 5.7e-300.
     """
     scalar = np.ndim(x) == 0
-    out = 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
+    out = 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
     return float(out) if scalar else out
 
 

@@ -784,6 +784,40 @@ def test_import_leaves_the_optimizer_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def loaded_scipy_modules(*argvs) -> list:
+    """The scipy modules loaded in a fresh process that imports the package's
+    modules and runs cli.main on each argv in turn (each must exit 0)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import json, sys\n"
+            "from rslv_lab import acceptance, cli, condition_c, particles, stats\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    return modules
+
+
+def test_particles_and_condition_c_never_load_scipy(tmp_path):
+    # only a grid solve needs scipy (its LAPACK drivers)
+    extra = {"surface": {"kind": "constant", "value": 0.2}, "strikes": [1.0]}
+    assert loaded_scipy_modules(
+        ["simulate-rslv", str(small_sim_config(tmp_path, extra))],
+        ["check-c", "--lambda", "1,2,3,5,10", "--method", "grid", "--n", "50",
+         "--out", str(tmp_path / "points.csv")],
+        ["dupire-build", str(write_calls(tmp_path)[0]),
+         "--out", str(tmp_path / "surface.json")]) == []
+
+
+def test_grid_solve_loads_lapack_without_scipy_special(tmp_path):
+    modules = loaded_scipy_modules(["solve-fbm", str(small_solve_config(tmp_path))])
+    assert "scipy.linalg" in modules
+    assert "scipy.special" not in modules
+
+
 def write_calls(tmp_path, ts=np.linspace(0.25, 0.85, 7), ks=np.linspace(0.85, 1.15, 9)):
     """Black-Scholes calls (vol 0.2, zero rate) on ts x ks as the CSV dupire-build reads."""
     c = np.array([[bs_call(1.0, k, 0.2, t) for k in ks] for t in ts])

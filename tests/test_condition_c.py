@@ -371,6 +371,12 @@ class TestThreads:
         assert condition_c.worker_count() == 1
         assert pools == []
 
+    @pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (8, 2), (None, 1)])
+    def test_unset_count_is_at_most_two_workers(self, monkeypatch, cpus, workers):
+        monkeypatch.delenv("RSLV_LAB_THREADS", raising=False)
+        monkeypatch.setattr(condition_c.os, "cpu_count", lambda: cpus)
+        assert condition_c.worker_count() == workers
+
     @pytest.mark.parametrize("threads", ["2", "3", "4"])
     def test_pool_stays_within_the_worker_count(self, monkeypatch, pools, threads):
         self.sample(monkeypatch, threads)

@@ -19,6 +19,7 @@ from rslv_lab.particles import (PHASES, SimPlan, _leaving_bound, _switch_table,
                                 simulate)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
+from rslv_lab.stats import bs_call
 
 SYM_Q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -109,6 +110,33 @@ class TestCondExpect:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="float spacing"):
                 cond_expect_f2(x, model.lam[y - 1], plan, model)
+
+    @pytest.mark.parametrize("loc", [1e150, 1e170])
+    def test_one_ulp_spread_is_below_the_float_spacing_at_any_location(self, loc):
+        # at 1e170 the squared deviations (about 1e308 each) overflow x.std()
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
+        x, y = init_ensemble(model, plan)
+        x[:] = loc
+        x[::2] = np.nextafter(loc, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="float spacing"):
+                cond_expect_f2(x, model.lam[y - 1], plan, model)
+
+    def test_finite_spread_whose_square_overflows_is_estimated(self):
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
+        x = np.linspace(-1e160, 1e160, plan.n_particles)
+        lam_y = model.lam[np.arange(x.size) % 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reg = cond_expect_f2(x, lam_y, plan, model)
+        # x.std() overflows; the estimate reads sd off the span rescaled to [0, 1]
+        sd = 2e160 * np.linspace(0.0, 1.0, x.size).std()
+        delta = plan.bandwidth_c * sd * x.size ** (-0.2)
+        assert reg.grid[0] == pytest.approx(-1e160 - 4.0 * delta, rel=1e-12)
+        np.testing.assert_allclose(reg.at_samples, 2.5, rtol=0.02)
 
 
 class TestStepAndSimulate:
@@ -219,6 +247,32 @@ class TestStepAndSimulate:
         assert x.shape == (500,) and y.shape == (500,) and qv.shape == (500,)
         with pytest.raises(KeyError):
             res.at_time(0.07)
+
+
+FLAT_VOL, FLAT_T, FLAT_R = 0.2, 0.5, 0.05
+
+
+@pytest.fixture(scope="module")
+def flat_rate_run():
+    """A calibrated RSLV run on a flat surface with a rate: lam = (0.25, 4), unit Q."""
+    model = RegimeModel(lam=[0.25, 4.0], alpha=[0.5, 0.5], q=SYM_Q)
+    plan = SimPlan(dt=5e-3, n_particles=20_000, seed=3)
+    return simulate(model, plan, HorizonConfig(T=FLAT_T, r=FLAT_R),
+                    surface=VolSurface.constant(FLAT_VOL))
+
+
+class TestFlatSurfaceOracles:
+    def test_calls_are_black_scholes_at_the_rate(self, flat_rate_run):
+        # z = -0.27, -0.77, -0.05 at seed 3; without r in the drift about -20
+        prices = price_calls(flat_rate_run.X[-1], [0.9, 1.0, 1.1], r=FLAT_R, T=FLAT_T)
+        for k, price, se in prices:
+            assert abs(price - bs_call(1.0, k, FLAT_VOL, FLAT_T, FLAT_R)) <= 4.0 * se
+
+    def test_quadratic_variation_is_the_surface_variance(self, flat_rate_run):
+        # E[qv_T] = sigma^2 T, since E[lam_Y / Ehat(X)] = 1; 0.998 at seed 3,
+        # about 25 if qv forgets the surface
+        ratio = flat_rate_run.qv[-1].mean() / (FLAT_VOL ** 2 * FLAT_T)
+        assert abs(ratio - 1.0) <= 0.006
 
 
 class TestPricing:

@@ -12,6 +12,17 @@ from rslv_lab.stats import (TestReport, ks_statistic, l1_hist_distance,
 # quadrature oracle of the normal CDF at 1.96, evaluated to 1e-10 beforehand
 PHI_196 = 0.9750021048517796
 INV_SQRT_2PI = 0.3989422804014327
+# Phi at the doubles nearest these x, from the 40-digit mpmath.ncdf, rounded to 22
+PHI_TABLE = [
+    (-37.0, 5.725571222524576822683e-300),
+    (-20.0, 2.753624118606233695076e-89),
+    (-8.0, 6.220960574271784123516e-16),
+    (-1.96, 0.02499789514822043621282),
+    (0.0, 0.5),
+    (0.5, 0.6914624612740131036377),
+    (1.96, 0.9750021048517795637872),
+    (8.0, 0.9999999999999993779039),
+]
 
 
 class TestNormalCdf:
@@ -25,6 +36,14 @@ class TestNormalCdf:
     @given(st.floats(-8.0, 8.0))
     def test_symmetry(self, x):
         assert abs(normal_cdf(-x) - (1.0 - normal_cdf(x))) < 1e-12
+
+    def test_high_precision_table(self):
+        # relative, so the tail down to 5.7e-300 counts as much as the middle
+        x, phi = np.array(PHI_TABLE).T
+        out = normal_cdf(x)
+        assert out.dtype == np.float64
+        assert np.all(np.abs(out / phi - 1.0) <= 1e-13)
+        assert [normal_cdf(v) for v in x] == out.tolist()
 
     def test_vectorised(self):
         x = np.array([-1.0, 0.0, 1.0])
