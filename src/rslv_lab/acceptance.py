@@ -26,7 +26,7 @@ from .condition_c import (coercivity_certificate, criterion_d3, grid_search_diag
                           sample_domain_states, sample_quadratic_min)
 from .dupire import VolSurface
 from .fokker_planck import (PDSConfig, SpatialGrid, heat_l1_max, heat_reference,
-                            l1_grid_distance, solve_fbm, solve_lv, solve_rslv)
+                            l1_grid_distance, solve_fbm, solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import (HorizonConfig, IntensityTable, Measure,
                            RegimeModel, a_eps_batch)
@@ -207,14 +207,15 @@ def criterion_05_fbm_vs_heat(ctx: AcceptanceContext) -> list:
 
 
 def criterion_06_rslv_closure(ctx: AcceptanceContext) -> list:
-    """Sum of the coupled system matches the independent scalar solve."""
+    """Sum of the coupled system matches the scalar solve (the one-regime model)."""
     model = RegimeModel(lam=[1.0, 4.0], alpha=[0.5, 0.5], q=UNIT_Q)
     grid = SpatialGrid(L=6.0, m=1201)
     hor = HorizonConfig(T=1.0, r=0.01)
     surf = VolSurface.constant(0.2)
     cfg = PDSConfig(dt=1e-3, sigma_mollify=math.sqrt(0.1), n_outputs=11)
     sol = solve_rslv(model, cfg, grid, hor, surf, Measure.point(0.0))
-    ref = solve_lv(cfg, grid, hor, surf, Measure.point(0.0))
+    scalar = RegimeModel(lam=[1.0], alpha=[1.0])
+    ref = solve_rslv(scalar, cfg, grid, hor, surf, Measure.point(0.0))
     dist = max(l1_grid_distance(grid, sol.total_density(k), ref.p[k, 0])
                for k in range(len(sol.times)))
     total = sol.diagnostics.masses.sum(axis=1)
@@ -232,8 +233,9 @@ def criterion_07_aronson(ctx: AcceptanceContext) -> list:
     grid = SpatialGrid(L=6.0, m=1201)
     cfg = PDSConfig(dt=1e-4, sigma_mollify=0.02,
                     output_times=tuple(np.linspace(0.1, 1.0, 19)))
-    sol = solve_lv(cfg, grid, HorizonConfig(T=1.0, r=0.0),
-                   VolSurface.constant(1.0), Measure.point(0.0))
+    scalar = RegimeModel(lam=[1.0], alpha=[1.0])
+    sol = solve_rslv(scalar, cfg, grid, HorizonConfig(T=1.0, r=0.0),
+                     VolSurface.constant(1.0), Measure.point(0.0))
     vals = [math.sqrt(t) * sol.diagnostics.l2[k, 0] ** 2
             for k, t in enumerate(sol.times) if t >= 0.1 - 1e-12]
     return [TestReport.check(max(vals), ARONSON_BOUND, len(vals),

@@ -31,7 +31,7 @@ from .condition_c import (CertificateError, criterion_d3, criterion_diag,
 from .dupire import ArbitrageError, VolSurface, dupire_from_calls
 from .fokker_planck import (GridSolution, NumericalError, PDSConfig,
                             SpatialGrid, heat_l1_max, heat_reference, solve_fbm,
-                            solve_lv, solve_rslv)
+                            solve_rslv)
 from .particles import SimPlan, price_calls, simulate
 from .regime_model import HorizonConfig, IntensityTable, Measure, RegimeModel
 
@@ -302,23 +302,22 @@ def _dynamics(args, cfg: dict):
 
     The inputs pick the dynamics: a surface adds the drifts and the model's
     q the regime switching.  ``*-rslv`` and solve-lv read the surface
-    section, solve-lv has no model, ``*-jump`` needs a nonzero q, solve-fbm
-    refuses one and simulate-fbm runs with the zero Q.
+    section, solve-lv is solve-rslv on the one-regime model lambda = [1],
+    ``*-jump`` needs a nonzero q, solve-fbm refuses one and simulate-fbm runs
+    with the zero Q.  One lambda is the scalar (heat or LV) equation.
     """
     command = args.command
     kind = command.split("-", 1)[1]
-    model = surface = None
-    if kind != "lv":
-        model = _section(cfg, "model")
-        if kind == "jump" and model.q.qbar == 0:
-            raise ConfigError(f"{command} needs nonzero intensities q in the model section")
-        if command == "solve-fbm" and model.q.qbar > 0:
-            raise ConfigError("solve-fbm has no regime switching; use solve-jump")
-        if command == "simulate-fbm":
-            model = replace(model, q=None)
-    if kind in ("rslv", "lv"):
-        surface = _surface_from(cfg, os.path.dirname(os.path.abspath(args.config)))
-    return model, surface
+    model = RegimeModel(lam=[1.0], alpha=[1.0]) if kind == "lv" else _section(cfg, "model")
+    if kind == "jump" and model.q.qbar == 0:
+        raise ConfigError(f"{command} needs nonzero intensities q in the model section")
+    if command == "solve-fbm" and model.q.qbar > 0:
+        raise ConfigError("solve-fbm has no regime switching; use solve-jump")
+    if command == "simulate-fbm":
+        model = replace(model, q=None)
+    if kind not in ("rslv", "lv"):
+        return model, None
+    return model, _surface_from(cfg, os.path.dirname(os.path.abspath(args.config)))
 
 
 def _cmd_run(args) -> int:
@@ -334,8 +333,6 @@ def _cmd_run(args) -> int:
         pds = _section(cfg, "pds")
         if surface is None:
             sol = solve_fbm(model, pds, grid, horizon, initial)
-        elif model is None:
-            sol = solve_lv(pds, grid, horizon, surface, initial)
         else:
             sol = solve_rslv(model, pds, grid, horizon, surface, initial)
         out = _out_dir(cfg, args)

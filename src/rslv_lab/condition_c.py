@@ -114,6 +114,8 @@ def _as_gamma(gamma, model: RegimeModel) -> np.ndarray:
         raise ValueError("gamma must be symmetric within 1e-12")
     if g.shape[0] != model.d:
         raise ValueError("gamma dimension does not match the model")
+    if model.d < 2:     # each deleted Gamma^(k) would be empty
+        raise ValueError("Condition (C) needs at least two regimes")
     return 0.5 * (g + g.T)
 
 

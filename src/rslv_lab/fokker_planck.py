@@ -1,13 +1,14 @@
 """P1 Galerkin solvers on a truncated domain for the nonlinear sub-density systems.
 
-Three systems share one linearised backward-Euler stepper:
+Two systems share one linearised backward-Euler stepper:
 
   * "fbm":  d/dt (v, p) + (v', A_eps(p+) p') = (Qv, p)      (no drift)
   * "rslv": d/dt (v, p) - r (v', p)
             + (v', 1/2 R_eps(p+) s (s + 2 s_x) Lam p) + (v', s^2 A_eps(p+) p') = (Qv, p)
-  * "lv":   the scalar analogue of "rslv" (d = 1, A = 1/2, R = 1)
 
 with s = sigma_tilde(t, x); a model without intensities has the zero Q.
+The scalar local-volatility equation ("lv") is "rslv" for the one-regime
+model, where A = 1/2 and R = 1 (and "fbm" is then the heat equation).
 Diffusion and exchange are treated implicitly with coefficients frozen at
 the current iterate; the drift terms are explicit.  The boundary is
 zero-flux (natural) on [-L, L], which preserves mass exactly; degrees of
@@ -30,8 +31,7 @@ import numpy as np
 
 from .banded import solve_block_tridiag
 from .dupire import VolSurface
-from .regime_model import (IntensityTable, Measure, RegimeModel, a_eps_batch,
-                           ratio_r_eps_batch)
+from .regime_model import Measure, RegimeModel, a_eps_batch, ratio_r_eps_batch
 
 __all__ = [
     "SpatialGrid",
@@ -42,7 +42,6 @@ __all__ = [
     "PhaseClock",
     "solve_fbm",
     "solve_rslv",
-    "solve_lv",
     "l1_grid_distance",
     "heat_l1_max",
     "heat_reference",
@@ -245,18 +244,18 @@ def _mass_apply(u: np.ndarray, h: float) -> np.ndarray:
 class _Operator:
     """Built once per solve: eps, the step-invariant mass blocks and the exchange blocks."""
 
-    def __init__(self, lam: np.ndarray, grid: SpatialGrid, dt: float, r: float,
-                 surface: VolSurface | None, q: IntensityTable):
-        self.lam, self.h, self.dt, self.r, self.surface = lam, grid.h, dt, r, surface
+    def __init__(self, model: RegimeModel, grid: SpatialGrid, dt: float, r: float,
+                 surface: VolSurface | None):
+        self.lam, self.h, self.dt, self.r, self.surface = model.lam, grid.h, dt, r, surface
         self.x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
         # regularise A_eps far below any attained sum(lam * p) away from the tails
-        self.eps = 1e-10 * float(lam.min()) / (2.0 * grid.L)
-        eye = np.eye(lam.size)
+        self.eps = 1e-10 * model.lam_min / (2.0 * grid.L)
+        eye = np.eye(model.d)
         self.mass_blocks = _mass_diag(grid)[:, None, None] * eye[None, :, :]  # (m, d, d)
         self.mass_off = (grid.h / 6.0) * eye
         # exchange coupling per cell, transposed so rows act on the test-function
         # regime; contiguous, as a transposed view costs twice as much per step
-        c_mid = np.ascontiguousarray(np.swapaxes(q.value(self.x_mid), -1, -2))
+        c_mid = np.ascontiguousarray(np.swapaxes(model.q.value(self.x_mid), -1, -2))
         self.q_diag = dt * (grid.h / 3.0) * c_mid
         self.q_off = dt * (grid.h / 6.0) * c_mid
 
@@ -359,13 +358,12 @@ class _Observer:
                             diagnostics=diagnostics)
 
 
-def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: SpatialGrid,
-             horizon, config: PDSConfig, q: IntensityTable,
-             surface: VolSurface | None = None) -> GridSolution:
+def _advance(model: RegimeModel, initial: Measure, grid: SpatialGrid, horizon,
+             config: PDSConfig, surface: VolSurface | None = None) -> GridSolution:
     """Step the projected initial law to the horizon: operator, banded solve, observer."""
     n_steps, dt = step_grid(horizon.T, config.dt)
-    operator = _Operator(lam, grid, dt, horizon.r, surface, q)
-    U = _project_initial(initial, config.sigma_mollify, grid, alpha)    # (m, d)
+    operator = _Operator(model, grid, dt, horizon.r, surface)
+    U = _project_initial(initial, config.sigma_mollify, grid, model.alpha)    # (m, d)
     observer = _Observer(grid, U, horizon.T, n_steps, config)
     for step in range(1, n_steps + 1):
         field = operator.field(U, (step - 1) * dt)
@@ -385,22 +383,14 @@ def _advance(lam: np.ndarray, alpha: np.ndarray, initial: Measure, grid: Spatial
 def solve_fbm(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
               horizon, initial: Measure) -> GridSolution:
     """Driftless sub-density system with the exchange (Qv, p) of the model's q."""
-    return _advance(model.lam, model.alpha, initial, grid, horizon, config, model.q)
+    return _advance(model, initial, grid, horizon, config)
 
 
 def solve_rslv(model: RegimeModel, config: PDSConfig, grid: SpatialGrid,
                horizon, surface: VolSurface, initial: Measure) -> GridSolution:
-    """Full system with rate drift, leverage drift, scaled diffusion and switching."""
-    return _advance(model.lam, model.alpha, initial, grid, horizon, config, model.q,
-                    surface=surface)
-
-
-def solve_lv(config: PDSConfig, grid: SpatialGrid, horizon,
-             surface: VolSurface, initial: Measure) -> GridSolution:
-    """Scalar local-volatility equation (the d = 1 reduction of the full system)."""
-    one = np.ones(1)
-    return _advance(one, one, initial, grid, horizon, config,
-                    IntensityTable(np.zeros((1, 1))), surface=surface)
+    """Full system with rate drift, leverage drift, scaled diffusion and switching;
+    for the one-regime model, the scalar local-volatility equation."""
+    return _advance(model, initial, grid, horizon, config, surface)
 
 
 def l1_grid_distance(grid: SpatialGrid, f, g) -> float:

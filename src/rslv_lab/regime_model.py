@@ -114,7 +114,8 @@ class IntensityTable:
 
 @dataclass(frozen=True)
 class RegimeModel:
-    """Number of regimes d, variance levels lam_i > 0, initial weights alpha_i."""
+    """Number of regimes d >= 1, variance levels lam_i > 0, initial weights alpha_i;
+    one regime is the scalar local-volatility model (A = 1/2, E[f^2(Y) | X] = lam)."""
 
     lam: np.ndarray
     alpha: np.ndarray
@@ -123,8 +124,8 @@ class RegimeModel:
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
-        if lam.ndim != 1 or lam.size < 2:
-            raise ValueError("need at least two regimes")
+        if lam.ndim != 1 or lam.size < 1:
+            raise ValueError("need at least one regime")
         if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
             raise ValueError("variance levels must be positive and finite")
         if alpha.shape != lam.shape or np.any(alpha < 0):

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rslv_lab import cli
+from rslv_lab.acceptance import HEAT_L1_TOL
 from rslv_lab.dupire import dupire_from_calls
-from rslv_lab.fokker_planck import solve_lv
 from rslv_lab.particles import PHASES
 from rslv_lab.regime_model import Measure
 from rslv_lab.stats import bs_call
@@ -147,6 +147,8 @@ class TestCheckC:
 
     def test_invalid_lambda(self):
         assert cli.main(["check-c", "--lambda", "1,-2", "--method", "identity"]) == 2
+        # a model may have one regime, but Condition (C) needs two
+        assert cli.main(["check-c", "--lambda", "2", "--method", "identity"]) == 2
 
     def test_grid_d2_writes_header_only_points(self, tmp_path):
         out = tmp_path / "points.csv"
@@ -250,12 +252,21 @@ class TestSolveCommands:
             "surface": {"kind": "constant", "value": 0.4}})
         assert cli.main(["solve-lv", str(cfg)]) == 0
 
+    def test_one_lambda_solve_fbm_is_the_heat_equation(self, tmp_path):
+        # E[f^2(Y) | X] = lambda, so the level cancels and the sum is the heat flow
+        cfg = small_solve_config(tmp_path, extra={"model": {"lambda": [2.0], "alpha": [1.0]}})
+        assert cli.main(["solve-fbm", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "fbm_metadata.json").read_text())
+        assert meta["diagnostics"]["heat_l1_max"] <= HEAT_L1_TOL
+        snap = (tmp_path / "out" / meta["snapshots"][-1]["file"]).read_text().splitlines()
+        assert snap[0] == "x,p_1,sum,heat_ref"
+
     def test_missing_config(self):
         assert cli.main(["solve-fbm", "no-such-file.json"]) == 2
 
     def test_invalid_model_section(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"model": {"lambda": [1.0], "alpha": [1.0]},
+        path.write_text(json.dumps({"model": {"lambda": [], "alpha": []},
                                     "horizon": {"T": 1.0},
                                     "grid": {"L": 5.0, "m": 101},
                                     "pds": {"dt": 1e-3}}))
@@ -844,7 +855,8 @@ class TestDupireBuild:
                          "--sigma-high", "0.21", "--out", str(tmp_path / "surface.json")]) == 0
         built = dupire_from_calls(ts, ks, c, r=0.01, sigma_low=0.19, sigma_high=0.21).surface
         read = []
-        monkeypatch.setattr(cli, "solve_lv", lambda *a: read.append(a[3]) or solve_lv(*a))
+        solve_rslv = cli.solve_rslv
+        monkeypatch.setattr(cli, "solve_rslv", lambda *a: read.append(a[4]) or solve_rslv(*a))
         cfg = small_solve_config(tmp_path, extra={"surface": {"file": "surface.json"}})
         assert cli.main(["solve-lv", str(cfg)]) == 0
         (surface,) = read

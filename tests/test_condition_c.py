@@ -84,6 +84,14 @@ class TestGammaK:
         with pytest.raises(ValueError):
             satisfies_condition_c(np.array([[1.0, 0.5], [0.0, 1.0]]), uniform_model([1.0, 2.0]))
 
+    def test_one_regime_is_refused(self):
+        # every deleted Gamma^(k) of a one-regime model is empty
+        m = uniform_model([2.0])
+        for decide in (satisfies_condition_c, coercivity_certificate,
+                       lambda g, model: gamma_k_submatrix(g, model, 1)):
+            with pytest.raises(ValueError, match="needs at least two regimes"):
+                decide(np.eye(1), m)
+
 
 class TestConditionC:
     def test_d2_identity_always_works(self):

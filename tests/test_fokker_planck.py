@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rslv_lab.cli import write_snapshots
 from rslv_lab.dupire import VolSurface
 from rslv_lab.fokker_planck import (PHASES, PDSConfig, SpatialGrid,
-                                    l1_grid_distance, solve_fbm, solve_lv,
-                                    solve_rslv)
+                                    l1_grid_distance, solve_fbm, solve_rslv)
 from rslv_lab.regime_model import (HorizonConfig, IntensityTable, Measure,
                                    RegimeModel)
 
@@ -22,6 +21,7 @@ def model_14(q=None):
 
 
 SYM_Q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
+LV = RegimeModel(lam=[1.0], alpha=[1.0])     # one regime: the scalar LV equation
 
 
 class TestMollify:
@@ -96,7 +96,7 @@ class TestFbmSolver:
         cfg = PDSConfig(dt=2e-3, sigma_mollify=0.3, n_outputs=5)
         hor = HorizonConfig(T=0.4, r=0.5)
         sol = solve_fbm(model_14(), cfg, grid, HorizonConfig(T=0.4), Measure.point(0.0))
-        ref = solve_lv(cfg, grid, hor, VolSurface.constant(1.0), Measure.point(0.0))
+        ref = solve_rslv(LV, cfg, grid, hor, VolSurface.constant(1.0), Measure.point(0.0))
         worst = max(l1_grid_distance(grid, sol.total_density(k), ref.p[k, 0])
                     for k in range(len(sol.times)))
         assert worst <= 1e-10
@@ -146,7 +146,7 @@ class TestRslvAndLv:
         surf = VolSurface.constant(0.3)
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=5)
         sol = solve_rslv(model_14(q=SYM_Q), cfg, grid, hor, surf, Measure.point(0.0))
-        ref = solve_lv(cfg, grid, hor, surf, Measure.point(0.0))
+        ref = solve_rslv(LV, cfg, grid, hor, surf, Measure.point(0.0))
         worst = max(l1_grid_distance(grid, sol.total_density(k), ref.p[k, 0])
                     for k in range(len(sol.times)))
         assert worst <= 1e-8
@@ -155,8 +155,8 @@ class TestRslvAndLv:
         # sigma = 1 with r = 1/2 cancels the drift entirely
         grid = SpatialGrid(L=6.0, m=301)
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=5)
-        sol = solve_lv(cfg, grid, HorizonConfig(T=0.5, r=0.5),
-                       VolSurface.constant(1.0), Measure.point(0.0))
+        sol = solve_rslv(LV, cfg, grid, HorizonConfig(T=0.5, r=0.5),
+                         VolSurface.constant(1.0), Measure.point(0.0))
         worst = max(l1_grid_distance(grid, sol.p[k, 0], gaussian(grid.x, 0.09 + t))
                     for k, t in enumerate(sol.times) if t > 0)
         assert worst <= 5e-3
@@ -165,8 +165,8 @@ class TestRslvAndLv:
         grid = SpatialGrid(L=6.0, m=301)
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.05,
                         output_times=(0.05, 0.2, 0.4))
-        sol = solve_lv(cfg, grid, HorizonConfig(T=0.4, r=0.0),
-                       VolSurface.constant(1.0), Measure.point(0.0))
+        sol = solve_rslv(LV, cfg, grid, HorizonConfig(T=0.4, r=0.0),
+                         VolSurface.constant(1.0), Measure.point(0.0))
         interior = slice(30, -30)
         for k, t in enumerate(sol.times):
             if t >= 0.05:
@@ -179,7 +179,7 @@ class TestRslvAndLv:
         vals = 0.2 + 0.05 * np.tanh(xs)[None, :]
         surf = VolSurface([0.0, 1.0], xs, np.vstack([vals, vals]))
         cfg = PDSConfig(dt=1e-3, sigma_mollify=0.3, n_outputs=4)
-        sol = solve_lv(cfg, grid, HorizonConfig(T=0.4, r=0.01), surf, Measure.point(0.0))
+        sol = solve_rslv(LV, cfg, grid, HorizonConfig(T=0.4, r=0.01), surf, Measure.point(0.0))
         total = sol.diagnostics.masses.sum(axis=1)
         assert np.abs(total - total[0]).max() <= 1e-10
         assert sol.diagnostics.min_value.min() >= -1e-8
@@ -210,7 +210,7 @@ class TestThreeRegimes:
         surf = VolSurface.constant(0.3)
         hor = HorizonConfig(T=0.4, r=0.015)
         solr = solve_rslv(model, cfg, grid, hor, surf, Measure.point(0.0))
-        ref = solve_lv(cfg, grid, hor, surf, Measure.point(0.0))
+        ref = solve_rslv(LV, cfg, grid, hor, surf, Measure.point(0.0))
         closure = max(l1_grid_distance(grid, solr.total_density(k), ref.p[k, 0])
                       for k in range(len(solr.times)))
         assert closure <= 1e-8

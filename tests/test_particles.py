@@ -38,6 +38,20 @@ class TestCondExpect:
         reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
         np.testing.assert_allclose(reg(np.linspace(-1, 1, 7)), 4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("level", [0.3, 0.7])
+    def test_estimate_stays_inside_the_levels(self, level):
+        # every particle in one regime: the estimate is that level up to
+        # rounding, which moved some node outside [0.3, 0.7] in each of 200
+        # draws when values were not clamped
+        model = RegimeModel(lam=[0.3, 0.7], alpha=[0.5, 0.5])
+        plan = SimPlan(dt=1e-2, n_particles=1000)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            x = rng.standard_normal(plan.n_particles)
+            reg = cond_expect_f2(x, np.full(x.size, level), plan, model)
+            for est in (reg.values, reg.at_samples):
+                assert 0.3 <= est.min() and est.max() <= 0.7
+
     def test_equal_levels_are_constant(self):
         model = RegimeModel(lam=[2.0, 2.0], alpha=[0.5, 0.5])
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)

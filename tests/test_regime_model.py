@@ -201,7 +201,7 @@ class TestMeasure:
 class TestModelTypes:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RegimeModel(lam=[1.0], alpha=[1.0])
+            RegimeModel(lam=[], alpha=[])
         with pytest.raises(ValueError):
             RegimeModel(lam=[1.0, -2.0], alpha=[0.5, 0.5])
         with pytest.raises(ValueError):
@@ -212,6 +212,13 @@ class TestModelTypes:
             HorizonConfig(T=1.0, r=float("inf"))
         with pytest.raises(ValueError):
             HorizonConfig(T=float("nan"))
+
+    def test_one_regime_is_the_scalar_lv_model(self):
+        model = RegimeModel(lam=[2.0], alpha=[1.0])
+        assert model.d == 1 and model.q.qbar == 0.0
+        rho = np.array([[0.0], [1e-300], [0.3], [7.0]])
+        np.testing.assert_array_equal(a_eps_batch(rho, model.lam, 1e-9), np.full((4, 1, 1), 0.5))
+        np.testing.assert_array_equal(ratio_r_eps_batch(rho[2:], model.lam, 1e-9), [0.5, 0.5])
 
     def test_tabulated_intensities(self):
         q = IntensityTable(

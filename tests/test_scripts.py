@@ -65,3 +65,16 @@ def test_fbm_heat_convergence_prints_the_ladder(capsys):
     assert 0 < errors[1] <= errors[0] / 2
     assert float(rows[1][3]) == pytest.approx(errors[0] / errors[1], abs=0.01)
     assert lines[-1].startswith("finest level: mass drift")
+
+
+def test_every_mutant_still_applies():
+    # the runner takes minutes, so this suite checks only that each mutant
+    # still applies and names tests that exist
+    script = load_script("mutants")
+    assert len(script.MUTANTS) == 15
+    for name, file, old, new, killers in script.MUTANTS:
+        assert (script.SRC / file).read_text().count(old) == 1, name
+        for killer in killers:
+            path, _, test = killer.partition("::")
+            func = test.split("::")[-1].split("[")[0]
+            assert f"def {func}(" in (script.ROOT / path).read_text(), killer

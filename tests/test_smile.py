@@ -15,13 +15,14 @@ T0 + T.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rslv_lab import cli
 from rslv_lab.dupire import VolSurface
-from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_lv, solve_rslv
+from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_rslv
 from rslv_lab.particles import SimPlan, price_calls, simulate
 from rslv_lab.regime_model import HorizonConfig, IntensityTable, Measure, RegimeModel
 from rslv_lab.stats import bs_call
@@ -33,7 +34,14 @@ STRIKES = (0.8, 0.9, 1.0, 1.1, 1.2)
 # lambda with a large range and a unit-rate Q: the leverage is far from 1
 MODEL = RegimeModel(lam=[0.25, 4.0], alpha=[0.5, 0.5],
                     q=IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]])))
-# 41 x 241 surface nodes, m = 1201, dt = 1e-3: both solvers measured a
+# the paper's final object, intensities that depend on the spot (test_switching's
+# q(x): no switching for x <= 0, rising to q12 = 4, q21 = 1 at x = 0.5), and the
+# one-regime model, which is Dupire's local-volatility model itself
+MODELS = {"lv": RegimeModel(lam=[1.0], alpha=[1.0]),
+          "rslv": MODEL,
+          "rslv-spot-q": replace(MODEL, q=IntensityTable(
+              rates=[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 4.0], [1.0, 0.0]]], x=[0.0, 0.5]))}
+# 41 x 241 surface nodes, m = 1201, dt = 1e-3: every model measured a
 # largest price error of 2.7e-4, set by the x spacing of the surface (4.3e-5
 # on 41 x 961 nodes); the bound is three times that
 GRID_TOL = 8e-4
@@ -78,32 +86,46 @@ def smile():
     return surface, Measure.tabulated(x0, mixture_density(T0, x0))
 
 
-def grid_calls(sol):
-    grid = sol.grid
+def grid_calls(model, surface, initial):
+    """Calls at T0 + T from the grid solve of ``model`` at m = 1201, dt = 1e-3."""
+    grid = SpatialGrid(L=L, m=1201)
+    cfg = PDSConfig(dt=1e-3, sigma_mollify=0.0, n_outputs=2)
+    sol = solve_rslv(model, cfg, grid, HorizonConfig(T=T), surface, initial)
+    assert sol.times[-1] == pytest.approx(T)
     payoff = np.maximum(np.exp(grid.x)[None, :] - np.array(STRIKES)[:, None], 0.0)
     return payoff @ (grid.trapezoid_weights() * sol.total_density(-1))
 
 
-@pytest.mark.parametrize("solver", ["lv", "rslv"])
-def test_grid_prices_match_the_mixture(smile, solver):
-    surface, initial = smile
-    grid = SpatialGrid(L=L, m=1201)
-    cfg = PDSConfig(dt=1e-3, sigma_mollify=0.0, n_outputs=2)
-    if solver == "lv":
-        sol = solve_lv(cfg, grid, HorizonConfig(T=T), surface, initial)
-    else:
-        sol = solve_rslv(MODEL, cfg, grid, HorizonConfig(T=T), surface, initial)
-    assert sol.times[-1] == pytest.approx(T)
-    err = np.abs(grid_calls(sol) - exact_calls())
+def particle_z(model, surface, initial, reference):
+    """z of N = 5e4 particles' calls at T0 + T against ``reference``, seed SEED."""
+    plan = SimPlan(dt=1e-3, n_particles=50_000, checkpoints=(T,), seed=SEED)
+    res = simulate(model, plan, HorizonConfig(T=T), initial=initial, surface=surface)
+    rows = price_calls(res.X[-1], STRIKES, r=0.0, T=T)
+    return [(price - ref) / se for (_, price, se), ref in zip(rows, reference)]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_grid_prices_match_the_mixture(smile, model):
+    err = np.abs(grid_calls(MODELS[model], *smile) - exact_calls())
     assert err.max() <= GRID_TOL, err
 
 
 def test_particle_prices_match_the_mixture(smile):
-    surface, initial = smile
-    plan = SimPlan(dt=1e-3, n_particles=50_000, checkpoints=(T,), seed=SEED)
-    res = simulate(MODEL, plan, HorizonConfig(T=T), initial=initial, surface=surface)
-    rows = price_calls(res.X[-1], STRIKES, r=0.0, T=T)
-    z = [(price - ref) / se for (_, price, se), ref in zip(rows, exact_calls())]
+    z = particle_z(MODEL, *smile, exact_calls())
+    assert max(abs(v) for v in z) <= Z_TOL, z
+
+
+def test_spot_dependent_q_particle_prices_match_the_mixture(smile):
+    z = particle_z(MODELS["rslv-spot-q"], *smile, exact_calls())
+    assert max(abs(v) for v in z) <= Z_TOL, z
+
+
+def test_lv_particles_match_the_lv_grid(smile):
+    """The one-regime particles against the one-regime grid on the same surface:
+    the particles' drift and leverage on a t- and x-dependent surface, without
+    regime noise (z measured at (0.24, 0.01, -0.19, -0.54, -0.70))."""
+    lv = MODELS["lv"]
+    z = particle_z(lv, *smile, grid_calls(lv, *smile))
     assert max(abs(v) for v in z) <= Z_TOL, z
 
 
