@@ -8,12 +8,16 @@ gbsv factors in place, work[2kl + i - j, j] = A[i, j], whose first kl rows are
 gbsv's fill-in workspace, so a solve neither copies nor transposes the band
 (band storage and the gbsv/gtsv drivers: Anderson et al., LAPACK Users'
 Guide, 3rd ed., SIAM 1999, section 5.3.2).  The first solve loads the
-drivers from scipy.linalg.lapack; no other module of the package uses scipy.
+drivers from scipy's LAPACK extension module, scipy.linalg._flapack, alone:
+neither scipy nor scipy.linalg is imported, and no other module of the
+package uses scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from importlib import machinery, util
 
 import numpy as np
 
@@ -45,9 +49,24 @@ def block_tridiag_to_banded(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _drivers():
-    """scipy's dgbsv and dgtsv, imported once (0.05 us a call, not 1.5 us)."""
-    from scipy.linalg.lapack import dgbsv, dgtsv
-    return dgbsv, dgtsv
+    """scipy's dgbsv and dgtsv, loaded once (0.05 us a call after the first).
+
+    Only the extension scipy.linalg._flapack is loaded, found without
+    importing scipy (scipy.linalg's __init__ and numpy.f2py take about 0.3 s);
+    it enters sys.modules, so scipy.linalg.lapack has the same routines.
+    """
+    scipy = util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the grid solves need scipy, which is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    finder = machinery.FileFinder(
+        where, (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where}")
+    lapack = util.module_from_spec(spec)
+    spec.loader.exec_module(lapack)
+    return lapack.dgbsv, lapack.dgtsv
 
 
 def solve_banded(work: np.ndarray, b: np.ndarray) -> np.ndarray:

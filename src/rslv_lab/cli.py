@@ -9,7 +9,8 @@ RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
 minimum (condition_c.sample_quadratic_min); at 2 or more, simulate-* also
 draws each particle step's random numbers on one helper thread.  Unset, it
 is min(2, os.cpu_count()).  Runs are deterministic either way.  Only the
-grid solves (solve-*, verify) load scipy, for its LAPACK drivers.
+grid solves (solve-*, verify) load anything of scipy: its LAPACK extension
+module, scipy.linalg._flapack, and neither scipy.linalg nor scipy itself.
 """
 
 from __future__ import annotations

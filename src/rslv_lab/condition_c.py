@@ -105,6 +105,12 @@ class GridSearchReport:
     fallback: str | None = None
 
 
+def _require_regimes(model: RegimeModel) -> None:
+    """Refuse a one-regime model: each deleted Gamma^(k) would be empty."""
+    if model.d < 2:
+        raise ValueError("Condition (C) needs at least two regimes")
+
+
 def _as_gamma(gamma, model: RegimeModel) -> np.ndarray:
     """Gamma as a d x d float matrix, symmetrised after a 1e-12 symmetry check."""
     g = np.asarray(gamma, dtype=float)
@@ -114,8 +120,7 @@ def _as_gamma(gamma, model: RegimeModel) -> np.ndarray:
         raise ValueError("gamma must be symmetric within 1e-12")
     if g.shape[0] != model.d:
         raise ValueError("gamma dimension does not match the model")
-    if model.d < 2:     # each deleted Gamma^(k) would be empty
-        raise ValueError("Condition (C) needs at least two regimes")
+    _require_regimes(model)
     return 0.5 * (g + g.T)
 
 
@@ -208,6 +213,7 @@ def criterion_diag(model: RegimeModel, alpha_diag) -> bool:
 
         max_k sqrt( sum_{i != k} lam_i * sum_{i != k} 1/lam_i ) < d + 1.
     """
+    _require_regimes(model)
     a = np.asarray(alpha_diag, dtype=float)
     if a.shape != model.lam.shape:
         raise ValueError("alpha_diag must have one entry per regime")
@@ -246,6 +252,7 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
     delegated to the exact d = 3 criterion or the identity criterion, the
     diagonal criterion at alpha = 1.
     """
+    _require_regimes(model)
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
     lam_full = np.sort(model.lam)

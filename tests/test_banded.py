@@ -1,9 +1,12 @@
 """Block-tridiagonal banded solve against a dense oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rslv_lab import banded
 from rslv_lab.banded import block_tridiag_to_banded, solve_block_tridiag
 
 
@@ -91,3 +94,12 @@ def test_inputs_are_left_unchanged(d):
     for a, b in zip(system, before):
         np.testing.assert_array_equal(a, b)
 
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    # no fallback to scipy.linalg: the error names the directory searched
+    monkeypatch.setattr(banded.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    banded._drivers.cache_clear()
+    with pytest.raises(ImportError, match=r"no LAPACK extension _flapack in .*linalg"):
+        banded._drivers()
+    monkeypatch.undo()
+    assert banded._drivers()[0] is sys.modules["scipy.linalg._flapack"].dgbsv

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rslv_lab import cli
+from rslv_lab import cli, particles
 from rslv_lab.acceptance import HEAT_L1_TOL
 from rslv_lab.dupire import dupire_from_calls
-from rslv_lab.particles import PHASES
+from rslv_lab.particles import PHASES, cond_expect_f2
 from rslv_lab.regime_model import Measure
 from rslv_lab.stats import bs_call
 
@@ -362,12 +362,22 @@ class TestSimulateCommands:
         ("simulate-rslv", {"T": 1e300, "r": 1e300}, 1e285, "positions are no longer finite")],
         ids=["discount-overflows", "spot-overflows", "qv-spread-overflows",
              "drift-overflows-among-1e15-steps"])
-    def test_overflowing_record_is_a_numerical_failure(self, tmp_path, capsys, command,
-                                                       horizon, dt, message):
+    def test_overflowing_record_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                       command, horizon, dt, message):
         cfg = small_sim_config(tmp_path, extra={
             "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]}, "horizon": horizon,
             "sim": {"dt": dt, "n_particles": 500, "seed": 5},
             "surface": {"kind": "constant", "value": 0.2}, "strikes": [1.0]})
+        # each failure comes within 10 steps; a run that goes on fails after 100
+        # steps instead of running through all 1e15
+        steps = []
+
+        def bounded(*args):
+            steps.append(None)
+            if len(steps) > 100:
+                pytest.fail("no numerical failure within 100 steps")
+            return cond_expect_f2(*args)
+        monkeypatch.setattr(particles, "cond_expect_f2", bounded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([command, str(cfg)]) == 3
@@ -824,9 +834,22 @@ def test_particles_and_condition_c_never_load_scipy(tmp_path):
 
 
 def test_grid_solve_loads_lapack_without_scipy_special(tmp_path):
+    # the LAPACK extension alone: neither scipy.linalg nor any other scipy module
     modules = loaded_scipy_modules(["solve-fbm", str(small_solve_config(tmp_path))])
-    assert "scipy.linalg" in modules
-    assert "scipy.special" not in modules
+    assert modules == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("first", ["banded", "scipy.linalg"])
+def test_lapack_drivers_are_scipys_own(first):
+    # banded._drivers() and scipy.linalg.lapack share the routine objects,
+    # whichever of the two loads the extension module first
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    load = {"banded": "drivers = banded._drivers()\nimport scipy.linalg.lapack as lapack\n",
+            "scipy.linalg": "import scipy.linalg.lapack as lapack\ndrivers = banded._drivers()\n"}
+    code = ("import sys\nfrom rslv_lab import banded\n" + load[first]
+            + "sys.exit(not (drivers[0] is lapack.dgbsv and drivers[1] is lapack.dgtsv))\n")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def write_calls(tmp_path, ts=np.linspace(0.25, 0.85, 7), ks=np.linspace(0.85, 1.15, 9)):

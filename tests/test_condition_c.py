@@ -88,7 +88,9 @@ class TestGammaK:
         # every deleted Gamma^(k) of a one-regime model is empty
         m = uniform_model([2.0])
         for decide in (satisfies_condition_c, coercivity_certificate,
-                       lambda g, model: gamma_k_submatrix(g, model, 1)):
+                       lambda g, model: gamma_k_submatrix(g, model, 1),
+                       lambda g, model: criterion_diag(model, np.ones(1)),
+                       lambda g, model: grid_search_diag(model, 10)):
             with pytest.raises(ValueError, match="needs at least two regimes"):
                 decide(np.eye(1), m)
 
