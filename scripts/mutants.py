@@ -9,7 +9,7 @@ temporary directory, runs the tests outside tests/test_acceptance.py there
 once unmutated (a failure then stops the run), and then once per mutant
 applied to a fresh copy of src/.  It prints one line per mutant: killed or
 SURVIVED, how many of its expected killers failed, and every failing test.
-A full run takes about eleven minutes on 2 vCPU, so it stays out of the
+A full run takes about twenty minutes on 2 vCPU, so it stays out of the
 test suite; tests/test_scripts.py only checks that every old text still occurs
 exactly once.  Exit status 0 iff every mutant is killed by all of its
 expected killers.
@@ -36,6 +36,7 @@ FBM = "tests/test_fokker_planck.py"
 PART = "tests/test_particles.py"
 SMILE = "tests/test_smile.py"
 SWITCH = "tests/test_switching.py"
+COND = "tests/test_condition_c.py"
 
 MUTANTS = [
     ("grid-r-dropped", "fokker_planck.py",
@@ -92,6 +93,52 @@ MUTANTS = [
     ("particles-q-at-zero", "particles.py",
      "q.rates_from(rows, x[cand])", "q.rates_from(rows, 0.0 * x[cand])",
      [f"{SWITCH}::test_grid_and_particles_agree_on_a_spot_dependent_q"]),
+    ("d3-boundary", "condition_c.py",
+     "satisfied=lhs > 0.25)", "satisfied=lhs > 0.2)",
+     [f"{COND}::TestBoundary::test_criterion_flips_at_the_root",
+      f"{COND}::TestGridSearch::test_agreement_on_failing_and_satisfied_triples"]),
+    ("gk-row-col", "condition_c.py",
+     "- g[k, :][None, :] - g[:, k][:, None]", "- 2.0 * g[k, :][None, :]",
+     [f"{COND}::TestGammaK::test_entries_match_the_formula"]),
+    ("faces-never", "condition_c.py",
+     "kept = rng.random((n, d)) >= 0.35", "kept = rng.random((n, d)) >= 0.0",
+     [f"{COND}::TestDomainStates::test_a_third_of_the_states_lie_on_faces",
+      f"{COND}::TestCertificate::test_regression_value"]),
+    ("moment-m-1-with-lam", "condition_c.py",
+     "sm1 += inv * (1.0 / lam)", "sm1 += inv * lam",
+     [f"{COND}::TestGridSearch::test_agreement_with_exact_criterion",
+      f"{COND}::TestBoundary::test_grid_search_finds_points_inside_only"]),
+    ("screening-sign", "condition_c.py",
+     "form = 0.5 * g1 + num", "form = 0.5 * g1 - num",
+     [f"{COND}::TestScreeningForm::test_matches_the_dense_form"]),
+    ("diag-criterion-one", "condition_c.py",
+     "lhs = 2.0 * inv_a + (inv_a.sum() - inv_a)", "lhs = 1.0 * inv_a + (inv_a.sum() - inv_a)",
+     [f"{COND}::TestConditionC::test_diagonal_from_grid_point_passes",
+      f"{COND}::TestBoundary::test_recovered_diagonals_satisfy_condition_c"]),
+    ("kappa-uncapped", "condition_c.py",
+     "kappa_hat = min(kappa, 0.5 * lmin_pi)", "kappa_hat = kappa",
+     [f"{COND}::TestCertificate::test_equal_levels_lower_bound"]),
+    ("a-eps-diagonal-sign", "regime_model.py",
+     "m[:, idx, idx] = (s[:, None] - u) * (-c) / denom[:, None]",
+     "m[:, idx, idx] = (s[:, None] - u) * c / denom[:, None]",
+     ["tests/test_regime_model.py::TestCoefficientMatrices::test_hand_evaluated_example",
+      f"{FBM}::TestFbmSolver::test_heat_closure_matches_scalar_solver"]),
+    ("band-off-untransposed", "banded.py",
+     "runs[1:, :, :d] = runs[:-1, :, 2 * d:] = off.transpose(0, 2, 1)",
+     "runs[1:, :, :d] = runs[:-1, :, 2 * d:] = off",
+     ["tests/test_banded.py::test_banded_layout",
+      "tests/test_banded.py::test_solve_matches_dense"]),
+    ("grid-eps-raised", "fokker_planck.py",
+     "self.eps = 1e-10 * model.lam_min", "self.eps = 1e-3 * model.lam_min",
+     [f"{FBM}::TestFbmSolver::test_heat_closure_matches_scalar_solver",
+      f"{FBM}::TestOutputs::test_step_minimum_sees_the_undershoot_between_outputs"]),
+    ("certificate-eps-over-bound", "condition_c.py",
+     "eps = 0.9 * bound", "eps = 1.5 * bound",
+     [f"{COND}::TestCertificate::test_regression_value"]),
+    ("certificate-z-at-lam-min", "condition_c.py",
+     "z = float(np.min(ztilde / d) / (2.0 * model.lam_max))",
+     "z = float(np.min(ztilde / d) / (2.0 * model.lam_min))",
+     [f"{COND}::TestCertificate::test_regression_value"]),
 ]
 
 

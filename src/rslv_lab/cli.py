@@ -6,9 +6,9 @@ Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
 verification; 2 invalid input or configuration, an input whose arrays cannot
 be allocated included; 3 numerical failure.
 RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
-minimum (condition_c.sample_quadratic_min); at 2 or more, simulate-* also
-draws each particle step's random numbers on one helper thread.  Unset, it
-is min(2, os.cpu_count()).  Runs are deterministic either way.  Only the
+minimum (condition_c.sample_quadratic_min) and nothing else; unset, it is
+min(2, os.cpu_count()).  simulate-* always draws each particle step's random
+numbers on one helper thread.  Runs are deterministic at any setting.  Only the
 grid solves (solve-*, verify) load anything of scipy: its LAPACK extension
 module, scipy.linalg._flapack, and neither scipy.linalg nor scipy itself.
 """

@@ -268,14 +268,13 @@ def grid_search_diag(model: RegimeModel, n: int) -> GridSearchReport:
     l1, ld = l[0], l[-1]
     hull_slope = 1.0 / (l1 * ld)
     inv_l, chord = 1.0 / l, l[:-1] * l[1:]         # the lower chord of segment j
-    k1 = np.arange(1, n) / n
-    k2 = np.arange(1, n) / n
+    k = np.arange(1, n) / n
     found = []
     for i in range(l.size - 1):
-        x = l[i] + (l[i + 1] - l[i]) * k1                       # (n-1,)
-        y_min = (1.0 / l[i]) * (1.0 - k1) + (1.0 / l[i + 1]) * k1
+        x = l[i] + (l[i + 1] - l[i]) * k                        # (n-1,)
+        y_min = (1.0 / l[i]) * (1.0 - k) + (1.0 / l[i + 1]) * k
         y_max = 1.0 / l1 - (x - l1) * hull_slope
-        y = y_min[:, None] + (y_max - y_min)[:, None] * k2[None, :]   # (n-1, n-1)
+        y = y_min[:, None] + (y_max - y_min)[:, None] * k[None, :]    # (n-1, n-1)
         xx = x[:, None]                                          # (n-1, 1)
 
         m0, m1, mm1 = _moment_sums(xx, y, lam_full)
@@ -341,7 +340,8 @@ def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
 
     Each chunk screens its draws with the matrix-free form on (d, n) arrays
     and re-evaluates the minimising pair through a_eps_batch, the field the
-    solver uses.  Deterministic for a given seed independent of the worker
+    solver uses.  The chunks run on a pool of min(worker_count(), chunks)
+    threads.  Deterministic for a given seed independent of the worker
     count: chunks of _CHUNK draw from spawned child streams and the minima
     are reduced in chunk order.  Returns (min_value, argmin_rho, argmin_xi).
     """
@@ -364,15 +364,8 @@ def sample_quadratic_min(pi: np.ndarray, model: RegimeModel, samples: int,
         return float(q[0]), rho_k[0], xi_k[0]
 
     sizes = [_CHUNK] * (n_chunks - 1) + [samples - _CHUNK * (n_chunks - 1)]
-    jobs = list(zip(seeds, sizes))
-    workers = worker_count()
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, jobs))
-    else:
-        results = [one_chunk(j) for j in jobs]
-    best = min(results, key=lambda r: r[0])
-    return best
+    with ThreadPoolExecutor(max_workers=min(worker_count(), n_chunks)) as pool:
+        return min(pool.map(one_chunk, zip(seeds, sizes)), key=lambda r: r[0])
 
 
 def coercivity_certificate(gamma, model: RegimeModel, samples: int = 100_000,

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .condition_c import worker_count
 from .dupire import VolSurface
 from .fokker_planck import (NumericalError, PhaseClock, recorded_index, step_at,
                             step_grid)
@@ -265,9 +263,10 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     frozen at the current ensemble; a ``surface`` adds the drift and scales
     the diffusion, and the model's q switches regimes.  Deterministic for a
     given (seed, plan, model): identical inputs give bit-identical
-    trajectories, with or without the helper thread that draws the next
-    step's random numbers while a step runs (condition_c.worker_count of 2
-    or more).  Checkpoints must lie on the step grid k * T / n_steps, and
+    trajectories.  One helper thread draws step n + 1's Gaussian increments
+    and thinning uniforms while step n runs; each stream is consumed in step
+    order, so the outputs do not depend on how the threads interleave.
+    Checkpoints must lie on the step grid k * T / n_steps, and
     the step dt = T / n_steps must keep dt * (d - 1) * qbar below 1, so that
     no switching probability of one step exceeds 1 (ValueError otherwise).
     Non-finite positions or ensemble spread raise NumericalError with the
@@ -298,9 +297,8 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             qvs.append(qv.copy())
             occ.append(np.bincount(y - 1, minlength=model.d) / y.size)
 
-    # step n's Gaussian increments and uniforms go to slot n % 2, so that a
-    # helper thread can fill step n + 1's slot while step n reads its own;
-    # each stream is consumed in step order either way
+    # step n's Gaussian increments and uniforms go to slot n % 2, so that the
+    # helper thread can fill step n + 1's slot while step n reads its own
     sqrt_dt = math.sqrt(dt)
     dws = np.empty((2, plan.n_particles))
     us = np.empty((2 if thin else 0, plan.n_particles))
@@ -313,8 +311,8 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     clock = PhaseClock(PHASES)
     record(0)
     clock.lap("record")
-    with ThreadPoolExecutor(max_workers=1) if worker_count() > 1 else nullcontext() as pool:
-        ahead = pool.submit(draws, 0) if pool else None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draws, 0)
         for n in range(n_steps):
             try:
                 reg = cond_expect_f2(x, lam_y, plan, model)
@@ -330,8 +328,8 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
                     x += (r - 0.5 * diff2) * dt
             else:
                 diff2 = ratio
-            dw, u = ahead.result() if pool else draws(n)
-            if pool and n + 1 < n_steps:
+            dw, u = ahead.result()
+            if n + 1 < n_steps:
                 ahead = pool.submit(draws, n + 1)
             x += np.sqrt(diff2) * dw
             qv += diff2 * dt

@@ -67,6 +67,18 @@ class TestGammaK:
             eig = np.linalg.eigvalsh(sub)
             np.testing.assert_allclose(np.sort(eig), lam * np.array([1.0, 1.0, 4.0]), atol=1e-12)
 
+    def test_entries_match_the_formula(self):
+        # off-diagonal entries all differ, so a row swapped for a column shows
+        lam = np.array([1.0, 2.0, 4.0])
+        g = np.array([[4.0, 1.0, 0.5], [1.0, 5.0, -0.7], [0.5, -0.7, 6.0]])
+        assert np.linalg.eigvalsh(g)[0] > 0
+        for k in range(3):
+            keep = [i for i in range(3) if i != k]
+            want = [[(lam[i] + lam[j]) / 2 * (g[i, j] + g[k, k] - g[i, k] - g[j, k])
+                     for j in keep] for i in keep]
+            np.testing.assert_allclose(gamma_k_submatrix(g, uniform_model(lam), k + 1),
+                                       want, rtol=1e-15)
+
     def test_zero_matrix_is_not_definite(self):
         m = uniform_model([1.0, 2.0])
         sub = gamma_k_submatrix(np.zeros((2, 2)), m, 1)
@@ -186,6 +198,44 @@ class TestCriterionDiag:
             criterion_diag(uniform_model([1.0, 2.0]), [1.0, 0.0])
 
 
+class TestBoundary:
+    """(C) along the geometric triples (1, x, x^2), where it fails past one root x*."""
+
+    @pytest.fixture(scope="class")
+    def x_star(self):
+        """The root of criterion_d3((1, x, x^2)).lhs = 1/4, by bisection."""
+        lo, hi = 2.0, 100.0
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            if criterion_d3([1.0, mid, mid * mid]).lhs > 0.25:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    @staticmethod
+    def triple(x):
+        return uniform_model([1.0, x, x * x])
+
+    def test_criterion_flips_at_the_root(self, x_star):
+        assert x_star == pytest.approx(8.35241, abs=1e-5)
+        inside, outside = x_star * (1.0 - 1e-9), x_star * (1.0 + 1e-9)
+        assert criterion_d3([1.0, inside, inside * inside]).satisfied
+        assert not criterion_d3([1.0, outside, outside * outside]).satisfied
+
+    def test_grid_search_finds_points_inside_only(self, x_star):
+        assert grid_search_diag(self.triple(0.9 * x_star), 400).points.shape[0] > 0
+        rep = grid_search_diag(self.triple(1.1 * x_star), 400)
+        assert rep.points.shape[0] == 0 and not rep.satisfied
+
+    def test_recovered_diagonals_satisfy_condition_c(self, x_star):
+        m = self.triple(0.9 * x_star)
+        points = grid_search_diag(m, 400).points
+        for i in np.linspace(0, len(points) - 1, 11).round().astype(int):
+            alpha = recover_alpha_from_point(m, *points[i])
+            assert satisfies_condition_c(np.diag(alpha), m), points[i]
+
+
 class TestGridSearch:
     def test_figure_configuration(self):
         rep = grid_search_diag(uniform_model([1.0, 2.0, 3.0, 5.0, 10.0]), 100)
@@ -219,6 +269,20 @@ class TestGridSearch:
             checked += 1
             grid = grid_search_diag(uniform_model(np.sort(lam)), 400)
             assert grid.satisfied == rep.satisfied
+
+    def test_agreement_on_failing_and_satisfied_triples(self):
+        # on [0.01, 100] about half the triples fail (C); on [0.1, 10] almost none
+        rng = np.random.default_rng(41)
+        checked = {True: 0, False: 0}
+        while min(checked.values()) < 10:
+            lam = np.exp(rng.uniform(math.log(0.01), math.log(100.0), 3))
+            rep = criterion_d3(lam)
+            if (not math.isfinite(rep.lhs) or abs(rep.lhs - 0.25) <= 0.01
+                    or checked[rep.satisfied] == 10):
+                continue
+            checked[rep.satisfied] += 1
+            grid = grid_search_diag(uniform_model(np.sort(lam)), 400)
+            assert grid.satisfied == rep.satisfied, lam
 
     def test_degenerate_multisets_fall_back(self):
         rep = grid_search_diag(uniform_model([2.0, 2.0, 2.0]), 50)
@@ -276,6 +340,17 @@ class TestRecovery:
         m = uniform_model([1.0, 2.0, 4.0])
         with pytest.raises(RecoveryFailure):
             recover_alpha_from_point(m, 4.5, 1.2)  # X, Y land outside the hull
+
+
+class TestDomainStates:
+    def test_a_third_of_the_states_lie_on_faces(self):
+        # half the rows zero each coordinate with probability 0.35
+        rho = condition_c.sample_domain_states(3, 100_000, np.random.default_rng(12))
+        zero = rho == 0.0
+        assert zero.any(axis=1).mean() == pytest.approx(0.5 * (1.0 - 0.65 ** 3), abs=0.01)
+        assert zero.any(axis=0).all()
+        assert not zero.all(axis=1).any()
+        assert np.all(rho >= 0.0)
 
 
 class TestCertificate:
@@ -368,9 +443,9 @@ class TestThreads:
 
     def test_bit_identical_on_one_and_two_threads(self, monkeypatch, pools):
         one = self.sample(monkeypatch, "1")
-        assert pools == []
+        assert pools == [1]
         two = self.sample(monkeypatch, "2")
-        assert pools == [2]
+        assert pools == [1, 2]
         assert one[0] == two[0]
         np.testing.assert_array_equal(one[1], two[1])
         np.testing.assert_array_equal(one[2], two[2])
@@ -379,7 +454,7 @@ class TestThreads:
     def test_invalid_count_is_one_worker(self, monkeypatch, pools, threads):
         self.sample(monkeypatch, threads)
         assert condition_c.worker_count() == 1
-        assert pools == []
+        assert pools == [1]
 
     @pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (8, 2), (None, 1)])
     def test_unset_count_is_at_most_two_workers(self, monkeypatch, cpus, workers):
