@@ -148,13 +148,16 @@ def failing_tests(tree: Path) -> tuple[list, float]:
 
     A run still going after TIMEOUT seconds is stopped, the test it was in
     counts as failing, and the tests run again without it: a mutant can make
-    a run that should fail at its first step run on instead.
+    a run that should fail at its first step run on instead.  Each run starts
+    without Hypothesis's example database, so the examples that one run
+    saves, a stopped one's included, are not replayed in the next.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
     # deselected from the start: a mutant's old text no longer occurs in src/
     hung = ["tests/test_scripts.py::test_every_mutant_still_applies"]
     while True:
+        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
         argv = [sys.executable, "-m", "pytest", "-v", "--tb=no", "-p", "no:cacheprovider",
                 "--ignore=tests/test_acceptance.py", "tests"]
         try:

@@ -1,7 +1,8 @@
 """Command-line entry point binding the laboratory into reproducible runs.
 
-Subcommands: check-c, solve-fbm, solve-rslv, solve-lv, solve-jump,
-simulate-fbm, simulate-rslv, simulate-jump, dupire-build, verify.
+Subcommands: check-c, solve-fbm, solve-rslv, simulate-fbm, simulate-rslv,
+dupire-build, verify.  The config of a run picks its dynamics; the command
+picks the solver (grid or particles) and whether the surface is read.
 Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
 verification; 2 invalid input or configuration, an input whose arrays cannot
 be allocated included; 3 numerical failure.
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import chain, islice
 
 import numpy as np
@@ -298,37 +299,20 @@ def _cmd_check_c(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-* and simulate-*
 
-def _dynamics(args, cfg: dict):
-    """The model and surface that a ``solve-*`` or ``simulate-*`` command runs.
-
-    The inputs pick the dynamics: a surface adds the drifts and the model's
-    q the regime switching.  ``*-rslv`` and solve-lv read the surface
-    section, solve-lv is solve-rslv on the one-regime model lambda = [1],
-    ``*-jump`` needs a nonzero q, solve-fbm refuses one and simulate-fbm runs
-    with the zero Q.  One lambda is the scalar (heat or LV) equation.
-    """
-    command = args.command
-    kind = command.split("-", 1)[1]
-    model = RegimeModel(lam=[1.0], alpha=[1.0]) if kind == "lv" else _section(cfg, "model")
-    if kind == "jump" and model.q.qbar == 0:
-        raise ConfigError(f"{command} needs nonzero intensities q in the model section")
-    if command == "solve-fbm" and model.q.qbar > 0:
-        raise ConfigError("solve-fbm has no regime switching; use solve-jump")
-    if command == "simulate-fbm":
-        model = replace(model, q=None)
-    if kind not in ("rslv", "lv"):
-        return model, None
-    return model, _surface_from(cfg, os.path.dirname(os.path.abspath(args.config)))
-
-
 def _cmd_run(args) -> int:
     """One ``solve-*`` or ``simulate-*`` run: its CSVs, then one JSON record
-    whose ``run`` block names the command and the config that produced it."""
+    whose ``run`` block names the command and the config that produced it.
+
+    The model's q switches the regimes and one lambda is the scalar (heat or
+    LV) equation, under any command; only ``*-rslv`` reads the surface.
+    """
     cfg = _load_config(args.config)
-    model, surface = _dynamics(args, cfg)
+    verb, kind = args.command.split("-", 1)
+    model = _section(cfg, "model")
+    surface = (_surface_from(cfg, os.path.dirname(os.path.abspath(args.config)))
+               if kind == "rslv" else None)
     horizon = _section(cfg, "horizon")
     initial = _section(cfg, "initial")
-    verb, kind = args.command.split("-", 1)
     if verb == "solve":
         grid = _section(cfg, "grid")
         pds = _section(cfg, "pds")
@@ -460,10 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", help="CSV output for grid points")
     pc.set_defaults(run=_cmd_check_c)
 
-    runs = {"solve": ("grid solve of the {} system", ("fbm", "rslv", "lv", "jump")),
-            "simulate": ("particle run in {} mode", ("fbm", "rslv", "jump"))}
-    for verb, (about, kinds) in runs.items():
-        for kind in kinds:
+    runs = {"solve": "grid solve of the {} system", "simulate": "particle run in {} mode"}
+    for verb, about in runs.items():
+        for kind in ("fbm", "rslv"):
             pr = sub.add_parser(f"{verb}-{kind}", help=about.format(kind))
             pr.add_argument("config", help="experiment config JSON")
             pr.add_argument("--out", help="output directory")

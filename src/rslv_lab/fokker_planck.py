@@ -89,7 +89,10 @@ class PDSConfig:
 
     sigma_mollify is the width of the initial heat-kernel mollification,
     finite and non-negative (required positive for atomic data).  Without
-    output_times, n_outputs >= 2 equally spaced times from 0 to T are recorded.
+    output_times, n_outputs >= 2 equally spaced times from 0 to T are each
+    rounded to the nearest step, and times that round to the same step are
+    recorded once: 11 over 5 steps record 6 times, and 4 at T = 0.1, dt = 1e-3
+    record the steps 0, 33, 67 and 100.
     """
 
     dt: float

@@ -23,6 +23,8 @@ from rslv_lab.regime_model import Measure
 from rslv_lab.stats import bs_call
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the one-regime model: solve-rslv on it is Dupire's local-volatility equation
+ONE_REGIME = {"lambda": [1.0], "alpha": [1.0]}
 
 
 def small_solve_config(tmp_path, dt=2e-3, extra=None):
@@ -244,13 +246,13 @@ class TestSolveCommands:
         assert (tmp_path / "out" / "fbm_0002.csv").read_bytes() == first
 
     def test_solve_lv_needs_surface(self, tmp_path):
-        cfg = small_solve_config(tmp_path)
-        assert cli.main(["solve-lv", str(cfg)]) == 2
+        cfg = small_solve_config(tmp_path, extra={"model": ONE_REGIME})
+        assert cli.main(["solve-rslv", str(cfg)]) == 2
 
     def test_solve_lv_with_surface(self, tmp_path):
         cfg = small_solve_config(tmp_path, extra={
-            "surface": {"kind": "constant", "value": 0.4}})
-        assert cli.main(["solve-lv", str(cfg)]) == 0
+            "model": ONE_REGIME, "surface": {"kind": "constant", "value": 0.4}})
+        assert cli.main(["solve-rslv", str(cfg)]) == 0
 
     def test_one_lambda_solve_fbm_is_the_heat_equation(self, tmp_path):
         # E[f^2(Y) | X] = lambda, so the level cancels and the sum is the heat flow
@@ -296,9 +298,9 @@ class TestSimulateCommands:
 
     def test_simulate_rerun_identical_rows(self, tmp_path):
         cfg = small_sim_config(tmp_path)
-        assert cli.main(["simulate-jump", str(cfg)]) == 0
+        assert cli.main(["simulate-fbm", str(cfg)]) == 0
         first = (tmp_path / "sim" / "checkpoint_00.csv").read_bytes()
-        assert cli.main(["simulate-jump", str(cfg)]) == 0
+        assert cli.main(["simulate-fbm", str(cfg)]) == 0
         assert (tmp_path / "sim" / "checkpoint_00.csv").read_bytes() == first
 
     def test_simulate_rslv_prices(self, tmp_path):
@@ -391,7 +393,7 @@ class TestSimulateCommands:
         data = json.loads(cfg.read_text())
         data["model"]["q"] = [[0.0, 200.0], [200.0, 0.0]]
         cfg.write_text(json.dumps(data))
-        assert cli.main(["simulate-jump", str(cfg)]) == 2
+        assert cli.main(["simulate-fbm", str(cfg)]) == 2
 
     def test_jump_step_bound_holds_at_the_step_dt(self, tmp_path, capsys):
         # dt = 0.4 on T = 1 steps at 0.5, where dt * (d - 1) * qbar = 1.1
@@ -400,7 +402,7 @@ class TestSimulateCommands:
                       "q": [[0.0, 2.2], [2.2, 0.0]]},
             "horizon": {"T": 1.0, "r": 0.0},
             "sim": {"dt": 0.4, "n_particles": 500, "seed": 5}})
-        assert cli.main(["simulate-jump", str(cfg)]) == 2
+        assert cli.main(["simulate-fbm", str(cfg)]) == 2
         assert "one-switch thinning (step dt = 0.5)" in capsys.readouterr().err
 
     def test_refused_run_leaves_no_output_directory(self, tmp_path):
@@ -411,7 +413,7 @@ class TestSimulateCommands:
                       "q": [[0.0, 2.2], [2.2, 0.0]]},
             "horizon": {"T": 1.0, "r": 0.0},
             "sim": {"dt": 0.4, "n_particles": 500, "seed": 5}})
-        assert cli.main(["simulate-jump", str(cfg)]) == 2
+        assert cli.main(["simulate-fbm", str(cfg)]) == 2
         assert not (tmp_path / "sim").exists()
 
 
@@ -426,9 +428,9 @@ SURFACE_FILES = {"surface.json": {"kind": "constant", "value": 0.2},
                  "typo.json": {"kind": "constant", "value": 0.2, "sigma_lo": 0.3}}
 Q_TABLE = {"x": [0.0, 1.0], "rates": [[[0.0, 1.0], [1.0, 0.0]]] * 2}
 
-# (command, section, entries merged into it; the section is made if the base
+# (run, section, entries merged into it; the section is made if the base
 # config has none, and entries that name a kind or are no dict replace it):
-# each one is a config error
+# each one is a config error.  A run is named as in RUNS
 BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"dt": None}, id="pds-null"),
     pytest.param("solve-fbm", "pds", {"dt": [2e-3]}, id="pds-list"),
@@ -507,13 +509,16 @@ BAD_SECTIONS = [
 ]
 
 
-@pytest.mark.parametrize("command,section,entries", BAD_SECTIONS)
-def test_bad_section_is_a_config_error(tmp_path, capsys, command, section, entries):
+@pytest.mark.parametrize("run,section,entries", BAD_SECTIONS)
+def test_bad_section_is_a_config_error(tmp_path, capsys, run, section, entries):
+    command, _, _, one_regime = RUNS[run]
     make = small_solve_config if command.startswith("solve") else small_sim_config
     path = make(tmp_path)
     for name, surface in SURFACE_FILES.items():
         (tmp_path / name).write_text(json.dumps(surface))
     cfg = json.loads(path.read_text())
+    if one_regime:
+        cfg["model"] = dict(ONE_REGIME)
     if isinstance(entries, dict) and "kind" not in entries:
         cfg.setdefault(section, {}).update(entries)
     else:
@@ -524,11 +529,11 @@ def test_bad_section_is_a_config_error(tmp_path, capsys, command, section, entri
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def contract_config(tmp_path, q, surface):
+def contract_config(tmp_path, q, surface, one_regime=False):
     """One config that every solve-* and simulate-* command can read."""
-    model = {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]}
+    model = ONE_REGIME if one_regime else {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5]}
     if q:
-        model["q"] = [[0.0, 1.0], [1.0, 0.0]]
+        model = {**model, "q": [[0.0, 1.0], [1.0, 0.0]]}
     cfg = {
         "model": model,
         "horizon": {"T": 0.1, "r": 0.0},
@@ -544,31 +549,21 @@ def contract_config(tmp_path, q, surface):
     return str(path)
 
 
-# (command, model has q, config has a surface, exit code): the inputs pick the
-# dynamics, and each command checks that they are the ones it names
-CONTRACT = [
-    ("solve-fbm", False, False, 0),
-    ("solve-fbm", True, False, 2),
-    ("solve-jump", True, False, 0),
-    ("solve-jump", False, False, 2),
-    ("solve-rslv", True, True, 0),
-    ("solve-rslv", False, True, 0),
-    ("solve-rslv", True, False, 2),
-    ("solve-lv", False, True, 0),
-    ("solve-lv", False, False, 2),
-    ("simulate-fbm", False, False, 0),
-    ("simulate-fbm", True, False, 0),
-    ("simulate-jump", True, False, 0),
-    ("simulate-jump", False, False, 2),
-    ("simulate-rslv", True, True, 0),
-    ("simulate-rslv", True, False, 2),
-]
+# (command, model has q, config has a surface, exit code): the config picks the
+# dynamics, a *-rslv command needs a surface and a *-fbm one never reads it
+CONTRACT = [(command, q, surface, 2 if command.endswith("rslv") and not surface else 0)
+            for command in ("solve-fbm", "solve-rslv", "simulate-fbm", "simulate-rslv")
+            for q in (False, True) for surface in (False, True)]
 
 
 def record_name(command: str) -> str:
     """The JSON file in which a run of ``command`` records itself."""
     verb, kind = command.split("-", 1)
     return f"{kind}_metadata.json" if verb == "solve" else f"simulate_{kind}_diagnostics.json"
+
+
+def snapshot_csvs(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
 @pytest.mark.parametrize("command,q,surface,code", CONTRACT)
@@ -588,11 +583,17 @@ def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
     if command.startswith("simulate"):
         y0, y1 = (np.loadtxt(out / f"checkpoint_{k:02d}.csv", delimiter=",",
                              skiprows=1)[:, 2] for k in (0, 1))
-        # simulate-fbm runs without switching, even when the model has q
-        assert np.array_equal(y0, y1) == (command == "simulate-fbm" or not q)
+        # the regimes switch exactly when the model has q
+        assert np.array_equal(y0, y1) == (not q)
+    if command.endswith("fbm") and surface:
+        # the same run without the surface writes the same files
+        without = tmp_path / "without"
+        assert cli.main([command, contract_config(tmp_path, q, False),
+                         "--out", str(without)]) == 0
+        assert snapshot_csvs(out) == snapshot_csvs(without)
 
 
-@pytest.mark.parametrize("command", ["solve-jump", "simulate-jump"])
+@pytest.mark.parametrize("command", ["solve-fbm", "simulate-fbm"])
 def test_one_node_q_is_the_constant_q(tmp_path, command):
     path = Path(contract_config(tmp_path, True, False))
     cfg = json.loads(path.read_text())
@@ -603,28 +604,25 @@ def test_one_node_q_is_the_constant_q(tmp_path, command):
         cfg["model"]["q"] = q
         path.write_text(json.dumps(cfg))
         assert cli.main([command, str(path), "--out", str(out)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        outputs.append(snapshot_csvs(out))
     assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_zero_q_is_no_switching(tmp_path):
     path = Path(contract_config(tmp_path, False, False))
     cfg = json.loads(path.read_text())
+    model = cfg["model"]
     outputs = {}
-    for q in (None, [[0.0, 0.0], [0.0, 0.0]]):
-        if q is not None:
-            cfg["model"]["q"] = q
+    # no q, a null q and the zero Q
+    for k, q in enumerate(({}, {"q": None}, {"q": [[0.0, 0.0], [0.0, 0.0]]})):
+        cfg["model"] = {**model, **q}
         path.write_text(json.dumps(cfg))
         for command in ("solve-fbm", "simulate-fbm"):
-            out = tmp_path / f"{command}-{q is None}"
+            out = tmp_path / f"{command}-{k}"
             assert cli.main([command, str(path), "--out", str(out)]) == 0
-            outputs.setdefault(command, []).append(
-                {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-    for command in ("solve-jump", "simulate-jump"):
-        assert cli.main([command, str(path), "--out", str(tmp_path / command)]) == 2
-        assert not (tmp_path / command).exists()
-    for first, second in outputs.values():
-        assert first and first == second
+            outputs.setdefault(command, []).append(snapshot_csvs(out))
+    for first, *rest in outputs.values():
+        assert first and rest == [first, first]
 
 
 # each key that asks for an array far larger than any memory: numpy refuses
@@ -645,8 +643,19 @@ def test_allocation_that_cannot_succeed_is_a_config_error(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
-# each command with a q and a surface that it runs on
-RUNNABLE = {command: (q, surface) for command, q, surface, code in CONTRACT if code == 0}
+# each dynamics that a run command reaches, named <solver>-<dynamics>, as
+# (command, model has q, config has a surface, one-regime model): jump is fbm
+# with regime switching, and lv is the one-regime rslv model, Dupire's local
+# volatility
+RUNS = {
+    "solve-fbm": ("solve-fbm", False, False, False),
+    "solve-jump": ("solve-fbm", True, False, False),
+    "solve-rslv": ("solve-rslv", False, True, False),
+    "solve-lv": ("solve-rslv", False, True, True),
+    "simulate-fbm": ("simulate-fbm", False, False, False),
+    "simulate-jump": ("simulate-fbm", True, False, False),
+    "simulate-rslv": ("simulate-rslv", True, True, False),
+}
 
 # one value a drawn config may take to an extreme, as (section, key, value):
 # "step" is the dt of both pds and sim, and a huge T is split into ten steps
@@ -656,8 +665,9 @@ HOSTILE = [None, ("horizon", "r", 1e30), ("horizon", "r", -1e30), ("horizon", "r
 
 
 @st.composite
-def run_configs(draw, command, hostile):
-    """A small config that ``command`` reads, with the ``hostile`` value, if any."""
+def run_configs(draw, run, hostile):
+    """A small config of the ``run`` in RUNS, with the ``hostile`` value, if any."""
+    _, has_q, _, one_regime = RUNS[run]
     d = draw(st.integers(2, 3))
     levels = st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)
     weights = draw(levels)
@@ -668,11 +678,14 @@ def run_configs(draw, command, hostile):
                 for i in range(d)]
 
     q = draw(st.sampled_from(["none", "constant", "one-node", "tabulated"]))
-    if command.endswith("jump") and q == "none":
+    # jump always switches, fbm never does and lv has one regime; rslv draws any q
+    if has_q and q == "none":
         q = "constant"
-    if command == "solve-fbm":
+    if run.endswith(("fbm", "lv")):
         q = "none"
-    if q == "constant":
+    if one_regime:
+        model = dict(ONE_REGIME)
+    elif q == "constant":
         model["q"] = rates()
     elif q == "one-node":
         model["q"] = {"x": [draw(st.floats(-1.0, 1.0))], "rates": [rates()]}
@@ -706,14 +719,15 @@ def run_configs(draw, command, hostile):
     return cfg
 
 
-# every hostile value meets every command; hypothesis draws the rest
-@pytest.mark.parametrize("command,hostile", [
-    pytest.param(c, h, id=c if h is None else f"{c}-{h[1]}={h[2]!r}")
-    for c in RUNNABLE for h in HOSTILE])
+# every hostile value meets every run; hypothesis draws the rest
+@pytest.mark.parametrize("run,hostile", [
+    pytest.param(r, h, id=r if h is None else f"{r}-{h[1]}={h[2]!r}")
+    for r in RUNS for h in HOSTILE])
 @settings(max_examples=2, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_run_commands_exit_cleanly_and_rerun_identically(command, hostile, data):
-    cfg = data.draw(run_configs(command, hostile))
+def test_run_commands_exit_cleanly_and_rerun_identically(run, hostile, data):
+    command = RUNS[run][0]
+    cfg = data.draw(run_configs(run, hostile))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "config.json"), Path(tmp, "out")
         path.write_text(json.dumps(cfg))
@@ -729,7 +743,7 @@ def test_run_commands_exit_cleanly_and_rerun_identically(command, hostile, data)
             if code:
                 assert err.getvalue().count("\n") == 1 and not out.exists()
                 return
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            outputs.append(snapshot_csvs(out))
         assert outputs[0] and outputs[0] == outputs[1]
 
 
@@ -751,10 +765,11 @@ BAD_DOCUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("command", RUNNABLE)
+@pytest.mark.parametrize("run", RUNS)
 @pytest.mark.parametrize("doc", BAD_DOCUMENTS)
-def test_bad_document_is_a_config_error(tmp_path, capsys, command, doc):
-    path = Path(contract_config(tmp_path, *RUNNABLE[command]))
+def test_bad_document_is_a_config_error(tmp_path, capsys, run, doc):
+    command, *config = RUNS[run]
+    path = Path(contract_config(tmp_path, *config))
     if isinstance(doc, dict):
         doc = {**json.loads(path.read_text()), **doc}
     path.write_text(json.dumps(doc))
@@ -791,6 +806,36 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
                          "--out", str(missing / "s.json")],
     }[command]
     assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def unreadable_input(tmp_path, case: str) -> list:
+    """The argv of one run whose input is refused before any output is written."""
+    if case == "config-not-json":
+        path = tmp_path / "config.json"
+        path.write_text('{"model": ')
+        return ["solve-fbm", str(path)]
+    if case == "surface-file-missing":
+        return ["solve-rslv", str(small_solve_config(
+            tmp_path, extra={"surface": {"file": "missing.json"}}))]
+    if case == "call-grid-missing-a-pair":
+        calls = write_calls(tmp_path)[0]
+        lines = calls.read_text().splitlines(keepends=True)
+        calls.write_text("".join(lines[:5] + lines[6:]))
+        return ["dupire-build", str(calls), "--out", str(tmp_path / "s.json")]
+    return ["check-c", *{
+        "lambda-not-a-number": ["--lambda", "1,x"],
+        "d3-without-three-values": ["--lambda", "1,2", "--method", "d3"],
+        "gamma-without-a-file": ["--lambda", "1,2", "--method", "gamma"]}[case]]
+
+
+@pytest.mark.parametrize("case", [
+    "config-not-json", "surface-file-missing", "lambda-not-a-number",
+    "d3-without-three-values", "gamma-without-a-file", "call-grid-missing-a-pair"])
+def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
+    assert cli.main(unreadable_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -880,8 +925,9 @@ class TestDupireBuild:
         read = []
         solve_rslv = cli.solve_rslv
         monkeypatch.setattr(cli, "solve_rslv", lambda *a: read.append(a[4]) or solve_rslv(*a))
-        cfg = small_solve_config(tmp_path, extra={"surface": {"file": "surface.json"}})
-        assert cli.main(["solve-lv", str(cfg)]) == 0
+        cfg = small_solve_config(tmp_path, extra={"model": ONE_REGIME,
+                                                  "surface": {"file": "surface.json"}})
+        assert cli.main(["solve-rslv", str(cfg)]) == 0
         (surface,) = read
         assert (surface.sigma_low, surface.sigma_high) == (0.19, 0.21)
         for name in ("t", "x", "values"):

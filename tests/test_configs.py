@@ -8,7 +8,6 @@ section readers as the commands that fit them, without running those
 commands.
 """
 
-import argparse
 import importlib.util
 import json
 import sys
@@ -19,27 +18,23 @@ import pytest
 from rslv_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = [f"solve-{k}" for k in ("fbm", "rslv", "lv", "jump")] + \
-           [f"simulate-{k}" for k in ("fbm", "rslv", "jump")]
+COMMANDS = [f"{verb}-{kind}" for verb in ("solve", "simulate") for kind in ("fbm", "rslv")]
 
 
 def fits(command: str, cfg: dict) -> bool:
-    """Whether ``cfg`` has the sections ``command`` reads, and q as it asks."""
-    kind = command.split("-", 1)[1]
-    needs = {"horizon"} | ({"grid", "pds"} if command.startswith("solve") else {"sim"})
-    if kind != "lv":
-        needs.add("model")
-    if kind in ("rslv", "lv"):
+    """Whether ``cfg`` has the sections ``command`` reads."""
+    needs = {"model", "horizon"} | ({"grid", "pds"} if command.startswith("solve") else {"sim"})
+    if command.endswith("rslv"):
         needs.add("surface")
-    has_q = cfg.get("model", {}).get("q") is not None
-    return (needs <= set(cfg) and (has_q or kind != "jump")
-            and not (has_q and command == "solve-fbm"))
+    return needs <= set(cfg)
 
 
 def read_sections(command: str, path: Path) -> None:
     """Every section that ``command`` reads from the config at ``path``."""
     cfg = cli._load_config(str(path))
-    cli._dynamics(argparse.Namespace(command=command, config=str(path)), cfg)
+    cli._section(cfg, "model")
+    if command.endswith("rslv"):
+        cli._surface_from(cfg, str(path.parent))
     cli._section(cfg, "horizon")
     if command.startswith("solve"):
         cli._section(cfg, "grid")

@@ -18,6 +18,19 @@ def on_step_grid(t, T, n_steps):
     return any(abs(t - k * T / n_steps) <= tol for k in range(n_steps + 1))
 
 
+# (T, dt, n_outputs, the steps recorded): the equally spaced times round to
+# the nearest step, and times on the same step are recorded once
+SPACED_OUTPUTS = [(0.05, 1e-2, 11, [0, 1, 2, 3, 4, 5]),
+                  (0.1, 1e-3, 4, [0, 33, 67, 100])]
+
+
+@pytest.mark.parametrize("T,dt,n_outputs,steps", SPACED_OUTPUTS)
+def test_spaced_outputs_round_to_steps(T, dt, n_outputs, steps):
+    cfg = PDSConfig(dt=dt, sigma_mollify=0.3, n_outputs=n_outputs)
+    sol = solve_fbm(MODEL, cfg, GRID, HorizonConfig(T=T), Measure.point(0.0))
+    np.testing.assert_array_equal(sol.times, np.array(steps) * (T / round(T / dt)))
+
+
 @st.composite
 def requests(draw):
     """(T, dt, n_steps, times): times mix step times with arbitrary values."""

@@ -78,3 +78,22 @@ def test_every_mutant_still_applies():
             path, _, test = killer.partition("::")
             func = test.split("::")[-1].split("[")[0]
             assert f"def {func}(" in (script.ROOT / path).read_text(), killer
+
+
+def test_each_mutant_run_starts_without_saved_examples(tmp_path, monkeypatch):
+    # a run stopped at the timeout leaves Hypothesis examples behind; the
+    # rerun without its test, and every later run, must not replay them
+    script = load_script("mutants")
+    runs = []
+
+    def run(argv, **kwargs):
+        runs.append((tmp_path / ".hypothesis").exists())
+        (tmp_path / ".hypothesis" / "examples").mkdir(parents=True, exist_ok=True)
+        if len(runs) == 1:
+            raise script.subprocess.TimeoutExpired(argv, script.TIMEOUT,
+                                                   output=b"tests/test_x.py::test_y ")
+        return script.subprocess.CompletedProcess(argv, 0, stdout="")
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.failing_tests(tmp_path)[0] == ["tests/test_x.py::test_y (timed out)"]
+    assert script.failing_tests(tmp_path)[0] == []
+    assert runs == [False, False, False]

@@ -49,8 +49,9 @@ GRID_TOL = 8e-4
 SEED = 7
 Z_TOL = 3.0
 # dupire-build on 81 log-strikes in [-0.5, 0.5] x 19 maturities, then
-# solve-lv at m = 1201, dt = 1e-3: largest price error 5.2e-5 (1.0e-4 on
-# 41 x 19, 1.5e-5 on 161 x 37); the bound is three times that
+# solve-rslv on the one-regime model at m = 1201, dt = 1e-3: largest price
+# error 5.2e-5 (1.0e-4 on 41 x 19, 1.5e-5 on 161 x 37); the bound is three
+# times that
 CLI_TOL = 1.5e-4
 
 
@@ -131,7 +132,8 @@ def test_lv_particles_match_the_lv_grid(smile):
 
 def test_dupire_build_then_solve_lv_through_the_cli(tmp_path):
     """The exact calls, at maturities measured from T0, through dupire-build
-    and then solve-lv from the mixture's start, priced from the last snapshot."""
+    and then solve-rslv on the one-regime model from the mixture's start,
+    priced from the last snapshot."""
     ts = np.linspace(T / 19, T, 19).tolist()
     ks = np.exp(np.linspace(-0.5, 0.5, 81)).tolist()
     rows = [(t, k, float(W @ [bs_call(1.0, k, s, T0 + t) for s in VOLS]))
@@ -140,14 +142,15 @@ def test_dupire_build_then_solve_lv_through_the_cli(tmp_path):
     calls.write_text("t,K,C\n" + "".join(f"{t!r},{k!r},{c!r}\n" for t, k, c in rows))
     assert cli.main(["dupire-build", str(calls), "--out", str(tmp_path / "surface.json")]) == 0
     x0 = np.linspace(-L, L, 1201)
-    config = {"horizon": {"T": T}, "grid": {"L": L, "m": 1201},
+    config = {"model": {"lambda": [1.0], "alpha": [1.0]},
+              "horizon": {"T": T}, "grid": {"L": L, "m": 1201},
               "pds": {"dt": 1e-3, "n_outputs": 2},
               "initial": {"kind": "tabulated", "x": x0.tolist(),
                           "density": mixture_density(T0, x0).tolist()},
               "surface": {"file": "surface.json"}, "output_dir": str(tmp_path / "out")}
     (tmp_path / "config.json").write_text(json.dumps(config))
-    assert cli.main(["solve-lv", str(tmp_path / "config.json")]) == 0
-    meta = json.loads((tmp_path / "out" / "lv_metadata.json").read_text())
+    assert cli.main(["solve-rslv", str(tmp_path / "config.json")]) == 0
+    meta = json.loads((tmp_path / "out" / "rslv_metadata.json").read_text())
     assert meta["times"][-1] == pytest.approx(T)
     snap = np.genfromtxt(tmp_path / "out" / meta["snapshots"][-1]["file"],
                          delimiter=",", names=True)
