@@ -549,11 +549,27 @@ def contract_config(tmp_path, q, surface, one_regime=False):
     return str(path)
 
 
-# (command, model has q, config has a surface, exit code): the config picks the
-# dynamics, a *-rslv command needs a surface and a *-fbm one never reads it
+# each dynamics that a run command reaches, named <solver>-<dynamics>, as
+# (command, model has q, config has a surface, one-regime model): jump is fbm
+# with regime switching, and lv is the one-regime rslv model, Dupire's local
+# volatility
+RUNS = {
+    "solve-fbm": ("solve-fbm", False, False, False),
+    "solve-jump": ("solve-fbm", True, False, False),
+    "solve-rslv": ("solve-rslv", False, True, False),
+    "solve-lv": ("solve-rslv", False, True, True),
+    "simulate-fbm": ("simulate-fbm", False, False, False),
+    "simulate-jump": ("simulate-fbm", True, False, False),
+    "simulate-rslv": ("simulate-rslv", True, True, False),
+}
+
+# (run, model has q, config has a surface, exit code), a run named as in RUNS:
+# the config picks the dynamics, a *-rslv command needs a surface and a *-fbm
+# one never reads it; the jump and lv runs are reached through their commands
 CONTRACT = [(command, q, surface, 2 if command.endswith("rslv") and not surface else 0)
             for command in ("solve-fbm", "solve-rslv", "simulate-fbm", "simulate-rslv")
             for q in (False, True) for surface in (False, True)]
+CONTRACT += [("simulate-jump", True, False, 0), ("solve-lv", False, True, 0)]
 
 
 def record_name(command: str) -> str:
@@ -566,9 +582,10 @@ def snapshot_csvs(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
-@pytest.mark.parametrize("command,q,surface,code", CONTRACT)
-def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
-    path = contract_config(tmp_path, q, surface)
+@pytest.mark.parametrize("run,q,surface,code", CONTRACT)
+def test_command_config_contract(tmp_path, capsys, run, q, surface, code):
+    command, *_, one_regime = RUNS[run]
+    path = contract_config(tmp_path, q, surface, one_regime)
     assert cli.main([command, path]) == code
     if code:
         err = capsys.readouterr().err
@@ -588,7 +605,7 @@ def test_command_config_contract(tmp_path, capsys, command, q, surface, code):
     if command.endswith("fbm") and surface:
         # the same run without the surface writes the same files
         without = tmp_path / "without"
-        assert cli.main([command, contract_config(tmp_path, q, False),
+        assert cli.main([command, contract_config(tmp_path, q, False, one_regime),
                          "--out", str(without)]) == 0
         assert snapshot_csvs(out) == snapshot_csvs(without)
 
@@ -642,20 +659,6 @@ def test_allocation_that_cannot_succeed_is_a_config_error(tmp_path, capsys, comm
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
-
-# each dynamics that a run command reaches, named <solver>-<dynamics>, as
-# (command, model has q, config has a surface, one-regime model): jump is fbm
-# with regime switching, and lv is the one-regime rslv model, Dupire's local
-# volatility
-RUNS = {
-    "solve-fbm": ("solve-fbm", False, False, False),
-    "solve-jump": ("solve-fbm", True, False, False),
-    "solve-rslv": ("solve-rslv", False, True, False),
-    "solve-lv": ("solve-rslv", False, True, True),
-    "simulate-fbm": ("simulate-fbm", False, False, False),
-    "simulate-jump": ("simulate-fbm", True, False, False),
-    "simulate-rslv": ("simulate-rslv", True, True, False),
-}
 
 # one value a drawn config may take to an extreme, as (section, key, value):
 # "step" is the dt of both pds and sim, and a huge T is split into ten steps
