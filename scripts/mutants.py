@@ -139,6 +139,9 @@ MUTANTS = [
      "z = float(np.min(ztilde / d) / (2.0 * model.lam_max))",
      "z = float(np.min(ztilde / d) / (2.0 * model.lam_min))",
      [f"{COND}::TestCertificate::test_regression_value"]),
+    ("config-count-truncates", "cli.py",
+     "if not _number(value).is_integer():", "if not math.isfinite(_number(value)):",
+     ["tests/test_cli.py::test_bad_section_is_a_config_error[grid-fractional-nodes]"]),
 ]
 
 

@@ -6,10 +6,9 @@ picks the solver (grid or particles) and whether the surface is read.
 Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
 verification; 2 invalid input or configuration, an input whose arrays cannot
 be allocated included; 3 numerical failure.
-RSLV_LAB_THREADS caps the worker threads of the sampled quadratic-form
-minimum (condition_c.sample_quadratic_min) and nothing else; unset, it is
-min(2, os.cpu_count()).  simulate-* always draws each particle step's random
-numbers on one helper thread.  Runs are deterministic at any setting.  Only the
+A config number is a JSON number, not a string or a boolean, and the counts
+(grid.m, pds.n_outputs, sim.n_particles, sim.seed) take whole ones such as 2e5.
+Runs are deterministic, on any number of threads or CPUs.  Only the
 grid solves (solve-*, verify) load anything of scipy: its LAPACK extension
 module, scipy.linalg._flapack, and neither scipy.linalg nor scipy itself.
 """
@@ -57,11 +56,28 @@ def _load_config(path: str) -> dict:
     return _read("top-level", doc, _SECTIONS["top-level"])
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A JSON number with a whole value, such as 201 or 2e5, as an int."""
+    if not _number(value).is_integer():
+        raise ValueError(f"expected a whole number, not {value!r}")
+    return int(value)
+
+
 def _times(values):
-    return None if values is None else tuple(float(t) for t in values)
+    return None if values is None else tuple(_number(t) for t in values)
 
 
 def _floats(values) -> np.ndarray:
+    """A number, or nested lists of them, as a float array; each entry passes _number."""
+    for value in np.asarray(values, dtype=object).flat:
+        _number(value)
     return np.asarray(values, dtype=float)
 
 
@@ -90,22 +106,22 @@ def _intensities(value):
     return IntensityTable(_floats(value))
 
 
-_BOUNDS = {"sigma_low": float, "sigma_high": float}
+_BOUNDS = {"sigma_low": _number, "sigma_high": _number}
 
 # each section, or each kind of a section that has kinds: its constructor
 # and the cast of each key it takes
 _SECTIONS = {
     "model": (RegimeModel, {"lambda": _floats, "alpha": _floats, "q": _intensities}),
-    "horizon": (HorizonConfig, {"T": float, "r": float}),
-    "grid": (SpatialGrid, {"L": float, "m": int}),
-    "pds": (PDSConfig, {"dt": float, "sigma_mollify": float, "n_outputs": int,
+    "horizon": (HorizonConfig, {"T": _number, "r": _number}),
+    "grid": (SpatialGrid, {"L": _number, "m": _count}),
+    "pds": (PDSConfig, {"dt": _number, "sigma_mollify": _number, "n_outputs": _count,
                         "output_times": _times}),
-    "sim": (SimPlan, {"dt": float, "n_particles": int, "bandwidth_c": float,
-                      "regression_grid": int, "checkpoints": _times, "seed": int}),
-    "initial": {"point": (Measure.point, {"x": float, "mass": float}),
-                "mixture": (Measure.mixture, {"xs": _floats, "weights": _floats}),
+    "sim": (SimPlan, {"dt": _number, "n_particles": _count, "bandwidth_c": _number,
+                      "checkpoints": _times, "seed": _count}),
+    "initial": {"point": (Measure.point, {"x": _number}),
+                "mixture": (Measure, {"xs": _floats, "weights": _floats}),
                 "tabulated": (Measure.tabulated, {"x": _floats, "density": _floats})},
-    "surface": {"constant": (VolSurface.constant, {"value": float, **_BOUNDS}),
+    "surface": {"constant": (VolSurface.constant, {"value": _number, **_BOUNDS}),
                 "tabulated": (VolSurface, {"t": _floats, "x": _floats, "values": _floats,
                                            **_BOUNDS})},
 }
@@ -273,15 +289,10 @@ def _cmd_check_c(args) -> int:
         line = (f"d3 criterion: lhs = {rep.lhs:.6g} vs 1/4 -> {_VERDICT[ok]}"
                 if args.method == "d3" else
                 f"NOT-FOUND(n={n}); exact d=3 criterion says {_VERDICT[ok]}")
-    elif method == "identity":
-        ok = criterion_diag(model, np.ones(lam.size))
-        line = "identity criterion: " + ("SATISFIED" if ok else
-                                         "NOT-SATISFIED (sufficient test only)")
-    elif method == "diag":
-        if not args.alpha:
-            raise ConfigError("--method diag needs --alpha")
-        ok = criterion_diag(model, _values("--alpha", args.alpha))
-        line = f"diagonal criterion: {_VERDICT[ok]}"
+    elif method == "diag":      # exact for Gamma = Diag(alpha), only sufficient for (C)
+        ok = criterion_diag(model, _values("--alpha", args.alpha) if args.alpha
+                            else np.ones(lam.size))
+        line = f"diagonal criterion: {_VERDICT[ok]}{'' if ok else ' (sufficient test only)'}"
     elif method == "gamma":
         if not args.gamma:
             raise ConfigError("--method gamma needs --gamma file.json")
@@ -384,14 +395,17 @@ def _cmd_dupire(args) -> int:
             if bad.size:
                 raise ConfigError(f"column {name!r} is not a finite number in data row "
                                   f"{bad[0] + 1}")
-        ts = np.unique(raw["t"])
-        ks = np.unique(raw["K"])
-        grid = np.full((ts.size, ks.size), np.nan)
-        ti = np.searchsorted(ts, raw["t"])
-        kj = np.searchsorted(ks, raw["K"])
-        grid[ti, kj] = raw["C"]
-        if np.any(~np.isfinite(grid)):
+        ts, ti = np.unique(raw["t"], return_inverse=True)
+        ks, kj = np.unique(raw["K"], return_inverse=True)
+        first = np.unique(ti * ks.size + kj, return_index=True)[1]   # each pair's first row
+        if first.size < ti.size:
+            row = np.setdiff1d(np.arange(ti.size), first)[0]
+            raise ConfigError(f"(t, K) = ({float(raw['t'][row])}, {float(raw['K'][row])}) "
+                              f"is given again in data row {row + 1}")
+        if ti.size < ts.size * ks.size:
             raise ConfigError("call grid is not rectangular (missing (t, K) pairs)")
+        grid = np.empty((ts.size, ks.size))
+        grid[ti, kj] = raw["C"]
     except (OSError, ValueError, KeyError, IndexError) as exc:
         raise ConfigError(f"cannot read call grid: {exc}") from exc
     report = dupire_from_calls(ts, ks, grid, r=args.r,
@@ -436,11 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check-c", help="decide Condition (C) for a lambda family")
     pc.add_argument("--lambda", dest="lam", required=True,
                     help="comma-separated positive variance levels")
-    pc.add_argument("--method", choices=["d3", "identity", "diag", "grid", "gamma"],
-                    default="grid")
+    pc.add_argument("--method", choices=["d3", "diag", "grid", "gamma"], default="grid")
     pc.add_argument("--n", type=int, default=200, help="grid resolution")
     pc.add_argument("--gamma", help="JSON file with a candidate matrix")
-    pc.add_argument("--alpha", help="comma-separated diagonal for --method diag")
+    pc.add_argument("--alpha", help="comma-separated diagonal for --method diag (default: ones)")
     pc.add_argument("--out", help="CSV output for grid points")
     pc.set_defaults(run=_cmd_check_c)
 

@@ -6,8 +6,8 @@ structural hypothesis behind the uniform coercivity of Pi A on the state
 domain.  This module provides
 
   * the exact closed-form criterion for d = 3 (and its r-linkage),
-  * the exact criterion for a *given* diagonal matrix; at the unit diagonal
-    it is exact for Gamma = I and only sufficient for (C),
+  * the exact criterion for a *given* diagonal matrix Gamma, only
+    sufficient for (C) (at the unit diagonal, the identity criterion),
   * the planar grid search that decides existence of a diagonal matrix,
   * a sampled coercivity certificate Pi = J_d + eps * Gamma with an
     estimated coercivity constant kappa_hat.
@@ -55,15 +55,8 @@ class CertificateError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap from RSLV_LAB_THREADS: unset, min(2, os.cpu_count()); a value
-    that is not a positive integer, 1.  Outputs are the same bits at any cap."""
-    raw = os.environ.get("RSLV_LAB_THREADS")
-    if raw is None:
-        return min(2, os.cpu_count() or 1)
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """The sampler's worker cap, min(2, os.cpu_count()); outputs are the same at any cap."""
+    return min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -204,12 +197,11 @@ def criterion_d3(lam) -> D3Report:
 
 
 def criterion_diag(model: RegimeModel, alpha_diag) -> bool:
-    """Exact criterion for Diag(alpha): for every k,
+    """Exact criterion for Gamma = Diag(alpha), only sufficient for (C): for every k,
 
         2/a_k + sum_{i != k} 1/a_i > sqrt( sum_{i != k} lam_i/a_i * sum_{i != k} 1/(lam_i a_i) ).
 
-    At alpha = 1 this is the identity criterion, exact for Gamma = I_d and only
-    sufficient for (C):
+    At alpha = 1 this is the identity criterion, exact for Gamma = I_d:
 
         max_k sqrt( sum_{i != k} lam_i * sum_{i != k} 1/lam_i ) < d + 1.
     """

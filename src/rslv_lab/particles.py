@@ -47,6 +47,7 @@ __all__ = [
 # the step's prefetched draws plus the Euler-Maruyama move, the regime
 # thinning, and the finiteness check with the checkpoint copies
 PHASES = ("regression", "draws", "thinning", "record")
+REGRESSION_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class SimPlan:
     dt: float
     n_particles: int
     bandwidth_c: float = 1.06
-    regression_grid: int = 400
     checkpoints: tuple | None = None
     seed: int = 0
 
@@ -68,8 +68,6 @@ class SimPlan:
             raise ValueError("time step must be positive")
         if self.n_particles < 100:
             raise ValueError("need at least 100 particles")
-        if self.regression_grid < 2:
-            raise ValueError("regression grid needs at least two nodes")
         if not (math.isfinite(self.bandwidth_c) and self.bandwidth_c > 0):
             raise ValueError("bandwidth constant must be positive and finite")
         if self.checkpoints is not None and len(self.checkpoints) == 0:
@@ -119,10 +117,10 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     from the particles' positions x and their values lam_y = f^2(Y).
 
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
-    kernel sums are accumulated by linear binning onto the regression grid
-    (grid spans the sample range +/- 4 bandwidths).  Nodes with vanishing
-    kernel mass take the ensemble mean of f^2(Y).  The estimate at the
-    particles themselves (``at_samples``) is read off the same bins.  A
+    kernel sums are accumulated by linear binning onto a regression grid of
+    REGRESSION_NODES nodes spanning the sample range +/- 4 bandwidths.  Nodes
+    with vanishing kernel mass take the ensemble mean of f^2(Y).  The estimate
+    at the particles themselves (``at_samples``) is read off the same bins.  A
     spread of X that is not finite, or too small for distinct grid nodes,
     raises FloatingPointError.
     """
@@ -140,7 +138,6 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
                 sd = span * float(((x - low) / span).std())
     if not math.isfinite(sd):
         raise FloatingPointError("ensemble spread is no longer finite")
-    G = plan.regression_grid
     # equal levels clamp every estimate to the single point lam_min
     if sd < 1e-12 or model.lam_min == model.lam_max:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
@@ -149,28 +146,28 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
     hi = float(x.max()) + 4.0 * delta
-    grid = np.linspace(lo, hi, G)
+    grid = np.linspace(lo, hi, REGRESSION_NODES)
     if not np.all(np.diff(grid) > 0):
         raise FloatingPointError("ensemble spread is below the float spacing at its location")
-    step_w = (hi - lo) / (G - 1)
+    step_w = (hi - lo) / (REGRESSION_NODES - 1)
 
     pos = (x - lo) / step_w
     i0 = np.floor(pos).astype(np.int64)
     w1 = pos - i0
     w0 = 1.0 - w1
     # bincount(i0 + 1, w) is bincount(i0, w) moved up one node, summed in the same order
-    den = np.bincount(i0, weights=w0, minlength=G)
-    den[1:] += np.bincount(i0, weights=w1, minlength=G - 1)
-    num = np.bincount(i0, weights=w0 * lam_y, minlength=G)
-    num[1:] += np.bincount(i0, weights=w1 * lam_y, minlength=G - 1)
+    den = np.bincount(i0, weights=w0, minlength=REGRESSION_NODES)
+    den[1:] += np.bincount(i0, weights=w1, minlength=REGRESSION_NODES - 1)
+    num = np.bincount(i0, weights=w0 * lam_y, minlength=REGRESSION_NODES)
+    num[1:] += np.bincount(i0, weights=w1 * lam_y, minlength=REGRESSION_NODES - 1)
 
     radius = max(1, int(math.ceil(6.0 * delta / step_w)))
     u = np.arange(-radius, radius + 1) * (step_w / delta)
     kern = np.exp(-0.5 * u * u)
-    # the middle G entries of the full convolution; mode="same" would return
+    # the middle entries of the full convolution, one per node; mode="same" would return
     # len(kern) entries once the kernel is longer than the grid
-    den_s = np.convolve(den, kern)[radius:radius + G]
-    num_s = np.convolve(num, kern)[radius:radius + G]
+    den_s = np.convolve(den, kern)[radius:radius + REGRESSION_NODES]
+    num_s = np.convolve(num, kern)[radius:radius + REGRESSION_NODES]
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(den_s < 1e-300, mean_lam, num_s / np.maximum(den_s, 1e-300))
     vals = np.clip(vals, model.lam_min, model.lam_max)

@@ -210,7 +210,8 @@ class Measure:
     """Initial law: atoms (masses ``weights`` at ``xs``), or a density
     tabulated at the nodes ``xs`` when ``atoms`` is False.
 
-    A point mass is one atom.  Richer measures are expected to be mollified
+    ``Measure(xs, weights)`` is a mixture of atoms, and ``point(x)`` the unit
+    atom at x.  Richer measures are expected to be mollified
     first (heat-kernel convolution), which lands them in the tabulated case.
     """
 
@@ -236,12 +237,8 @@ class Measure:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def point(cls, x: float, mass: float = 1.0) -> "Measure":
-        return cls(np.array([x]), np.array([mass]))
-
-    @classmethod
-    def mixture(cls, xs, weights) -> "Measure":
-        return cls(np.asarray(xs, dtype=float), np.asarray(weights, dtype=float))
+    def point(cls, x: float) -> "Measure":
+        return cls(np.array([x]), np.array([1.0]))
 
     @classmethod
     def tabulated(cls, x, density) -> "Measure":

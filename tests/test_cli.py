@@ -62,27 +62,22 @@ def small_sim_config(tmp_path, extra=None):
 # the line check-c prints and its exit code per (lambda, method); "{out}" is
 # the points CSV
 CHECK_C_VERDICTS = [
-    ("1,9", "identity", "identity criterion: SATISFIED", 0),
     ("1,9", "diag", "diagonal criterion: SATISFIED", 0),
     ("1,9", "gamma", "supplied gamma: SATISFIED", 0),
     ("1,9", "grid", "degenerate multiset, decided by identity: SATISFIED", 0),
     ("1,1,4", "d3", "d3 criterion: lhs = inf vs 1/4 -> SATISFIED", 0),
-    ("1,1,4", "identity", "identity criterion: SATISFIED", 0),
     ("1,1,4", "diag", "diagonal criterion: SATISFIED", 0),
     ("1,1,4", "gamma", "supplied gamma: SATISFIED", 0),
     ("1,1,4", "grid", "degenerate multiset, decided by d3: SATISFIED", 0),
     ("2,2,2", "d3", "d3 criterion: lhs = inf vs 1/4 -> SATISFIED", 0),
-    ("2,2,2", "identity", "identity criterion: SATISFIED", 0),
     ("2,2,2", "diag", "diagonal criterion: SATISFIED", 0),
     ("2,2,2", "gamma", "supplied gamma: SATISFIED", 0),
     ("2,2,2", "grid", "degenerate multiset, decided by identity: SATISFIED", 0),
-    ("1,2,3,5,10", "identity", "identity criterion: SATISFIED", 0),
     ("1,2,3,5,10", "diag", "diagonal criterion: SATISFIED", 0),
     ("1,2,3,5,10", "gamma", "supplied gamma: SATISFIED", 0),
     ("1,2,3,5,10", "grid", "SATISFIED: 31406 passing points at n=200 -> {out}", 0),
     ("1,100,10000", "d3", "d3 criterion: lhs = 0.0122234 vs 1/4 -> NOT-SATISFIED", 1),
-    ("1,100,10000", "identity", "identity criterion: NOT-SATISFIED (sufficient test only)", 1),
-    ("1,100,10000", "diag", "diagonal criterion: NOT-SATISFIED", 1),
+    ("1,100,10000", "diag", "diagonal criterion: NOT-SATISFIED (sufficient test only)", 1),
     ("1,100,10000", "gamma", "supplied gamma: NOT-SATISFIED", 1),
     ("1,100,10000", "grid", "NOT-FOUND(n=200); exact d=3 criterion says NOT-SATISFIED", 1),
     ("1,100,10000,1000000", "grid",
@@ -115,7 +110,22 @@ class TestCheckC:
         assert cli.main(["check-c", "--lambda", "1,100,10000", "--method", "d3"]) == 1
 
     def test_identity_d2(self):
-        assert cli.main(["check-c", "--lambda", "1,1", "--method", "identity"]) == 0
+        # --method diag without --alpha is the identity criterion
+        assert cli.main(["check-c", "--lambda", "1,1", "--method", "diag"]) == 0
+
+    @pytest.mark.parametrize("lam", ["1,9", "1,1,4", "2,2,2", "1,2,3,5,10", "1,100,10000"])
+    def test_diag_without_alpha_is_the_unit_diagonal(self, capsys, lam):
+        argv = ["check-c", "--lambda", lam, "--method", "diag"]
+        code = cli.main(argv)
+        line = capsys.readouterr().out
+        assert cli.main(argv + ["--alpha", ",".join(["1"] * (lam.count(",") + 1))]) == code
+        assert capsys.readouterr().out == line
+
+    def test_identity_method_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["check-c", "--lambda", "1,9", "--method", "identity"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'identity'" in capsys.readouterr().err
 
     def test_grid_empty_set_for_d3_reports_exact_answer(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -127,7 +137,6 @@ class TestCheckC:
         code = cli.main(["check-c", "--lambda", "1,2,4", "--method", "diag",
                          "--alpha", "4.1213,1.9428,4.1213"])
         assert code == 0
-        assert cli.main(["check-c", "--lambda", "1,2,4", "--method", "diag"]) == 2
         assert cli.main(["check-c", "--lambda", "1,2,3", "--method", "diag",
                          "--alpha", "1,nan,2"]) == 2
 
@@ -148,9 +157,9 @@ class TestCheckC:
         assert err.startswith("error: invalid gamma matrix: ") and err.count("\n") == 1
 
     def test_invalid_lambda(self):
-        assert cli.main(["check-c", "--lambda", "1,-2", "--method", "identity"]) == 2
+        assert cli.main(["check-c", "--lambda", "1,-2", "--method", "diag"]) == 2
         # a model may have one regime, but Condition (C) needs two
-        assert cli.main(["check-c", "--lambda", "2", "--method", "identity"]) == 2
+        assert cli.main(["check-c", "--lambda", "2", "--method", "diag"]) == 2
 
     def test_grid_d2_writes_header_only_points(self, tmp_path):
         out = tmp_path / "points.csv"
@@ -506,6 +515,32 @@ BAD_SECTIONS = [
     pytest.param("simulate-jump", "model", {"q": {"rates": Q_TABLE["rates"]}},
                  id="q-table-without-nodes"),
     pytest.param("solve-fbm", "grid", {"m": math.inf}, id="grid-infinite-nodes"),
+    # a count has a whole value, and a number is never a string or a boolean
+    pytest.param("solve-fbm", "grid", {"m": 101.9}, id="grid-fractional-nodes"),
+    pytest.param("solve-fbm", "grid", {"m": "101"}, id="grid-string-nodes"),
+    pytest.param("solve-fbm", "pds", {"n_outputs": 2.7}, id="pds-fractional-outputs"),
+    pytest.param("simulate-fbm", "sim", {"n_particles": 500.5},
+                 id="sim-fractional-particles"),
+    pytest.param("simulate-fbm", "sim", {"seed": 5.5}, id="sim-fractional-seed"),
+    pytest.param("simulate-fbm", "sim", {"seed": True}, id="sim-boolean-seed"),
+    pytest.param("solve-fbm", "horizon", {"T": "0.2"}, id="horizon-string-T"),
+    pytest.param("solve-fbm", "horizon", {"r": False}, id="horizon-boolean-r"),
+    pytest.param("solve-fbm", "pds", {"dt": "2e-3"}, id="pds-string-dt"),
+    pytest.param("solve-fbm", "initial", {"x": "0"}, id="initial-string-x"),
+    pytest.param("solve-fbm", "model", {"lambda": ["1", "4"]}, id="model-string-levels"),
+    pytest.param("solve-jump", "model", {"q": [[0.0, "1"], [1.0, 0.0]]},
+                 id="model-string-rate"),
+    pytest.param("simulate-fbm", "sim", {"checkpoints": ["0.1"]},
+                 id="sim-string-checkpoint"),
+    pytest.param("solve-fbm", "initial",
+                 {"kind": "mixture", "xs": [-0.5, 0.5], "weights": [True, 1.0]},
+                 id="initial-boolean-weight"),
+    pytest.param("solve-lv", "surface", {"kind": "constant", "value": "0.2"},
+                 id="surface-string-value"),
+    # retired keys: every point has unit mass, and the regression grid 400 nodes
+    pytest.param("solve-fbm", "initial", {"mass": 1.0}, id="initial-point-retired-mass"),
+    pytest.param("simulate-fbm", "sim", {"regression_grid": 400},
+                 id="sim-retired-regression-grid"),
 ]
 
 
@@ -658,6 +693,23 @@ def test_allocation_that_cannot_succeed_is_a_config_error(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-fbm", "simulate-fbm"])
+def test_integral_float_counts_are_their_ints(tmp_path, command):
+    # JSON's 101.0 is the count 101: the same run, byte for byte
+    path = Path(contract_config(tmp_path, False, False))
+    cfg = json.loads(path.read_text())
+    outputs = []
+    for cast in (int, float):
+        for section, key in (("grid", "m"), ("pds", "n_outputs"), ("sim", "n_particles"),
+                             ("sim", "seed")):
+            cfg[section][key] = cast(cfg[section][key])
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / cast.__name__
+        assert cli.main([command, str(path), "--out", str(out)]) == 0
+        outputs.append(snapshot_csvs(out))
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # one value a drawn config may take to an extreme, as (section, key, value):
@@ -828,6 +880,12 @@ def unreadable_input(tmp_path, case: str) -> list:
         lines = calls.read_text().splitlines(keepends=True)
         calls.write_text("".join(lines[:5] + lines[6:]))
         return ["dupire-build", str(calls), "--out", str(tmp_path / "s.json")]
+    if case == "call-grid-repeats-a-pair":
+        # data row 5 again, priced 0.1% higher: no row may silently win
+        calls = write_calls(tmp_path)[0]
+        t, k, c = calls.read_text().splitlines()[5].split(",")
+        calls.write_text(calls.read_text() + f"{t},{k},{float(c) * 1.001!r}\n")
+        return ["dupire-build", str(calls), "--out", str(tmp_path / "s.json")]
     return ["check-c", *{
         "lambda-not-a-number": ["--lambda", "1,x"],
         "d3-without-three-values": ["--lambda", "1,2", "--method", "d3"],
@@ -836,7 +894,8 @@ def unreadable_input(tmp_path, case: str) -> list:
 
 @pytest.mark.parametrize("case", [
     "config-not-json", "surface-file-missing", "lambda-not-a-number",
-    "d3-without-three-values", "gamma-without-a-file", "call-grid-missing-a-pair"])
+    "d3-without-three-values", "gamma-without-a-file", "call-grid-missing-a-pair",
+    "call-grid-repeats-a-pair"])
 def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
     assert cli.main(unreadable_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
@@ -911,6 +970,11 @@ def write_calls(tmp_path, ts=np.linspace(0.25, 0.85, 7), ks=np.linspace(0.85, 1.
 
 
 class TestDupireBuild:
+    def test_repeated_pair_is_named(self, tmp_path, capsys):
+        assert cli.main(unreadable_input(tmp_path, "call-grid-repeats-a-pair")) == 2
+        assert capsys.readouterr().err == ("error: cannot read call grid: (t, K) = "
+                                           "(0.25, 1.0) is given again in data row 64\n")
+
     def test_build_from_csv(self, tmp_path):
         calls = write_calls(tmp_path, np.arange(0.25, 0.8601, 0.02),
                             np.arange(0.85, 1.1801, 0.02))[0]

@@ -420,7 +420,7 @@ class TestScreeningForm:
 
 
 class TestThreads:
-    """sample_quadratic_min under RSLV_LAB_THREADS, on 1000-sample chunks."""
+    """sample_quadratic_min on pools of each size, on 1000-sample chunks."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -436,33 +436,26 @@ class TestThreads:
         return opened
 
     @staticmethod
-    def sample(monkeypatch, threads):
-        monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+    def sample(monkeypatch, workers):
+        monkeypatch.setattr(condition_c, "worker_count", lambda: workers)
         return sample_quadratic_min(np.eye(3), uniform_model([1.0, 2.0, 4.0]), 3500,
                                     seed=11)           # four chunks
 
     def test_bit_identical_on_one_and_two_threads(self, monkeypatch, pools):
-        one = self.sample(monkeypatch, "1")
+        one = self.sample(monkeypatch, 1)
         assert pools == [1]
-        two = self.sample(monkeypatch, "2")
+        two = self.sample(monkeypatch, 2)
         assert pools == [1, 2]
         assert one[0] == two[0]
         np.testing.assert_array_equal(one[1], two[1])
         np.testing.assert_array_equal(one[2], two[2])
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "two", ""])
-    def test_invalid_count_is_one_worker(self, monkeypatch, pools, threads):
-        self.sample(monkeypatch, threads)
-        assert condition_c.worker_count() == 1
-        assert pools == [1]
-
     @pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (8, 2), (None, 1)])
     def test_unset_count_is_at_most_two_workers(self, monkeypatch, cpus, workers):
-        monkeypatch.delenv("RSLV_LAB_THREADS", raising=False)
         monkeypatch.setattr(condition_c.os, "cpu_count", lambda: cpus)
         assert condition_c.worker_count() == workers
 
-    @pytest.mark.parametrize("threads", ["2", "3", "4"])
-    def test_pool_stays_within_the_worker_count(self, monkeypatch, pools, threads):
-        self.sample(monkeypatch, threads)
-        assert len(pools) == 1 and pools[0] <= condition_c.worker_count()
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    def test_pool_stays_within_the_worker_count(self, monkeypatch, pools, workers):
+        self.sample(monkeypatch, workers)
+        assert pools == [min(workers, 4)]       # no more workers than chunks

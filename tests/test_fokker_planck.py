@@ -267,7 +267,7 @@ class TestOutputs:
         surf = VolSurface([0.0, 0.2], sx, values)
         cfg = PDSConfig(dt=1e-2, sigma_mollify=0.3, output_times=(0.05, 0.1, 0.2))
         sol = solve_rslv(model, cfg, grid, HorizonConfig(T=0.2, r=0.02), surf,
-                         Measure.mixture([-3.2, 0.5], [0.4, 0.6]))
+                         Measure([-3.2, 0.5], [0.4, 0.6]))
         diag, p, h, m = sol.diagnostics, sol.p, grid.h, grid.m
         np.testing.assert_allclose(sol.times, [0.0, 0.05, 0.1, 0.2], rtol=0, atol=1e-15)
         # the P1 mass matrix on [-L, L] with natural boundaries
@@ -312,7 +312,7 @@ def generated_solve(draw):
         initial = Measure.point(draw(centre))
     elif init_kind == "mixture":
         xs = draw(st.lists(centre, min_size=1, max_size=4))
-        initial = Measure.mixture(xs, np.full(len(xs), 1.0 / len(xs)))
+        initial = Measure(xs, np.full(len(xs), 1.0 / len(xs)))
     else:
         xs = np.linspace(-1.5, 1.5, draw(st.integers(3, 9)))
         dens = draw(st.lists(st.floats(0.0, 2.0), min_size=xs.size, max_size=xs.size))

@@ -80,15 +80,15 @@ class TestCondExpect:
         assert np.all(np.abs(reg.values[inner] - 2.5) <= 3.0 * se + 1e-3)
 
     def test_kernel_wider_than_the_grid(self):
-        # at c = 1000 the kernel spans more nodes than the grid has, and every
-        # node sees all particles with nearly equal weights: the global mean
+        # at c = 1000 the kernel spans 599 nodes, more than the grid's 400, and
+        # every node sees all particles with nearly equal weights: the global mean
         model = model_14()
-        plan = SimPlan(dt=1e-2, n_particles=2000, bandwidth_c=1e3, regression_grid=50)
+        plan = SimPlan(dt=1e-2, n_particles=2000, bandwidth_c=1e3)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
         reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
-        assert reg.values.shape == reg.grid.shape == (50,)
+        assert reg.values.shape == reg.grid.shape == (particles.REGRESSION_NODES,)
         np.testing.assert_allclose(reg.values, model.lam[y - 1].mean(), rtol=1e-3)
 
     def test_needs_enough_particles(self):
@@ -331,8 +331,7 @@ def ensembles(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = RegimeModel(lam=np.sort(rng.uniform(0.05, 10.0, d)),
                         alpha=rng.dirichlet(np.ones(d)))
-    plan = SimPlan(dt=1e-2, n_particles=n, bandwidth_c=draw(st.floats(0.2, 3.0)),
-                   regression_grid=draw(st.integers(2, 600)))
+    plan = SimPlan(dt=1e-2, n_particles=n, bandwidth_c=draw(st.floats(0.2, 3.0)))
     x = offset + scale * rng.standard_normal(n)
     y = rng.integers(1, d + 1, n)
     if kind == "point":
@@ -445,7 +444,7 @@ def test_one_node_q_switches_as_the_same_q_at_two_nodes(surface):
 
 
 # (model, surface) per dynamics: no uniforms are drawn under the zero Q
-THREAD_CASES = {
+DYNAMICS = {
     "fbm": (model_14(), None),
     "rslv": (model_14(q=SYM_Q), VolSurface([0.0, 0.05], [-0.5, 0.5],
                                            [[0.15, 0.25], [0.3, 0.2]])),
@@ -471,9 +470,9 @@ def pools(monkeypatch):
     assert threading.active_count() == start
 
 
-@pytest.mark.parametrize("dynamics", list(THREAD_CASES))
-def test_thread_count_does_not_change_the_output(dynamics, monkeypatch, pools):
-    model, surface = THREAD_CASES[dynamics]
+@pytest.mark.parametrize("dynamics", list(DYNAMICS))
+def test_rerun_under_fast_thread_switching_is_identical(dynamics, pools):
+    model, surface = DYNAMICS[dynamics]
     plan = SimPlan(dt=1e-2, n_particles=3000, checkpoints=(0.05, 0.1), seed=31)
     results = []
     interval = sys.getswitchinterval()
@@ -481,8 +480,7 @@ def test_thread_count_does_not_change_the_output(dynamics, monkeypatch, pools):
         # switch threads every microsecond, so that a step reading a slot the
         # helper still writes would show
         sys.setswitchinterval(1e-6)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+        for _ in range(2):
             start = threading.active_count()
             results.append(simulate(model, plan, HorizonConfig(T=0.1, r=0.02),
                                     surface=surface))
@@ -519,13 +517,11 @@ def serial_reference(model, plan, horizon, surface):
     return x, y, qv
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("dynamics", list(THREAD_CASES))
-def test_simulate_is_the_serial_step_loop(dynamics, threads, monkeypatch, pools):
+@pytest.mark.parametrize("dynamics", list(DYNAMICS))
+def test_simulate_is_the_serial_step_loop(dynamics, pools):
     # the regression must see every switch of the step before, and the
     # prefetched draws must be each stream's numbers in step order
-    model, surface = THREAD_CASES[dynamics]
-    monkeypatch.setenv("RSLV_LAB_THREADS", threads)
+    model, surface = DYNAMICS[dynamics]
     plan = SimPlan(dt=1e-2, n_particles=3000, seed=8)
     horizon = HorizonConfig(T=0.1, r=0.02)
     res = simulate(model, plan, horizon, surface=surface)
@@ -534,12 +530,10 @@ def test_simulate_is_the_serial_step_loop(dynamics, threads, monkeypatch, pools)
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_numerical_failure_mid_run_leaves_no_thread(threads, monkeypatch, pools):
+def test_numerical_failure_mid_run_leaves_no_thread(pools):
     # r = 1e306 moves every particle by 5e304 in the first step; the squares
     # of their deviations from the mean, ulps of about 1e288, overflow the
     # spread at step 2 of 10, while the helper draws that step's numbers
-    monkeypatch.setenv("RSLV_LAB_THREADS", threads)
     start = threading.active_count()
     with pytest.raises(NumericalError, match=r"spread is no longer finite \(step 2\)"):
         simulate(model_14(q=SYM_Q), SimPlan(dt=0.05, n_particles=500, seed=4),

@@ -151,7 +151,7 @@ class TestHeatKernel:
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_mixture_is_a_gaussian_mixture(self):
-        mu = Measure.mixture([-1.0, 2.0], [0.25, 0.75])
+        mu = Measure([-1.0, 2.0], [0.25, 0.75])
         x = np.linspace(-8, 10, 1801)
         out = mu.density_on(x, np.sqrt(0.5))
         ref = (0.25 * np.exp(-(x + 1.0) ** 2) + 0.75 * np.exp(-(x - 2.0) ** 2)) \
