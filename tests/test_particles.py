@@ -517,26 +517,38 @@ def serial_reference(model, plan, horizon, surface):
     return x, y, qv
 
 
+# the checkpoints a run records: the horizon alone, or a step halfway too
+CHECKPOINTS = {1: (0.1,), 2: (0.05, 0.1)}
+
+
+@pytest.mark.parametrize("n_checkpoints", list(CHECKPOINTS))
 @pytest.mark.parametrize("dynamics", list(DYNAMICS))
-def test_simulate_is_the_serial_step_loop(dynamics, pools):
-    # the regression must see every switch of the step before, and the
-    # prefetched draws must be each stream's numbers in step order
+def test_simulate_is_the_serial_step_loop(dynamics, n_checkpoints, pools):
+    # the regression must see every switch of the step before, the prefetched
+    # draws must be each stream's numbers in step order, and a checkpoint must
+    # hold the state of its step, not of a later one
     model, surface = DYNAMICS[dynamics]
-    plan = SimPlan(dt=1e-2, n_particles=3000, seed=8)
-    horizon = HorizonConfig(T=0.1, r=0.02)
-    res = simulate(model, plan, horizon, surface=surface)
-    for got, want in zip((res.X[-1], res.Y[-1], res.qv[-1]),
-                         serial_reference(model, plan, horizon, surface)):
-        assert np.array_equal(got, want)
+    plan = SimPlan(dt=1e-2, n_particles=3000, checkpoints=CHECKPOINTS[n_checkpoints],
+                   seed=8)
+    res = simulate(model, plan, HorizonConfig(T=0.1, r=0.02), surface=surface)
+    assert res.times.tolist() == list(plan.checkpoints)
+    for k, tc in enumerate(plan.checkpoints):
+        want = serial_reference(model, plan, HorizonConfig(T=tc, r=0.02), surface)
+        for got, ref in zip((res.X[k], res.Y[k], res.qv[k]), want):
+            assert np.array_equal(got, ref)
 
 
-def test_numerical_failure_mid_run_leaves_no_thread(pools):
+@pytest.mark.parametrize("n_checkpoints", [1, 2])
+def test_numerical_failure_mid_run_leaves_no_thread(n_checkpoints, pools):
     # r = 1e306 moves every particle by 5e304 in the first step; the squares
     # of their deviations from the mean, ulps of about 1e288, overflow the
-    # spread at step 2 of 10, while the helper draws that step's numbers
+    # spread at step 2 of 10, while the helper draws that step's numbers; the
+    # second case has recorded a checkpoint at step 1 before it fails
+    checkpoints = ((0.05,) if n_checkpoints == 2 else ()) + (0.5,)
     start = threading.active_count()
     with pytest.raises(NumericalError, match=r"spread is no longer finite \(step 2\)"):
-        simulate(model_14(q=SYM_Q), SimPlan(dt=0.05, n_particles=500, seed=4),
+        simulate(model_14(q=SYM_Q),
+                 SimPlan(dt=0.05, n_particles=500, checkpoints=checkpoints, seed=4),
                  HorizonConfig(T=0.5, r=1e306), surface=VolSurface.constant(0.2))
     assert threading.active_count() == start
     assert len(pools) == 1
