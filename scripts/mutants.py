@@ -142,6 +142,10 @@ MUTANTS = [
     ("config-count-truncates", "cli.py",
      "if not _number(value).is_integer():", "if not math.isfinite(_number(value)):",
      ["tests/test_cli.py::test_bad_section_is_a_config_error[grid-fractional-nodes]"]),
+    ("measure-unnormalised", "regime_model.py",
+     "w = w / total", "w = w",
+     ["tests/test_cli.py::test_grid_and_particles_start_from_one_probability[mixture]",
+      "tests/test_cli.py::test_grid_and_particles_start_from_one_probability[tabulated]"]),
 ]
 
 

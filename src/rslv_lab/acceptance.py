@@ -2,9 +2,9 @@
 
 Every criterion is a function of a shared AcceptanceContext (which caches the
 expensive runs) that returns its TestReport checks, each pinned to its stated
-tolerance.  The CRITERIA table names each one, puts it in a suite and may
-bound its runtime; run_criterion times a criterion, adds that bound as one
-more check and builds its CriterionResult.  The ``verify`` CLI command and the
+tolerance.  The CRITERIA table describes each one and may bound its
+runtime; run_criterion times a criterion, adds that bound as one more check
+and builds its CriterionResult.  The ``verify`` CLI command and the
 acceptance test module both run the criteria through it.
 """
 
@@ -33,7 +33,7 @@ from .regime_model import (HorizonConfig, IntensityTable, Measure,
 from .stats import (TestReport, bs_call, ks_statistic, l1_hist_distance,
                     moments, normal_cdf)
 
-__all__ = ["Criterion", "CriterionResult", "AcceptanceContext", "CRITERIA", "SUITES",
+__all__ = ["Criterion", "CriterionResult", "AcceptanceContext", "CRITERIA",
            "run_criterion", "run_criteria", "format_result"]
 
 # tolerances and reference values pinned once, from independent oracles
@@ -48,11 +48,10 @@ UNIT_Q = IntensityTable(rates=np.array([[0.0, 1.0], [1.0, 0.0]]))   # unit-rate 
 
 @dataclass(frozen=True)
 class Criterion:
-    """A row of CRITERIA: what ``check`` proves, its suite, and the runtime
-    bound in seconds that run_criterion checks it against (None for none)."""
+    """A row of CRITERIA: what ``check`` proves and the runtime bound in
+    seconds that run_criterion checks it against (None for none)."""
 
     description: str
-    suite: str
     check: Callable[[AcceptanceContext], list]
     max_runtime: float | None = None
 
@@ -320,31 +319,20 @@ def criterion_12_jump_fake_bm(ctx: AcceptanceContext) -> list:
 
 
 CRITERIA = {
-    "c01": Criterion("figure grid reproduction (d=5)", "condition-c",
-                     criterion_01_figure_grid, 5.0),
-    "c02": Criterion("d=3 grid search equals closed form", "condition-c",
-                     criterion_02_d3_exactness, 60.0),
-    "c03": Criterion("matrix-field identities on 1e5 random states", "condition-c",
+    "c01": Criterion("figure grid reproduction (d=5)", criterion_01_figure_grid, 5.0),
+    "c02": Criterion("d=3 grid search equals closed form", criterion_02_d3_exactness, 60.0),
+    "c03": Criterion("matrix-field identities on 1e5 random states",
                      criterion_03_matrix_identities),
-    "c04": Criterion("coercivity certificate soundness", "condition-c",
-                     criterion_04_certificate, 30.0),
-    "c05": Criterion("driftless solver vs heat kernel", "pde", criterion_05_fbm_vs_heat),
-    "c06": Criterion("coupled-vs-scalar closure", "pde", criterion_06_rslv_closure),
-    "c07": Criterion("Aronson-type decay of the scalar solve", "pde", criterion_07_aronson),
-    "c08": Criterion("fake-BM particle marginals", "particles",
-                     criterion_08_fake_bm_marginals, 300.0),
-    "c09": Criterion("quadratic-variation signature", "particles", criterion_09_qv_signature),
-    "c10": Criterion("particle vs solver cross-validation", "particles",
-                     criterion_10_cross_validation),
-    "c11": Criterion("flat-vol calibration vs Black-Scholes", "particles",
-                     criterion_11_calibration),
-    "c12": Criterion("jump-regime fake BM", "particles", criterion_12_jump_fake_bm),
+    "c04": Criterion("coercivity certificate soundness", criterion_04_certificate, 30.0),
+    "c05": Criterion("driftless solver vs heat kernel", criterion_05_fbm_vs_heat),
+    "c06": Criterion("coupled-vs-scalar closure", criterion_06_rslv_closure),
+    "c07": Criterion("Aronson-type decay of the scalar solve", criterion_07_aronson),
+    "c08": Criterion("fake-BM particle marginals", criterion_08_fake_bm_marginals, 300.0),
+    "c09": Criterion("quadratic-variation signature", criterion_09_qv_signature),
+    "c10": Criterion("particle vs solver cross-validation", criterion_10_cross_validation),
+    "c11": Criterion("flat-vol calibration vs Black-Scholes", criterion_11_calibration),
+    "c12": Criterion("jump-regime fake BM", criterion_12_jump_fake_bm),
 }
-
-SUITES = {"all": list(CRITERIA)} | {
-    suite: [name for name, c in CRITERIA.items() if c.suite == suite]
-    for suite in dict.fromkeys(c.suite for c in CRITERIA.values())}
-
 
 def _margin(r: TestReport) -> float:
     """Slack of a check relative to its threshold; absolute for a zero threshold."""

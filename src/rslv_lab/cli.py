@@ -4,8 +4,9 @@ Subcommands: check-c, solve-fbm, solve-rslv, simulate-fbm, simulate-rslv,
 dupire-build, verify.  The config of a run picks its dynamics; the command
 picks the solver (grid or particles) and whether the surface is read.
 Exit codes: 0 success / satisfied; 1 not satisfied, not found or failed
-verification; 2 invalid input or configuration, an input whose arrays cannot
-be allocated included; 3 numerical failure.
+verification; 2 invalid input or configuration, a refused command-line
+argument and an input whose arrays cannot be allocated included; 3 numerical
+failure.  Every refusal is one ``error:`` line on stderr.
 A config number is a JSON number, not a string or a boolean, and the counts
 (grid.m, pds.n_outputs, sim.n_particles, sim.seed) take whole ones such as 2e5.
 Runs are deterministic, on any number of threads or CPUs.  Only the
@@ -44,6 +45,13 @@ _CSV_BLOCK = 4096
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are ConfigErrors: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _load_config(path: str) -> dict:
@@ -421,14 +429,11 @@ def _cmd_dupire(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import acceptance
-    if args.criteria is not None:
+    names = list(acceptance.CRITERIA)
+    if args.criteria is not None:     # each named id once, in the order first named
         tokens = [token.strip() for token in args.criteria.split(",")]
-        names = [f"c{int(token):02d}" if token.isdigit() else token for token in tokens]
-    else:
-        if args.suite not in acceptance.SUITES:
-            raise ConfigError(f"unknown suite {args.suite!r} "
-                              f"(choose from {sorted(acceptance.SUITES)})")
-        names = acceptance.SUITES[args.suite]
+        names = list(dict.fromkeys(f"c{int(token):02d}" if token.isdigit() else token
+                                   for token in tokens))
     unknown = [name for name in names if name not in acceptance.CRITERIA]
     if unknown:
         raise ConfigError(f"unknown criteria {', '.join(unknown)} "
@@ -442,7 +447,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rslv-lab",
         description="Regime-switching local-volatility laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,15 +479,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(run=_cmd_dupire)
 
     pv = sub.add_parser("verify", help="run the acceptance criteria")
-    pv.add_argument("--suite", default="all")
-    pv.add_argument("--criteria", help="comma-separated criterion ids, e.g. 3,5")
+    pv.add_argument("--criteria", help="comma-separated criterion ids, e.g. 3,5 "
+                                       "(default: all twelve)")
     pv.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -92,7 +92,7 @@ class PDSConfig:
     output_times, n_outputs >= 2 equally spaced times from 0 to T are each
     rounded to the nearest step, and times that round to the same step are
     recorded once: 11 over 5 steps record 6 times, and 4 at T = 0.1, dt = 1e-3
-    record the steps 0, 33, 67 and 100.
+    record the steps 0, 33, 67 and 100.  An empty output_times is refused.
     """
 
     dt: float
@@ -107,6 +107,8 @@ class PDSConfig:
             raise ValueError("mollification width must be non-negative and finite")
         if self.n_outputs < 2:
             raise ValueError("n_outputs must be at least 2 (the start and the horizon)")
+        if self.output_times is not None and len(self.output_times) == 0:
+            raise ValueError("output_times must name at least one time")
 
 
 # where a grid step spends its time: the operator's coefficient field and

@@ -207,17 +207,22 @@ def _heat_kernel(t: float, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Measure:
-    """Initial law: atoms (masses ``weights`` at ``xs``), or a density
+    """Initial law, a probability: atoms (``weights`` at ``xs``), or a density
     tabulated at the nodes ``xs`` when ``atoms`` is False.
 
+    Construction normalises the law once: atom weights are divided by their
+    sum, a tabulated density by its trapezoid integral.  ``masses`` are the
+    atoms that a mollification convolves, which sum to 1: the weights
+    themselves, or each node's trapezoid weight times the density there.
     ``Measure(xs, weights)`` is a mixture of atoms, and ``point(x)`` the unit
-    atom at x.  Richer measures are expected to be mollified
-    first (heat-kernel convolution), which lands them in the tabulated case.
+    atom at x.  Richer measures are expected to be mollified first
+    (heat-kernel convolution), which lands them in the tabulated case.
     """
 
     xs: np.ndarray
     weights: np.ndarray
     atoms: bool = True
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         xs = np.atleast_1d(np.asarray(self.xs, dtype=float))
@@ -231,10 +236,18 @@ class Measure:
         if np.any(w < 0):
             raise ValueError("atom masses must be non-negative" if self.atoms
                              else "tabulated density must be non-negative")
-        if not w.sum() > 0:
-            raise ValueError("the measure has no mass")
+        tw = np.ones_like(xs)       # each atom's weight in the total mass,
+        if not self.atoms:          # or each node's trapezoid weight
+            gaps = np.diff(xs, prepend=xs[0], append=xs[-1])
+            tw = 0.5 * (gaps[:-1] + gaps[1:])
+        with np.errstate(over="ignore"):    # an overflowing total is refused below
+            total = (tw * w).sum()
+        if not 0 < total < math.inf:
+            raise ValueError("the measure's mass must be positive and finite")
+        w = w / total
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "masses", tw * w)
 
     @classmethod
     def point(cls, x: float) -> "Measure":
@@ -249,7 +262,7 @@ class Measure:
 
         Atoms need a positive width; a tabulated density at width 0 is
         resampled, and otherwise convolved by trapezoid quadrature on its
-        nodes: an atom at each node, of mass trapezoid weight x density.
+        nodes, through ``masses``.
         """
         if sigma < 0:
             raise ValueError("mollification width must be non-negative")
@@ -259,25 +272,18 @@ class Measure:
             if self.atoms:
                 raise ValueError("atomic measure needs a positive mollification width")
             return np.interp(x_grid, self.xs, self.weights, left=0.0, right=0.0)
-        masses = self.weights
-        if not self.atoms:
-            dx = np.diff(self.xs)
-            masses = np.zeros_like(self.xs)
-            masses[:-1] += 0.5 * dx
-            masses[1:] += 0.5 * dx
-            masses *= self.weights
         out = np.zeros_like(x_grid)
-        for x0, w in zip(self.xs, masses):
+        for x0, w in zip(self.xs, self.masses):
             out += w * _heat_kernel(t, x_grid - x0)
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.atoms:
-            return rng.choice(self.xs, size=n, p=self.weights / self.weights.sum())
+            return rng.choice(self.xs, size=n, p=self.masses)
         # tabulated: inverse CDF on the piecewise-linear cumulative
         dx = np.diff(self.xs)
         seg = 0.5 * (self.weights[:-1] + self.weights[1:]) * dx
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
-        cdf /= cdf[-1]
+        cdf /= cdf[-1]      # 1 up to rounding
         u = rng.random(n)
         return np.interp(u, cdf, self.xs)

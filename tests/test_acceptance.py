@@ -46,22 +46,12 @@ def test_format_result_names_the_smallest_relative_margin():
     assert "binding: undefined: nan vs 1" in line()
 
 
-def test_suites_group_the_table():
-    assert acceptance.SUITES == {
-        "all": [f"c{i:02d}" for i in range(1, 13)],
-        "condition-c": ["c01", "c02", "c03", "c04"],
-        "pde": ["c05", "c06", "c07"],
-        "particles": ["c08", "c09", "c10", "c11", "c12"],
-    }
-
-
 def test_run_criterion_adds_the_runtime_bound_as_the_last_check(monkeypatch):
     def check(ctx):
         return [TestReport.check(0.0, 1.0, 1, "demo")]
 
-    monkeypatch.setitem(acceptance.CRITERIA, "c98", acceptance.Criterion("bounded", "pde",
-                                                                         check, 60.0))
-    monkeypatch.setitem(acceptance.CRITERIA, "c99", acceptance.Criterion("free", "pde", check))
+    monkeypatch.setitem(acceptance.CRITERIA, "c98", acceptance.Criterion("bounded", check, 60.0))
+    monkeypatch.setitem(acceptance.CRITERIA, "c99", acceptance.Criterion("free", check))
     res = acceptance.run_criterion("c98", None)
     assert (res.name, res.description, res.passed) == ("c98", "bounded", True)
     assert [r.description for r in res.reports] == ["demo", "runtime below 60 s"]

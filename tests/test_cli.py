@@ -122,9 +122,7 @@ class TestCheckC:
         assert capsys.readouterr().out == line
 
     def test_identity_method_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["check-c", "--lambda", "1,9", "--method", "identity"])
-        assert exit_.value.code == 2
+        assert cli.main(["check-c", "--lambda", "1,9", "--method", "identity"]) == 2
         assert "invalid choice: 'identity'" in capsys.readouterr().err
 
     def test_grid_empty_set_for_d3_reports_exact_answer(self, tmp_path):
@@ -447,6 +445,7 @@ BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"eps_reg": 1e-12}, id="pds-retired-eps-reg"),
     pytest.param("solve-fbm", "pds", {"output_times": [0.055]}, id="pds-off-grid-time"),
     pytest.param("solve-fbm", "pds", {"output_times": [0.1, 5.0]}, id="pds-time-past-T"),
+    pytest.param("solve-fbm", "pds", {"output_times": []}, id="pds-empty-output-times"),
     pytest.param("solve-fbm", "model", {"Q": [[0.0, 1.0], [1.0, 0.0]]},
                  id="model-unknown-key"),
     pytest.param("solve-fbm", "horizon", {"R": 0.05}, id="horizon-unknown-key"),
@@ -482,6 +481,9 @@ BAD_SECTIONS = [
                  id="simulate-massless-mixture"),
     pytest.param("simulate-fbm", "initial", MASSLESS_DENSITY,
                  id="simulate-massless-density"),
+    pytest.param("solve-fbm", "initial",
+                 {"kind": "mixture", "xs": [-0.5, 0.5], "weights": [1e308, 1e308]},
+                 id="initial-mass-overflows"),
     pytest.param("solve-lv", "surface", NAN_SURFACE_VALUE, id="solve-lv-nan-surface-value"),
     pytest.param("simulate-rslv", "surface", NAN_SURFACE_NODE,
                  id="simulate-rslv-nan-surface-node"),
@@ -562,6 +564,32 @@ def test_bad_section_is_a_config_error(tmp_path, capsys, run, section, entries):
     assert cli.main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a start whose weights do not sum to 1, and the share of its law above 0
+UNNORMALISED_STARTS = [
+    pytest.param({"kind": "mixture", "xs": [-0.5, 0.5], "weights": [0.1, 0.2]}, 2 / 3,
+                 id="mixture"),
+    pytest.param({"kind": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 3.0, 0.0]},
+                 1 / 2, id="tabulated"),
+]
+
+
+@pytest.mark.parametrize("initial,share", UNNORMALISED_STARTS)
+def test_grid_and_particles_start_from_one_probability(tmp_path, initial, share):
+    cfg = small_solve_config(tmp_path, extra={"initial": initial})
+    assert cli.main(["solve-fbm", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out" / "fbm_metadata.json").read_text())
+    assert meta["times"][0] == 0.0
+    assert abs(sum(meta["diagnostics"]["masses"][0]) - 1.0) <= 1e-12
+    # the heat reference is the same unit law
+    rows = np.loadtxt(tmp_path / "out" / "fbm_0000.csv", delimiter=",", skiprows=1)
+    assert np.trapezoid(rows[:, -1], rows[:, 0]) == pytest.approx(1.0, abs=1e-9)
+    sim = small_sim_config(tmp_path, extra={"initial": initial, "sim": {
+        "dt": 1e-2, "n_particles": 2000, "checkpoints": [0.0, 0.1], "seed": 5}})
+    assert cli.main(["simulate-fbm", str(sim)]) == 0
+    x0 = np.loadtxt(tmp_path / "sim" / "checkpoint_00.csv", delimiter=",", skiprows=1)[:, 1]
+    assert abs((x0 > 0).mean() - share) <= 4 * math.sqrt(share * (1 - share) / x0.size)
 
 
 def contract_config(tmp_path, q, surface, one_regime=False):
@@ -903,6 +931,26 @@ def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+# arguments that argparse refuses: one error line and exit 2, as for any other input
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check-c", "--lambda", "1,9", "--method", "identity"], id="invalid-choice"),
+    pytest.param(["solve-fbm"], id="missing-config"),
+    pytest.param(["check-c", "--lambda", "1,9", "--n", "x"], id="non-integer-count"),
+])
+def test_refused_argument_is_one_error_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: rslv-lab {argv[0]}: ") and out.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check-c", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rslv-lab check-c")
+
+
 def test_import_leaves_the_optimizer_unloaded():
     # scipy.optimize is loaded only by scripts/condition_c_map.py
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -1067,8 +1115,22 @@ class TestVerify:
         assert lines[0].startswith("[PASS] c01 figure grid reproduction (d=5) (3 checks, ")
         assert lines[1] == "1/1 criteria passed"
 
-    def test_unknown_suite(self):
+    def test_unknown_suite(self, capsys):
+        # verify has one selector, --criteria; --suite is not an option
         assert cli.main(["verify", "--suite", "nonsense"]) == 2
+        assert "unrecognized arguments: --suite nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,names", [
+        pytest.param([], [f"c{i:02d}" for i in range(1, 13)], id="all"),
+        pytest.param(["--criteria", "3,3"], ["c03"], id="repeated"),
+        pytest.param(["--criteria", "5,c03,5"], ["c05", "c03"], id="in-order"),
+    ])
+    def test_each_named_criterion_runs_once(self, monkeypatch, argv, names):
+        from rslv_lab import acceptance
+        ran = []
+        monkeypatch.setattr(acceptance, "run_criteria", lambda n: ran.append(n) or [])
+        assert cli.main(["verify", *argv]) == 0
+        assert ran == [names]
 
     def test_empty_criteria_list(self, capsys, monkeypatch):
         from rslv_lab import acceptance

@@ -175,10 +175,33 @@ class TestHeatKernel:
         kernel = np.exp(-(xs[:, None] - x[None, :]) ** 2 / (2 * sigma * sigma)) \
             / np.sqrt(2 * np.pi * sigma * sigma)
         out = Measure.tabulated(x, dens).density_on(xs, sigma)
-        np.testing.assert_allclose(out, kernel @ (tw * dens), rtol=0, atol=1e-14)
+        # the density integrates to about 2.7; the measure is its normalised law
+        np.testing.assert_allclose(out, kernel @ (tw * dens) / (tw @ dens), rtol=0, atol=1e-14)
 
 
 class TestMeasure:
+    def test_construction_normalises_the_law(self):
+        mixture = Measure([-0.5, 0.5], [0.1, 0.2])
+        np.testing.assert_allclose(mixture.weights, [1 / 3, 2 / 3], rtol=1e-15)
+        np.testing.assert_array_equal(mixture.masses, mixture.weights)
+        hat = Measure.tabulated([-1.0, 0.0, 1.0], [0.0, 3.0, 0.0])
+        np.testing.assert_array_equal(hat.weights, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(hat.masses, [0.0, 1.0, 0.0])
+        # uneven nodes: each node's mass is its trapezoid weight times the density
+        x = np.array([-2.0, -0.5, 0.0, 1.5])
+        uneven = Measure.tabulated(x, [1.0, 2.0, 4.0, 0.5])
+        np.testing.assert_allclose(uneven.masses, [0.75, 1.0, 1.0, 0.75] * uneven.weights,
+                                   rtol=1e-15)
+        assert uneven.masses.sum() == pytest.approx(1.0, abs=1e-15)
+        # a unit law is kept bit for bit
+        assert Measure([-0.5, 0.5], [0.3, 0.7]).weights.tolist() == [0.3, 0.7]
+
+    @pytest.mark.parametrize("atoms", [True, False])
+    def test_mass_must_be_positive_and_finite(self, atoms):
+        for weights in ([0.0, 0.0], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Measure([-1.0, 1.0], weights, atoms=atoms)
+
     def test_atoms_need_mollification(self):
         with pytest.raises(ValueError):
             Measure.point(0.0).density_on(np.linspace(-1, 1, 11), 0.0)
