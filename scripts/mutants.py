@@ -146,6 +146,9 @@ MUTANTS = [
      "w = w / total", "w = w",
      ["tests/test_cli.py::test_grid_and_particles_start_from_one_probability[mixture]",
       "tests/test_cli.py::test_grid_and_particles_start_from_one_probability[tabulated]"]),
+    ("grid-records-start", "fokker_planck.py",
+     "{0: U.copy()} if 0 in self.steps else {}", "{0: U.copy()}",
+     ["tests/test_requested_times.py::test_one_request_gives_one_record_on_both_solvers"]),
 ]
 
 

@@ -88,11 +88,13 @@ class PDSConfig:
     """Step size and output cadence for one PDS solve.
 
     sigma_mollify is the width of the initial heat-kernel mollification,
-    finite and non-negative (required positive for atomic data).  Without
-    output_times, n_outputs >= 2 equally spaced times from 0 to T are each
-    rounded to the nearest step, and times that round to the same step are
-    recorded once: 11 over 5 steps record 6 times, and 4 at T = 0.1, dt = 1e-3
-    record the steps 0, 33, 67 and 100.  An empty output_times is refused.
+    finite and non-negative (required positive for atomic data).  A run
+    records the steps that recorded_steps finds for output_times, the start
+    only if it is requested, each labelled with the first time that names it;
+    an empty output_times is refused.  Without output_times, n_outputs >= 2
+    equally spaced times from 0 to T are each rounded to the nearest step k
+    and requested as k * dt, so the start is recorded: 11 over 5 steps record
+    6 times, and 4 at T = 0.1, dt = 1e-3 record the steps 0, 33, 67 and 100.
     """
 
     dt: float
@@ -191,22 +193,25 @@ def step_grid(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
-def step_at(t: float, T: float, n_steps: int) -> int:
-    """Index k of the step time k * T / n_steps that t names.
+def recorded_steps(times, T: float, n_steps: int) -> dict[int, float]:
+    """The steps that ``times`` name, in step order, each labelled with the
+    first time that names it: the one rule by which both solvers record.
 
     A requested time must be finite, lie in [0, T] and be within
-    time_tolerance(t) of a step time; anything else raises ValueError.
+    time_tolerance(t) of a step time k * T / n_steps; anything else raises
+    ValueError.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"requested time {t} is not finite")
-    dt = T / n_steps
-    k = int(round(t / dt))
-    if not 0 <= k <= n_steps:
-        raise ValueError(f"requested time {t} lies outside [0, {T}]")
-    if abs(k * dt - t) > time_tolerance(t):
-        raise ValueError(f"requested time {t} is not on the step grid (dt = {dt})")
-    return k
+    dt, steps = T / n_steps, {}
+    for t in map(float, times):
+        if not math.isfinite(t):
+            raise ValueError(f"requested time {t} is not finite")
+        k = int(round(t / dt))
+        if not 0 <= k <= n_steps:
+            raise ValueError(f"requested time {t} lies outside [0, {T}]")
+        if abs(k * dt - t) > time_tolerance(t):
+            raise ValueError(f"requested time {t} is not on the step grid (dt = {dt})")
+        steps.setdefault(k, t)
+    return dict(sorted(steps.items()))
 
 
 def _mass_diag(grid: SpatialGrid) -> np.ndarray:
@@ -307,14 +312,13 @@ class _Observer:
     def __init__(self, grid: SpatialGrid, U: np.ndarray, T: float, n_steps: int,
                  config: PDSConfig):
         self.grid, self.dt = grid, T / n_steps
-        if config.output_times is not None:
-            self.out_steps = {step_at(t, T, n_steps) for t in config.output_times}
-        else:
-            times = np.linspace(0.0, T, config.n_outputs)
-            steps = np.clip(np.round(times / self.dt).astype(int), 0, n_steps)
-            self.out_steps = set(steps.tolist())
+        times = config.output_times
+        if times is None:
+            steps = np.round(np.linspace(0.0, T, config.n_outputs) / self.dt).astype(int)
+            times = np.clip(steps, 0, n_steps) * self.dt
+        self.steps = recorded_steps(times, T, n_steps)    # step -> its time
         self.tw = grid.trapezoid_weights()
-        self.records = {0: U.copy()}                  # step -> U
+        self.records = {0: U.copy()} if 0 in self.steps else {}    # step -> U
         # W U serves the energy and the next right-hand side
         self.WU = _mass_apply(U, grid.h)
         self.mass = float((self.tw @ U).sum())
@@ -335,7 +339,7 @@ class _Observer:
         energy = float(np.einsum("md,md->", U, self.WU))
         self.max_energy_inc = max(self.max_energy_inc, energy - self.energy)
         self.energy = energy
-        if step in self.out_steps:
+        if step in self.steps:
             self.records[step] = U.copy()
 
     def solution(self, n_steps: int) -> GridSolution:
@@ -358,8 +362,8 @@ class _Observer:
             wall_time=time.perf_counter() - self.clock.start,
             phase_s=self.clock.phase_s,
         )
-        times = np.asarray([k * self.dt for k in self.records])
-        return GridSolution(grid=self.grid, times=times, p=np.asarray([u.T for u in records]),
+        return GridSolution(grid=self.grid, times=np.asarray(list(self.steps.values())),
+                            p=np.asarray([u.T for u in records]),
                             diagnostics=diagnostics)
 
 

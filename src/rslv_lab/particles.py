@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dupire import VolSurface
-from .fokker_planck import (NumericalError, PhaseClock, recorded_index, step_at,
-                            step_grid)
+from .fokker_planck import (NumericalError, PhaseClock, recorded_index,
+                            recorded_steps, step_grid)
 from .regime_model import HorizonConfig, Measure, RegimeModel
 from .stats import mc_stderr
 
@@ -54,7 +54,10 @@ REGRESSION_NODES = 400
 class SimPlan:
     """Step size, kernel-regression parameters and output cadence.
 
-    ``checkpoints`` None records the horizon only; an empty tuple is refused.
+    ``checkpoints`` are recorded by the grid's rule, recorded_steps: each
+    step once, labelled with the first checkpoint that names it, the start
+    only if it is named.  None records the horizon only; an empty tuple is
+    refused.
     """
 
     dt: float
@@ -217,7 +220,7 @@ def _leaving_bound(q, dt) -> np.ndarray:
     relative: rows are linear in x between nodes, so a row that _thinning
     builds sums to at most that, plus a few ulps of rounding that the pad covers."""
     rows = np.tile(np.arange(q.d), q.x.size)
-    cum = _switch_table(q.rates_from(rows, np.repeat(q.x, q.d)), rows, dt)
+    cum = _switch_table(q.rates.reshape(-1, q.d).copy(), rows, dt)
     return cum[:, -1].reshape(-1, q.d).max(axis=0) * (1.0 + 1e-12)
 
 
@@ -280,15 +283,12 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     bound = _leaving_bound(model.q, dt)
     thin = bool(bound.any())    # a zero bound switches nobody: draw no uniforms
     qv = np.zeros(plan.n_particles)
-    check_steps = {}
-    for tc in (T,) if plan.checkpoints is None else plan.checkpoints:
-        check_steps.setdefault(step_at(tc, T, n_steps), float(tc))
-
-    times, xs, ys, qvs, occ, ratios = [], [], [], [], [], []
+    check_steps = recorded_steps((T,) if plan.checkpoints is None else plan.checkpoints,
+                                 T, n_steps)
+    xs, ys, qvs, occ, ratios = [], [], [], [], []
 
     def record(step_idx):
         if step_idx in check_steps:
-            times.append(check_steps[step_idx])
             xs.append(x.copy())
             ys.append(y.copy())
             qvs.append(qv.copy())
@@ -341,7 +341,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             record(n + 1)
             clock.lap("record")
 
-    return SimResult(times=np.asarray(times), X=np.asarray(xs),
+    return SimResult(times=np.asarray(list(check_steps.values())), X=np.asarray(xs),
                      Y=np.asarray(ys), qv=np.asarray(qvs),
                      gyongy_ratio=np.asarray(ratios), occupancy=np.asarray(occ),
                      phase_s=clock.phase_s)

@@ -75,23 +75,19 @@ def ks_statistic(samples, cdf: Callable) -> float:
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-def l1_hist_distance(samples, density, bins: int = 100, rng=None) -> float:
+def l1_hist_distance(samples, density, bins: int = 100) -> float:
     """L1 distance between the sample histogram and a reference probability density.
 
-    The histogram is normalised to unit mass; ``density`` is a callable
-    evaluated at bin centres (or an array of values at bin centres) and is
-    renormalised over the binning window.  ``rng`` is an optional (lo, hi)
-    range; defaults to sample mean +/- 5 sample std.
+    Both live on the window sample mean +/- 5 sample std: the histogram is
+    normalised to unit mass there, and the callable ``density``, evaluated at
+    the bin centres, is renormalised over it.
     """
     x = np.asarray(samples, dtype=float)
-    if rng is None:
-        m, s = x.mean(), x.std()
-        rng = (m - 5.0 * s, m + 5.0 * s)
-    counts, edges = np.histogram(x, bins=bins, range=rng)
+    m, s = x.mean(), x.std()
+    counts, edges = np.histogram(x, bins=bins, range=(m - 5.0 * s, m + 5.0 * s))
     widths = np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    hist = counts / counts.sum() / widths if counts.sum() > 0 else np.zeros(bins)
-    ref = np.asarray(density(centers) if callable(density) else density, dtype=float)
+    hist = counts / counts.sum() / widths
+    ref = np.asarray(density(0.5 * (edges[:-1] + edges[1:])), dtype=float)
     ref_mass = float(np.sum(ref * widths))
     if ref_mass <= 0:
         raise ValueError("reference density has no mass on the binning window")

@@ -167,10 +167,7 @@ class TestRslvAndLv:
                         output_times=(0.05, 0.2, 0.4))
         sol = solve_rslv(LV, cfg, grid, HorizonConfig(T=0.4, r=0.0),
                          VolSurface.constant(1.0), Measure.point(0.0))
-        interior = slice(30, -30)
-        for k, t in enumerate(sol.times):
-            if t >= 0.05:
-                assert sol.p[k, 0, interior].min() > 0.0
+        assert sol.p[:, 0, 30:-30].min() > 0.0
 
     def test_tabulated_surface_drift_terms(self):
         # x-dependent sigma exercises the derivative term in the drift
@@ -250,7 +247,8 @@ class TestOutputs:
         diag = sols[0].diagnostics
         assert every < -1e-3 < diag.min_value.min()
         assert diag.step_min_value == sols[1].diagnostics.step_min_value == every
-        meta = write_snapshots(sols[0], tmp_path, np.zeros((2, grid.m)), "fbm")
+        meta = write_snapshots(sols[0], tmp_path, np.zeros((len(sols[0].times), grid.m)),
+                               "fbm")
         assert meta["diagnostics"]["step_min_value"] == every
 
     def test_record_diagnostics_are_read_off_the_records(self):
@@ -265,7 +263,7 @@ class TestOutputs:
         sx = np.linspace(-4.0, 4.0, 9)
         values = 0.3 + 0.05 * np.sin(sx)[None, :] + np.array([[0.0], [0.1]])
         surf = VolSurface([0.0, 0.2], sx, values)
-        cfg = PDSConfig(dt=1e-2, sigma_mollify=0.3, output_times=(0.05, 0.1, 0.2))
+        cfg = PDSConfig(dt=1e-2, sigma_mollify=0.3, output_times=(0.0, 0.05, 0.1, 0.2))
         sol = solve_rslv(model, cfg, grid, HorizonConfig(T=0.2, r=0.02), surf,
                          Measure([-3.2, 0.5], [0.4, 0.6]))
         diag, p, h, m = sol.diagnostics, sol.p, grid.h, grid.m

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rslv_lab.fokker_planck import PDSConfig, SpatialGrid, solve_fbm, step_grid
 from rslv_lab.particles import SimPlan, simulate
@@ -76,6 +76,38 @@ def test_checkpoints_are_recorded_at_their_step_or_rejected(case):
     for t in times:
         k = round(t * n_steps / T)
         np.testing.assert_array_equal(res.at_time(t)[0], ref.X[k])
+
+
+@st.composite
+def on_grid_requests(draw):
+    """(T, dt, n_steps, times): step times in any order, repeated or not, with
+    or without the start."""
+    T = draw(st.floats(0.01, 1.0))
+    dt = draw(st.floats(T / 12, T))
+    n_steps = max(1, round(T / dt))
+    ks = draw(st.lists(st.integers(0, n_steps), min_size=1, max_size=5))
+    return T, dt, n_steps, [k * T / n_steps for k in ks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(on_grid_requests())
+@example((1.0, 0.1, 10, [0.7, 0.3, 0.3]))
+@example((0.5, 0.1, 5, [0.5, 0.0, 0.2, 0.0]))
+def test_one_request_gives_one_record_on_both_solvers(case):
+    # both solvers record each named step once, in step order, labelled with
+    # the first time that names it, and the start only when it is named
+    T, dt, n_steps, times = case
+    hor = HorizonConfig(T=T)
+    sol = solve_fbm(MODEL, PDSConfig(dt=dt, sigma_mollify=0.3, output_times=tuple(times)),
+                    GRID, hor, Measure.point(0.0))
+    res = simulate(MODEL, SimPlan(dt=dt, n_particles=100, checkpoints=tuple(times), seed=7),
+                   hor)
+    first = {}
+    for t in times:
+        first.setdefault(round(t * n_steps / T), t)
+    np.testing.assert_array_equal(sol.times, [first[k] for k in sorted(first)])
+    np.testing.assert_array_equal(sol.times, res.times)
+    assert len(sol.p) == len(res.X) == len(first)
 
 
 def test_step_count_stays_below_int64():
