@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     lam = np.array([float(v) for v in args.lam.split(",")])
     model = RegimeModel(lam=lam, alpha=np.full(lam.size, 1.0 / lam.size))
     report = grid_search_diag(model, args.n)
-    write_csv(args.out, "x,y", report.points)
+    write_csv(args.out, "x,y", report.points.T)
     print(f"{report.points.shape[0]} passing points at n={args.n} -> {args.out}")
     if lam.size == 3:
         rep = criterion_d3(lam)

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from dataclasses import fields
-from itertools import chain, islice
 
 import numpy as np
 
@@ -213,19 +212,23 @@ def _out_dir(cfg: dict, args) -> str:
     return out
 
 
-def write_csv(path: str, header: str, rows) -> None:
-    """One header line, then each row's values at 17 significant digits.
+def write_csv(path: str, header: str, columns) -> None:
+    """One header line, then one row per index of the equal-length 1-d ``columns``.
 
-    Rows are formatted _CSV_BLOCK at a time, with one ``%`` per block, so
-    the text in memory stays bounded; every row has as many values as the
-    first.
+    An integer column whose values all lie below 2**53 in magnitude prints
+    with %d, the text that %.17g gives there; every other value prints at 17
+    significant digits.  Rows are formatted _CSV_BLOCK at a time, with one
+    ``%`` per block, so no full-size copy is made and the text in memory
+    stays bounded.
     """
-    rows = iter(rows)
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" and (c.size == 0 or (
+        -2**53 < c.min() and c.max() < 2**53)) else _FLOAT_FMT for c in cols) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        while block := list(islice(rows, _CSV_BLOCK)):
-            line = ",".join([_FLOAT_FMT] * len(block[0])) + "\n"
-            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        for start in range(0, cols[0].size, _CSV_BLOCK):
+            block = np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:
@@ -243,7 +246,7 @@ def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:
         cols = [sol.grid.x] + [sol.p[k, i] for i in range(d)] + \
                [sol.total_density(k), reference[k]]
         name = f"{prefix}_{k:04d}.csv"
-        write_csv(os.path.join(out_dir, name), header, zip(*cols))
+        write_csv(os.path.join(out_dir, name), header, cols)
         files.append({"time": float(t), "file": name})
     diag = {f.name: getattr(sol.diagnostics, f.name) for f in fields(sol.diagnostics)}
     return {
@@ -279,7 +282,7 @@ def _cmd_check_c(args) -> int:
     if method == "grid":
         out = args.out or "points.csv"
         report = grid_search_diag(model, n)
-        write_csv(out, "x,y", report.points)
+        write_csv(out, "x,y", report.points.T)
         ok = report.satisfied
         if report.fallback:
             line = f"degenerate multiset, decided by {report.fallback}: {_VERDICT[ok]}"
@@ -371,11 +374,10 @@ def _cmd_run(args) -> int:
             meta.update(prices_file="prices.csv", prices_time=maturity)
         out = _out_dir(cfg, args)
         for k, t in enumerate(res.times):
-            rows = zip(range(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k])
-            write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"),
-                      "particle_id,X,Y,qv", rows)
+            write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"), "particle_id,X,Y,qv",
+                      (np.arange(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k]))
         if prices:
-            write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", prices)
+            write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", np.array(prices).T)
         name = f"simulate_{kind}_diagnostics.json"
         summary = (f"{len(res.times)} checkpoints to {out} (gyongy ratio in "
                    f"[{meta['gyongy_ratio_min']:.5f}, {meta['gyongy_ratio_max']:.5f}])")

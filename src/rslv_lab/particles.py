@@ -155,7 +155,7 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     step_w = (hi - lo) / (REGRESSION_NODES - 1)
 
     pos = (x - lo) / step_w
-    i0 = np.floor(pos).astype(np.int64)
+    i0 = pos.astype(np.int64)       # the floor: pos >= 4 bandwidths / step_w > 0
     w1 = pos - i0
     w0 = 1.0 - w1
     # bincount(i0 + 1, w) is bincount(i0, w) moved up one node, summed in the same order
@@ -224,13 +224,14 @@ def _leaving_bound(q, dt) -> np.ndarray:
     return cum[:, -1].reshape(-1, q.d).max(axis=0) * (1.0 + 1e-12)
 
 
-def _thinning(x, y, q, dt, u, bound) -> np.ndarray:
+def _thinning(x, y, q, dt, u, bound_y) -> np.ndarray:
     """One-switch-per-step regime update of the 1-based Y, in place, from the
-    uniforms u, one per particle: only the candidates, u < bound[Y - 1], get
-    their rows of q at X, and each switches iff u is below its row's last
+    uniforms u and each particle's leaving bound bound_y = bound[Y - 1] (see
+    _leaving_bound), one each per particle: only the candidates, u < bound_y,
+    get their rows of q at X, and each switches iff u is below its row's last
     entry, to the first entry above u.  Returns the candidates' indices, the
-    only entries of Y that can have changed."""
-    cand = np.flatnonzero(u < bound.take(y - 1))
+    only entries of Y, and so of bound_y, that can have changed."""
+    cand = np.flatnonzero(u < bound_y)
     u, rows = u[cand, None], y[cand] - 1
     cum = _switch_table(q.rates_from(rows, x[cand]), rows, dt)
     y[cand] = np.where(u[:, 0] < cum[:, -1], np.argmax(u < cum, axis=1) + 1, y[cand])
@@ -278,10 +279,11 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
                          f"(step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
-    lam_y = model.lam[y - 1]    # f^2(Y); only thinning candidates can change it
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
     bound = _leaving_bound(model.q, dt)
     thin = bool(bound.any())    # a zero bound switches nobody: draw no uniforms
+    # f^2(Y) and the leaving bound of Y; only thinning candidates can change them
+    lam_y, bound_y = model.lam[y - 1], bound[y - 1]
     qv = np.zeros(plan.n_particles)
     check_steps = recorded_steps((T,) if plan.checkpoints is None else plan.checkpoints,
                                  T, n_steps)
@@ -332,8 +334,10 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             qv += diff2 * dt
             clock.lap("draws")
             if thin:
-                cand = _thinning(x, y, model.q, dt, u, bound)
-                lam_y[cand] = model.lam.take(y[cand] - 1)
+                cand = _thinning(x, y, model.q, dt, u, bound_y)
+                regimes = y[cand] - 1
+                lam_y[cand] = model.lam.take(regimes)
+                bound_y[cand] = bound.take(regimes)
             clock.lap("thinning")
             if not np.all(np.isfinite(x)):
                 raise NumericalError("particle positions are no longer finite", n + 1)

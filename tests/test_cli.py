@@ -1151,10 +1151,15 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path):
     n = 2 * cli._CSV_BLOCK + 7           # two full blocks and a partial one
     big = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
     big[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.7976931348623157e308]
-    rows = list(zip(range(n), big, rng.integers(-5, 6, n), -rng.uniform(size=n)))
-    rows[3] = (2**60, -1, 0.1, 7)         # Python ints and floats beside numpy scalars
+    ids = np.arange(n)
+    ids[3] = 2**60                       # an integer column at 2**53 and above: %.17g
+    small = rng.integers(-5, 6, n)
+    small[:2] = [2**53 - 1, -(2**53 - 1)]   # integers below 2**53 in magnitude: %d
+    columns = [ids, big, small, -rng.uniform(size=n)]
     path = tmp_path / "rows.csv"
-    cli.write_csv(str(path), "i,a,b,c", iter(rows))
+    cli.write_csv(str(path), "i,a,b,c", columns)
     expected = "i,a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
-                                     for row in rows)
+                                     for row in zip(*columns))
     assert path.read_text() == expected
+    cli.write_csv(str(path), "x,y", np.empty((2, 0)))
+    assert path.read_text() == "x,y\n"

@@ -396,13 +396,16 @@ def test_thinning_matches_the_full_gather(d, case):
     y = y_ref.copy()
     rng_ref, rng_new = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
     switched = 0
+    bound_y = bound[y - 1]
     for _ in range(50):
         before = y.copy()
         y_ref = thinning_by_full_gather(x, y_ref, model, dt, rng_ref)
-        cand = _thinning(x, y, q, dt, rng_new.random(n), bound)
+        cand = _thinning(x, y, q, dt, rng_new.random(n), bound_y)
         assert np.array_equal(y, y_ref)
-        # the candidates returned cover every particle that switched
+        # the candidates returned cover every particle that switched, so
+        # refreshing bound_y there keeps it bound[y - 1], as simulate does
         assert np.isin(np.flatnonzero(y != before), cand).all()
+        bound_y[cand] = bound[y[cand] - 1]
         switched += np.count_nonzero(y != before)
         if case == "zero-row":
             assert np.all(before[y != before] != 2)
@@ -513,7 +516,7 @@ def serial_reference(model, plan, horizon, surface):
         x += np.sqrt(diff2) * (gauss_rng.normal(size=x.size) * math.sqrt(dt))
         qv += diff2 * dt
         if bound.any():
-            _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound)
+            _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound[y - 1])
     return x, y, qv
 
 
