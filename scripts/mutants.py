@@ -37,6 +37,7 @@ PART = "tests/test_particles.py"
 SMILE = "tests/test_smile.py"
 SWITCH = "tests/test_switching.py"
 COND = "tests/test_condition_c.py"
+STATS = "tests/test_stats.py"
 
 MUTANTS = [
     ("grid-r-dropped", "fokker_planck.py",
@@ -149,6 +150,16 @@ MUTANTS = [
     ("grid-records-start", "fokker_planck.py",
      "{0: U.copy()} if 0 in self.steps else {}", "{0: U.copy()}",
      ["tests/test_requested_times.py::test_one_request_gives_one_record_on_both_solvers"]),
+    ("stderr-quarter-root", "stats.py",
+     "x.std(ddof=1) / math.sqrt(x.size)", "x.std(ddof=1) / x.size ** 0.25",
+     [f"{STATS}::TestMoments::test_stderr_hand_computed"]),
+    ("ks-one-sided", "stats.py",
+     "np.max(np.maximum(i / n - f, f - (i - 1) / n))", "np.max(i / n - f)",
+     [f"{STATS}::TestKsStatistic::test_lower_side_binds"]),
+    ("l1-hist-halved", "stats.py",
+     "float(np.sum(np.abs(hist - ref) * widths))",
+     "float(0.5 * np.sum(np.abs(hist - ref) * widths))",
+     [f"{STATS}::TestHistogramDistance::test_hand_computed_two_bins"]),
 ]
 
 

@@ -58,6 +58,11 @@ class TestKsStatistic:
         d = ks_statistic([0.25, 0.5, 0.75], lambda x: np.clip(x, 0.0, 1.0))
         assert d == pytest.approx(0.25, abs=1e-15)
 
+    def test_lower_side_binds(self):
+        # one sample at 0.75 under the uniform CDF: the upper side reads
+        # 1 - 0.75 = 0.25, the lower side 0.75 - 0 = 0.75
+        assert ks_statistic([0.75], lambda x: np.clip(x, 0.0, 1.0)) == 0.75
+
     def test_single_sample_at_median(self):
         assert ks_statistic([0.0], normal_cdf) == pytest.approx(0.5, abs=1e-12)
 
@@ -87,6 +92,11 @@ class TestHistogramDistance:
         dens = lambda c: counts[np.searchsorted(edges, c) - 1]
         assert l1_hist_distance(x, dens, bins=20) == pytest.approx(0.0, abs=1e-12)
 
+    def test_hand_computed_two_bins(self):
+        # window 0 +/- 5 * 1 split at 0: the histogram reads 0.1 on both bins,
+        # the reference 0 and 0.2 once renormalised, so 5 * 0.1 + 5 * 0.1 = 1
+        assert l1_hist_distance([-1.0, 1.0], lambda c: (c > 0) * 1.0, bins=2) == 1.0
+
     def test_gaussian_sample_against_density(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal(200_000)
@@ -105,6 +115,10 @@ class TestMoments:
         se_m4 = math.sqrt(96.0 / n) * t * t
         assert abs(mo.m4 - 3.0 * t * t) <= 5.0 * se_m4
         assert mo.kurtosis == pytest.approx(3.0, abs=0.1)
+
+    def test_stderr_hand_computed(self):
+        # the sample variance of 0, 1, 2, 3 is 5/3: sqrt(5/3) / sqrt(4)
+        assert mc_stderr([0.0, 1.0, 2.0, 3.0]) == pytest.approx(0.6454972243679028, rel=1e-15)
 
     def test_constant_payoff(self):
         assert mc_stderr(np.full(100, 2.5)) == 0.0
