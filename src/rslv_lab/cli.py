@@ -215,11 +215,9 @@ def _out_dir(cfg: dict, args) -> str:
 def write_csv(path: str, header: str, columns) -> None:
     """One header line, then one row per index of the equal-length 1-d ``columns``.
 
-    An integer column whose values all lie below 2**53 in magnitude prints
-    with %d, the text that %.17g gives there; every other value prints at 17
-    significant digits.  Rows are formatted _CSV_BLOCK at a time, with one
-    ``%`` per block, so no full-size copy is made and the text in memory
-    stays bounded.
+    An integer column below 2**53 in magnitude prints with %d, the text %.17g
+    gives there; all else at 17 significant digits.  Rows are formatted
+    _CSV_BLOCK at a time, one ``%`` per block, with no full-size copy.
     """
     cols = [np.asarray(c) for c in columns]
     line = ",".join("%d" if c.dtype.kind in "iu" and (c.size == 0 or (

@@ -81,8 +81,11 @@ class SimPlan:
 class Regression:
     """Piecewise-linear conditional-expectation estimate on a fixed grid.
 
-    ``at_samples`` holds the estimate at the ensemble's own positions, clamped
-    to [lam_min, lam_max]: the values of ``np.clip(self(x), lam_min, lam_max)``.
+    ``at_samples`` holds the estimate at the ensemble's own positions, read
+    off each particle's bin i0 and weights w0 + w1 = 1 from the binning:
+    w0 * values[i0] + w1 * values[i0 + 1], clamped to [lam_min, lam_max].
+    That is ``self(x)`` up to a few ulps of the position, carried through
+    the slope.
     """
 
     grid: np.ndarray
@@ -114,22 +117,28 @@ def init_ensemble(model: RegimeModel, plan: SimPlan,
     return np.asarray(x, dtype=float), y.astype(np.int64)
 
 
-def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
+def _mean_f2(y, model) -> float:
+    """The ensemble mean of f^2(Y), the estimate where the kernel sees no mass."""
+    return float(model.lam.take(y - 1).mean())
+
+
+def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
                    model: RegimeModel) -> Regression:
     """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax],
-    from the particles' positions x and their values lam_y = f^2(Y).
+    from the particles' positions x and their 1-based regimes y.
 
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
-    kernel sums are accumulated by linear binning onto a regression grid of
-    REGRESSION_NODES nodes spanning the sample range +/- 4 bandwidths.  Nodes
-    with vanishing kernel mass take the ensemble mean of f^2(Y).  The estimate
-    at the particles themselves (``at_samples``) is read off the same bins.  A
-    spread of X that is not finite, or too small for distinct grid nodes,
-    raises FloatingPointError.
+    each particle's unit mass is split by linear binning between the two
+    nearest of REGRESSION_NODES nodes spanning the sample range +/- 4
+    bandwidths, in one row of bins per regime.  The kernel sums are the rows'
+    total and their lam-weighted sum, smoothed by the kernel.  Nodes with
+    vanishing kernel mass take the ensemble mean of f^2(Y).  The estimate at
+    the particles themselves (``at_samples``) is read off the same bins and
+    weights.  A spread of X that is not finite, or too small for distinct
+    grid nodes, raises FloatingPointError.
     """
     if x.size < 100:
         raise ValueError("need at least 100 particles for the kernel estimate")
-    mean_lam = float(lam_y.mean())
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(x.std())
         if not math.isfinite(sd):
@@ -144,7 +153,7 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     # equal levels clamp every estimate to the single point lam_min
     if sd < 1e-12 or model.lam_min == model.lam_max:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
-        v = min(max(mean_lam, model.lam_min), model.lam_max)
+        v = min(max(_mean_f2(y, model), model.lam_min), model.lam_max)
         return Regression(grid=grid, values=np.full(2, v), at_samples=np.full(x.size, v))
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
@@ -154,15 +163,20 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
         raise FloatingPointError("ensemble spread is below the float spacing at its location")
     step_w = (hi - lo) / (REGRESSION_NODES - 1)
 
-    pos = (x - lo) / step_w
-    i0 = pos.astype(np.int64)       # the floor: pos >= 4 bandwidths / step_w > 0
-    w1 = pos - i0
+    w1 = x - lo
+    w1 /= step_w
+    i0 = w1.astype(np.int64)        # the floor: the position is >= 4 bandwidths / step_w > 0
+    w1 -= i0
     w0 = 1.0 - w1
-    # bincount(i0 + 1, w) is bincount(i0, w) moved up one node, summed in the same order
-    den = np.bincount(i0, weights=w0, minlength=REGRESSION_NODES)
-    den[1:] += np.bincount(i0, weights=w1, minlength=REGRESSION_NODES - 1)
-    num = np.bincount(i0, weights=w0 * lam_y, minlength=REGRESSION_NODES)
-    num[1:] += np.bincount(i0, weights=w1 * lam_y, minlength=REGRESSION_NODES - 1)
+    # bin (regime, node) is key y * NODES + node; row 0 stays empty, and w1's
+    # bins move up one node within their regime's row
+    key = y * REGRESSION_NODES
+    key += i0
+    rows = (model.d + 1, REGRESSION_NODES)
+    per_regime = np.bincount(key, weights=w0, minlength=rows[0] * rows[1]).reshape(rows)[1:]
+    per_regime[:, 1:] += np.bincount(key, weights=w1,
+                                     minlength=rows[0] * rows[1]).reshape(rows)[1:, :-1]
+    den, num = per_regime.sum(axis=0), model.lam @ per_regime
 
     radius = max(1, int(math.ceil(6.0 * delta / step_w)))
     u = np.arange(-radius, radius + 1) * (step_w / delta)
@@ -171,37 +185,18 @@ def cond_expect_f2(x: np.ndarray, lam_y: np.ndarray, plan: SimPlan,
     # len(kern) entries once the kernel is longer than the grid
     den_s = np.convolve(den, kern)[radius:radius + REGRESSION_NODES]
     num_s = np.convolve(num, kern)[radius:radius + REGRESSION_NODES]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(den_s < 1e-300, mean_lam, num_s / np.maximum(den_s, 1e-300))
+    empty = den_s < 1e-300
+    vals = num_s / np.where(empty, 1.0, den_s)
+    if empty.any():
+        vals[empty] = _mean_f2(y, model)
     vals = np.clip(vals, model.lam_min, model.lam_max)
-    at_samples = _interp_binned(x, i0, grid, vals)
+    # w0 * vals[i0] + w1 * vals[i0 + 1], in place: w0 then holds vals[i0 + 1]
+    at_samples = vals.take(i0)
+    at_samples *= w0
+    w1 *= vals[1:].take(i0, out=w0)
+    at_samples += w1
     np.clip(at_samples, model.lam_min, model.lam_max, out=at_samples)
     return Regression(grid=grid, values=vals, at_samples=at_samples)
-
-
-def _interp_binned(x, i0, grid, values) -> np.ndarray:
-    """np.interp(x, grid, values) for x inside the grid, from the bins i0.
-
-    i0 = floor((x - grid[0]) / step) can be one bin off the interval
-    grid[j] <= x < grid[j + 1] that np.interp's search finds, because
-    linspace rounds the nodes; it is moved by one where x < grid[i0] or
-    x >= grid[i0 + 1].  The arithmetic is np.interp's,
-    slope_j * (x - grid[j]) + values[j].  At a node np.interp returns
-    values[j] as it is, and so does this: the slopes are finite and the
-    values positive, so slope_j * 0 + values[j] == values[j].
-    """
-    left = grid.take(i0)
-    below = x < left
-    above = x >= grid[1:].take(i0)
-    j = i0
-    if below.any() or above.any():
-        j = i0 - below + above
-        left = grid.take(j)
-    slopes = np.diff(values) / np.diff(grid)
-    out = slopes.take(j)
-    out *= x - left
-    out += values.take(j)
-    return out
 
 
 def _switch_table(rates, regimes, dt) -> np.ndarray:
@@ -314,7 +309,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
         ahead = pool.submit(draws, 0)
         for n in range(n_steps):
             try:
-                reg = cond_expect_f2(x, lam_y, plan, model)
+                reg = cond_expect_f2(x, y, plan, model)
             except FloatingPointError as exc:
                 raise NumericalError(str(exc), n + 1) from exc
             ratio = lam_y / reg.at_samples

@@ -35,7 +35,7 @@ class TestCondExpect:
         x, y = init_ensemble(model, plan)
         y[:] = 2
         x[:] = np.linspace(-1, 1, x.size)
-        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
+        reg = cond_expect_f2(x, y, plan, model)
         np.testing.assert_allclose(reg(np.linspace(-1, 1, 7)), 4.0, atol=1e-12)
 
     @pytest.mark.parametrize("level", [0.3, 0.7])
@@ -46,9 +46,10 @@ class TestCondExpect:
         model = RegimeModel(lam=[0.3, 0.7], alpha=[0.5, 0.5])
         plan = SimPlan(dt=1e-2, n_particles=1000)
         rng = np.random.default_rng(4)
+        y = np.full(plan.n_particles, model.lam.tolist().index(level) + 1)
         for _ in range(10):
             x = rng.standard_normal(plan.n_particles)
-            reg = cond_expect_f2(x, np.full(x.size, level), plan, model)
+            reg = cond_expect_f2(x, y, plan, model)
             for est in (reg.values, reg.at_samples):
                 assert 0.3 <= est.min() and est.max() <= 0.7
 
@@ -57,7 +58,7 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
         x, y = init_ensemble(model, plan)
         x[:] = np.linspace(-1, 1, x.size)
-        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
+        reg = cond_expect_f2(x, y, plan, model)
         np.testing.assert_allclose(reg(np.array([-0.5, 0.0, 0.5])), 2.0, atol=1e-12)
 
     def test_independent_regimes_give_the_mean(self):
@@ -68,9 +69,8 @@ class TestCondExpect:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
-        lam_y = model.lam[y - 1]
-        reg = cond_expect_f2(x, lam_y, plan, model)
-        sd_f2 = lam_y.std()
+        reg = cond_expect_f2(x, y, plan, model)
+        sd_f2 = model.lam[y - 1].std()
         delta = plan.bandwidth_c * x.std() * plan.n_particles ** (-0.2)
         inner = (reg.grid > -2.0) & (reg.grid < 2.0)
         # effective kernel mass per node from the same binning the estimator uses
@@ -87,22 +87,35 @@ class TestCondExpect:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(plan.n_particles)
         y = rng.integers(1, 3, plan.n_particles)
-        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
+        reg = cond_expect_f2(x, y, plan, model)
         assert reg.values.shape == reg.grid.shape == (particles.REGRESSION_NODES,)
         np.testing.assert_allclose(reg.values, model.lam[y - 1].mean(), rtol=1e-3)
+
+    def test_nodes_without_kernel_mass_take_the_mean(self):
+        # two clusters at -1 and 1, and a kernel that reaches 6 bandwidths =
+        # 0.3: the nodes between them see no mass and read the ensemble mean
+        model = model_14()
+        plan = SimPlan(dt=1e-2, n_particles=1000, bandwidth_c=0.2)
+        rng = np.random.default_rng(6)
+        x = np.repeat([-1.0, 1.0], 500) + 1e-3 * rng.standard_normal(1000)
+        y = rng.integers(1, 3, 1000)
+        reg = cond_expect_f2(x, y, plan, model)
+        middle = np.abs(reg.grid) < 0.5
+        assert middle.sum() > 100
+        assert np.all(reg.values[middle] == model.lam[y - 1].mean())
 
     def test_needs_enough_particles(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=100, seed=1)
         x, y = init_ensemble(model, plan)
         with pytest.raises(ValueError):
-            cond_expect_f2(x[:50], model.lam[y[:50] - 1], plan, model)
+            cond_expect_f2(x[:50], y[:50], plan, model)
 
     def test_degenerate_spread_falls_back_to_the_mean(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=1000, seed=2)
         x, y = init_ensemble(model, plan)   # all particles at X = 0
-        reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
+        reg = cond_expect_f2(x, y, plan, model)
         expected = model.lam[y - 1].mean()
         assert reg(0.0) == pytest.approx(expected, abs=1e-12)
 
@@ -112,7 +125,7 @@ class TestCondExpect:
         x, y = init_ensemble(model, plan)
         x[:] = 1e308                       # the mean overflows
         with pytest.raises(FloatingPointError):
-            cond_expect_f2(x, model.lam[y - 1], plan, model)
+            cond_expect_f2(x, y, plan, model)
 
     def test_spread_below_the_float_spacing_is_a_floating_point_error(self):
         model = model_14()
@@ -123,7 +136,7 @@ class TestCondExpect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="float spacing"):
-                cond_expect_f2(x, model.lam[y - 1], plan, model)
+                cond_expect_f2(x, y, plan, model)
 
     @pytest.mark.parametrize("loc", [1e150, 1e170])
     def test_one_ulp_spread_is_below_the_float_spacing_at_any_location(self, loc):
@@ -136,16 +149,16 @@ class TestCondExpect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="float spacing"):
-                cond_expect_f2(x, model.lam[y - 1], plan, model)
+                cond_expect_f2(x, y, plan, model)
 
     def test_finite_spread_whose_square_overflows_is_estimated(self):
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
         x = np.linspace(-1e160, 1e160, plan.n_particles)
-        lam_y = model.lam[np.arange(x.size) % 2]
+        y = np.arange(x.size) % 2 + 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reg = cond_expect_f2(x, lam_y, plan, model)
+            reg = cond_expect_f2(x, y, plan, model)
         # x.std() overflows; the estimate reads sd off the span rescaled to [0, 1]
         sd = 2e160 * np.linspace(0.0, 1.0, x.size).std()
         delta = plan.bandwidth_c * sd * x.size ** (-0.2)
@@ -339,7 +352,7 @@ def ensembles(draw):
     elif kind == "nodes":
         inner = np.argsort(x)[n // 4: n // 4 + 10]
         for _ in range(10):
-            grid = cond_expect_f2(x, model.lam[y - 1], plan, model).grid
+            grid = cond_expect_f2(x, y, plan, model).grid
             k = np.rint((x[inner] - grid[0]) / (grid[1] - grid[0])).astype(np.int64)
             x[inner] = grid[k]
     return x, y, plan, model
@@ -349,9 +362,24 @@ def ensembles(draw):
 @given(ensembles())
 def test_at_samples_is_the_clamped_interpolant(case):
     x, y, plan, model = case
-    reg = cond_expect_f2(x, model.lam[y - 1], plan, model)
-    expected = np.clip(np.interp(x, reg.grid, reg.values), model.lam_min, model.lam_max)
+    reg = cond_expect_f2(x, y, plan, model)
+    grid, v = reg.grid, reg.values
+    if grid.size == 2:      # a degenerate spread: one value everywhere
+        assert np.all(reg.at_samples == v[0])
+        return
+    # the binning's weights, evaluated afresh: w0 * v[i0] + w1 * v[i0 + 1]
+    pos = (x - grid[0]) / ((grid[-1] - grid[0]) / (grid.size - 1))
+    i0 = np.floor(pos).astype(np.int64)
+    w1 = pos - i0
+    expected = np.clip((1.0 - w1) * v[i0] + w1 * v[i0 + 1], model.lam_min, model.lam_max)
     assert np.array_equal(reg.at_samples, expected)
+    # np.interp brackets x by the rounded nodes instead: the two differ by a
+    # few ulps of the position, carried through the slope
+    interp = np.clip(np.interp(x, grid, v), model.lam_min, model.lam_max)
+    slope = np.abs(np.diff(v) / np.diff(grid)).max()
+    scale = np.maximum(np.abs(x), np.abs(grid[[0, -1]]).max())
+    ulps = np.abs(reg.at_samples - interp) / (np.finfo(float).eps * (v.max() + slope * scale))
+    assert ulps.max() <= 4.0
 
 
 def thinning_by_full_gather(x, y, model, dt, rng):
@@ -507,7 +535,7 @@ def serial_reference(model, plan, horizon, surface):
     bound = _leaving_bound(model.q, dt)
     qv = np.zeros(x.size)
     for n in range(n_steps):
-        ratio = model.lam[y - 1] / cond_expect_f2(x, model.lam[y - 1], plan, model).at_samples
+        ratio = model.lam[y - 1] / cond_expect_f2(x, y, plan, model).at_samples
         diff2 = ratio
         if surface is not None:
             s = surface.sigma(n * dt, x)
