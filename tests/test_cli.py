@@ -1161,5 +1161,5 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path):
     expected = "i,a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                      for row in zip(*columns))
     assert path.read_text() == expected
-    cli.write_csv(str(path), "x,y", np.empty((2, 0)))
-    assert path.read_text() == "x,y\n"
+    cli.write_csv(str(path), "i,x", [np.arange(0), np.empty(0)])
+    assert path.read_text() == "i,x\n"
