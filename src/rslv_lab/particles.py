@@ -191,9 +191,10 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
         vals[empty] = _mean_f2(y, model)
     vals = np.clip(vals, model.lam_min, model.lam_max)
     # w0 * vals[i0] + w1 * vals[i0 + 1], in place: w0 then holds vals[i0 + 1]
+    # (i0 + 1 < NODES, so mode="clip" clips nothing; the default mode buffers out=)
     at_samples = vals.take(i0)
     at_samples *= w0
-    w1 *= vals[1:].take(i0, out=w0)
+    w1 *= vals[1:].take(i0, out=w0, mode="clip")
     at_samples += w1
     np.clip(at_samples, model.lam_min, model.lam_max, out=at_samples)
     return Regression(grid=grid, values=vals, at_samples=at_samples)
