@@ -215,24 +215,23 @@ def _out_dir(cfg: dict, args) -> str:
 def write_csv(path: str, header: str, columns) -> None:
     """One header line, then one row per index of the equal-length 1-d ``columns``.
 
-    An integer column below 2**53 in magnitude prints with %d, the text %.17g
-    gives there; all else at 17 significant digits.  Rows are formatted
-    _CSV_BLOCK at a time, one ``%`` per block, with no full-size copy; each
-    column's slice is interleaved into the block's values as it is, so
-    integers reach %d as ints, which it formats about twice as fast as floats.
+    An integer column below 2**53 in magnitude prints with %d from ints, the
+    text %.17g gives there; all else at 17 significant digits.  Rows are
+    formatted _CSV_BLOCK at a time, one ``%`` per block, with no full-size copy.
     """
     cols = [np.asarray(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "iu" and (c.size == 0 or (
-        -2**53 < c.min() and c.max() < 2**53)) else _FLOAT_FMT for c in cols) + "\n"
     n, k = cols[0].size, len(cols)
+    if any(c.shape != (n,) for c in cols):
+        raise ValueError("CSV columns must be 1-d and of equal length")
+    line = ",".join("%d" if c.dtype.kind in "iu" and (n == 0 or (
+        -2**53 < c.min() and c.max() < 2**53)) else _FLOAT_FMT for c in cols) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, n, _CSV_BLOCK):
-            rows = min(_CSV_BLOCK, n - start)
-            values = [None] * (k * rows)
+            values = [None] * (k * min(_CSV_BLOCK, n - start))
             for j, c in enumerate(cols):
-                values[j::k] = c[start:start + rows].tolist()
-            fh.write((line * rows) % tuple(values))
+                values[j::k] = c[start:start + _CSV_BLOCK].tolist()
+            fh.write((line * (len(values) // k)) % tuple(values))
 
 
 def write_snapshots(sol: GridSolution, out_dir, reference, prefix: str) -> dict:

@@ -117,11 +117,6 @@ def init_ensemble(model: RegimeModel, plan: SimPlan,
     return np.asarray(x, dtype=float), y.astype(np.int64)
 
 
-def _mean_f2(y, model) -> float:
-    """The ensemble mean of f^2(Y), the estimate where the kernel sees no mass."""
-    return float(model.lam.take(y - 1).mean())
-
-
 def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
                    model: RegimeModel) -> Regression:
     """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax],
@@ -153,7 +148,7 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     # equal levels clamp every estimate to the single point lam_min
     if sd < 1e-12 or model.lam_min == model.lam_max:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
-        v = min(max(_mean_f2(y, model), model.lam_min), model.lam_max)
+        v = min(max(float(model.lam.take(y - 1).mean()), model.lam_min), model.lam_max)
         return Regression(grid=grid, values=np.full(2, v), at_samples=np.full(x.size, v))
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
@@ -188,7 +183,7 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     empty = den_s < 1e-300
     vals = num_s / np.where(empty, 1.0, den_s)
     if empty.any():
-        vals[empty] = _mean_f2(y, model)
+        vals[empty] = model.lam.take(y - 1).mean()    # the ensemble mean of f^2(Y)
     vals = np.clip(vals, model.lam_min, model.lam_max)
     # w0 * vals[i0] + w1 * vals[i0 + 1], in place: w0 then holds vals[i0 + 1]
     # (i0 + 1 < NODES, so mode="clip" clips nothing; the default mode buffers out=)

@@ -1163,3 +1163,7 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path):
     assert path.read_text() == expected
     cli.write_csv(str(path), "i,x", [np.arange(0), np.empty(0)])
     assert path.read_text() == "i,x\n"
+    for ragged in ([np.arange(3), np.zeros(4)], [np.arange(4), np.zeros(3)],
+                   [np.zeros((2, 2)), np.zeros(2)]):
+        with pytest.raises(ValueError, match="1-d and of equal length"):
+            cli.write_csv(str(path), "i,x", ragged)
