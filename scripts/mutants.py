@@ -94,6 +94,15 @@ MUTANTS = [
     ("particles-q-at-zero", "particles.py",
      "q.rates_from(rows, x[cand])", "q.rates_from(rows, 0.0 * x[cand])",
      [f"{SWITCH}::test_grid_and_particles_agree_on_a_spot_dependent_q"]),
+    ("result-y-unshifted", "particles.py",
+     "ys.append(y + 1)", "ys.append(y.copy())",
+     [f"{PART}::TestStepAndSimulate::test_recorded_regimes_are_the_state_plus_one"]),
+    ("leaving-bound-smallest-rate", "particles.py",
+     ".min(axis=0)", ".max(axis=0)",
+     [f"{PART}::test_leaving_bound_dominates_every_row_between_the_nodes[2]",
+      f"{PART}::test_leaving_bound_dominates_every_row_between_the_nodes[3]",
+      f"{PART}::test_leaving_bound_dominates_every_row_between_the_nodes[4]",
+      f"{PART}::test_leaving_bound_dominates_every_row_between_the_nodes[5]"]),
     ("d3-boundary", "condition_c.py",
      "satisfied=lhs > 0.25)", "satisfied=lhs > 0.2)",
      [f"{COND}::TestBoundary::test_criterion_flips_at_the_root",

@@ -9,7 +9,8 @@ discretisation of a McKean-type SDE.  The inputs pick the dynamics:
                  s = sigma_tilde(t, X) (the calibrated RSLV model)
 
 and Y, drawn from alpha at t = 0, switches with the model's intensities
-q_ij(X); under the zero Q of a model built without q it stays put.
+q_ij(X); under the zero Q of a model built without q it stays put.  Y is
+0..d-1, like the indices of lam and alpha; SimResult.Y records it as 1..d.
 
 Per-path quadratic variation accumulates the Riemann sum of the squared
 diffusion coefficient.  Randomness comes from three counter-based streams
@@ -107,12 +108,12 @@ def init_ensemble(model: RegimeModel, plan: SimPlan,
                   initial: Measure | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X_0, Y_0) with X ~ initial (default point mass at 0), Y ~ alpha.
 
-    Y is 1-based (values in 1..d).  Both come from the first of the seed's
+    Y is 0-based (values in 0..d-1).  Both come from the first of the seed's
     three streams.
     """
     initial = initial if initial is not None else Measure.point(0.0)
     init_rng = _make_rngs(plan.seed)[0]
-    y = init_rng.choice(model.d, size=plan.n_particles, p=model.alpha) + 1
+    y = init_rng.choice(model.d, size=plan.n_particles, p=model.alpha)
     x = initial.sample(plan.n_particles, init_rng)
     return np.asarray(x, dtype=float), y.astype(np.int64)
 
@@ -120,7 +121,7 @@ def init_ensemble(model: RegimeModel, plan: SimPlan,
 def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
                    model: RegimeModel) -> Regression:
     """Nadaraya-Watson estimate of x -> E[f^2(Y) | X = x], clamped to [lmin, lmax],
-    from the particles' positions x and their 1-based regimes y.
+    from the particles' positions x and their 0-based regimes y.
 
     Gaussian kernel with Silverman-style bandwidth c * std(X) * N^(-1/5);
     each particle's unit mass is split by linear binning between the two
@@ -148,7 +149,7 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     # equal levels clamp every estimate to the single point lam_min
     if sd < 1e-12 or model.lam_min == model.lam_max:
         grid = np.array([x[0] - 1.0, x[0] + 1.0])
-        v = min(max(float(model.lam.take(y - 1).mean()), model.lam_min), model.lam_max)
+        v = min(max(float(model.lam.take(y).mean()), model.lam_min), model.lam_max)
         return Regression(grid=grid, values=np.full(2, v), at_samples=np.full(x.size, v))
     delta = plan.bandwidth_c * sd * x.size ** (-0.2)
     lo = float(x.min()) - 4.0 * delta
@@ -163,14 +164,13 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     i0 = w1.astype(np.int64)        # the floor: the position is >= 4 bandwidths / step_w > 0
     w1 -= i0
     w0 = 1.0 - w1
-    # bin (regime, node) is key y * NODES + node; row 0 stays empty, and w1's
-    # bins move up one node within their regime's row
+    # bin (regime, node) is key y * NODES + node; w1's bins sit one node up
     key = y * REGRESSION_NODES
     key += i0
-    rows = (model.d + 1, REGRESSION_NODES)
-    per_regime = np.bincount(key, weights=w0, minlength=rows[0] * rows[1]).reshape(rows)[1:]
+    rows = (model.d, REGRESSION_NODES)
+    per_regime = np.bincount(key, weights=w0, minlength=rows[0] * rows[1]).reshape(rows)
     per_regime[:, 1:] += np.bincount(key, weights=w1,
-                                     minlength=rows[0] * rows[1]).reshape(rows)[1:, :-1]
+                                     minlength=rows[0] * rows[1]).reshape(rows)[:, :-1]
     den, num = per_regime.sum(axis=0), model.lam @ per_regime
 
     radius = max(1, int(math.ceil(6.0 * delta / step_w)))
@@ -183,7 +183,7 @@ def cond_expect_f2(x: np.ndarray, y: np.ndarray, plan: SimPlan,
     empty = den_s < 1e-300
     vals = num_s / np.where(empty, 1.0, den_s)
     if empty.any():
-        vals[empty] = model.lam.take(y - 1).mean()    # the ensemble mean of f^2(Y)
+        vals[empty] = model.lam.take(y).mean()    # the ensemble mean of f^2(Y)
     vals = np.clip(vals, model.lam_min, model.lam_max)
     # w0 * vals[i0] + w1 * vals[i0 + 1], in place: w0 then holds vals[i0 + 1]
     # (i0 + 1 < NODES, so mode="clip" clips nothing; the default mode buffers out=)
@@ -207,38 +207,36 @@ def _switch_table(rates, regimes, dt) -> np.ndarray:
 
 
 def _leaving_bound(q, dt) -> np.ndarray:
-    """Each regime's largest leaving probability at q's nodes, raised by 1e-12
-    relative: rows are linear in x between nodes, so a row that _thinning
+    """Each regime's largest leaving probability -q_ii dt over q's nodes, raised by
+    1e-12 relative: rows are linear in x between nodes, so a row that _thinning
     builds sums to at most that, plus a few ulps of rounding that the pad covers."""
-    rows = np.tile(np.arange(q.d), q.x.size)
-    cum = _switch_table(q.rates.reshape(-1, q.d).copy(), rows, dt)
-    return cum[:, -1].reshape(-1, q.d).max(axis=0) * (1.0 + 1e-12)
+    return -np.diagonal(q.rates, axis1=1, axis2=2).min(axis=0) * dt * (1.0 + 1e-12)
 
 
 def _thinning(x, y, q, dt, u, bound_y) -> np.ndarray:
-    """One-switch-per-step regime update of the 1-based Y, in place, from the
-    uniforms u and each particle's leaving bound bound_y = bound[Y - 1] (see
+    """One-switch-per-step regime update of the 0-based Y, in place, from the
+    uniforms u and each particle's leaving bound bound_y = bound[Y] (see
     _leaving_bound), one each per particle: only the candidates, u < bound_y,
     get their rows of q at X, and each switches iff u is below its row's last
     entry, to the first entry above u.  Returns the candidates' indices, the
     only entries of Y, and so of bound_y, that can have changed."""
     cand = np.flatnonzero(u < bound_y)
-    u, rows = u[cand, None], y[cand] - 1
+    u, rows = u[cand, None], y[cand]
     cum = _switch_table(q.rates_from(rows, x[cand]), rows, dt)
-    y[cand] = np.where(u[:, 0] < cum[:, -1], np.argmax(u < cum, axis=1) + 1, y[cand])
+    y[cand] = np.where(u[:, 0] < cum[:, -1], np.argmax(u < cum, axis=1), rows)
     return cand
 
 
 @dataclass
 class SimResult:
-    """Checkpoint samples plus per-step self-consistency diagnostics."""
+    """Checkpoint samples, Y in the paper's regimes 1..d, plus per-step diagnostics."""
 
     times: np.ndarray            # (k,)
     X: np.ndarray                # (k, N)
-    Y: np.ndarray                # (k, N)
+    Y: np.ndarray                # (k, N), regimes 1..d
     qv: np.ndarray               # (k, N)
     gyongy_ratio: np.ndarray     # (n_steps,) ensemble mean of lam_Y / Ehat
-    occupancy: np.ndarray        # (k, d) regime fractions at checkpoints
+    occupancy: np.ndarray        # (k, d) fractions in regimes 0..d-1 at checkpoints
     phase_s: dict                # seconds summed over the steps, per PHASES entry
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,7 +272,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     bound = _leaving_bound(model.q, dt)
     thin = bool(bound.any())    # a zero bound switches nobody: draw no uniforms
     # f^2(Y) and the leaving bound of Y; only thinning candidates can change them
-    lam_y, bound_y = model.lam[y - 1], bound[y - 1]
+    lam_y, bound_y = model.lam[y], bound[y]
     qv = np.zeros(plan.n_particles)
     check_steps = recorded_steps((T,) if plan.checkpoints is None else plan.checkpoints,
                                  T, n_steps)
@@ -283,9 +281,9 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     def record(step_idx):
         if step_idx in check_steps:
             xs.append(x.copy())
-            ys.append(y.copy())
+            ys.append(y + 1)
             qvs.append(qv.copy())
-            occ.append(np.bincount(y - 1, minlength=model.d) / y.size)
+            occ.append(np.bincount(y, minlength=model.d) / y.size)
 
     # step n's Gaussian increments and uniforms go to slot n % 2, so that the
     # helper thread can fill step n + 1's slot while step n reads its own
@@ -326,9 +324,8 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
             clock.lap("draws")
             if thin:
                 cand = _thinning(x, y, model.q, dt, u, bound_y)
-                regimes = y[cand] - 1
-                lam_y[cand] = model.lam.take(regimes)
-                bound_y[cand] = bound.take(regimes)
+                lam_y[cand] = model.lam.take(y[cand])
+                bound_y[cand] = bound.take(y[cand])
             clock.lap("thinning")
             if not np.all(np.isfinite(x)):
                 raise NumericalError("particle positions are no longer finite", n + 1)

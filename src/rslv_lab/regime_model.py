@@ -1,11 +1,11 @@
 """Regime-model domain types and the coefficient fields shared by all solvers.
 
-A model couples a scalar diffusion to a latent regime index in {1, ..., d}
-with per-regime variance levels lam[i].  The matrix fields M, A and their
-regularised variants M_eps, A_eps drive both the nonlinear Fokker-Planck
-systems and the coercivity analysis; the scalar ratios R, R_eps enter the
-drift of the local-volatility system.  All operations here are pure
-functions of their inputs and safe to call concurrently.
+A model couples a scalar diffusion to a latent regime i in 0..d-1 (the paper's
+regime i + 1) with per-regime variance levels lam[i].  The matrix fields M, A
+and their regularised variants M_eps, A_eps drive both the nonlinear
+Fokker-Planck systems and the coercivity analysis; the scalar ratios R, R_eps
+enter the drift of the local-volatility system.  All operations here are
+pure functions of their inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -124,7 +124,9 @@ class RegimeModel:
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
-        if lam.ndim != 1 or lam.size < 1:
+        if lam.ndim != 1:
+            raise ValueError("variance levels must be a flat (1-d) list")
+        if lam.size < 1:
             raise ValueError("need at least one regime")
         if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
             raise ValueError("variance levels must be positive and finite")

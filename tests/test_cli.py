@@ -448,6 +448,8 @@ BAD_SECTIONS = [
     pytest.param("solve-fbm", "pds", {"output_times": []}, id="pds-empty-output-times"),
     pytest.param("solve-fbm", "model", {"Q": [[0.0, 1.0], [1.0, 0.0]]},
                  id="model-unknown-key"),
+    pytest.param("solve-fbm", "model", {"lambda": [[1.0, 4.0]]}, id="model-nested-lambda"),
+    pytest.param("solve-fbm", "model", {"lambda": []}, id="model-empty-lambda"),
     pytest.param("solve-fbm", "horizon", {"R": 0.05}, id="horizon-unknown-key"),
     pytest.param("solve-fbm", "grid", {"L": None}, id="grid-null"),
     pytest.param("solve-fbm", "grid", {"L": [6]}, id="grid-list"),

@@ -33,7 +33,7 @@ class TestCondExpect:
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
         x, y = init_ensemble(model, plan)
-        y[:] = 2
+        y[:] = 1
         x[:] = np.linspace(-1, 1, x.size)
         reg = cond_expect_f2(x, y, plan, model)
         np.testing.assert_allclose(reg(np.linspace(-1, 1, 7)), 4.0, atol=1e-12)
@@ -46,7 +46,7 @@ class TestCondExpect:
         model = RegimeModel(lam=[0.3, 0.7], alpha=[0.5, 0.5])
         plan = SimPlan(dt=1e-2, n_particles=1000)
         rng = np.random.default_rng(4)
-        y = np.full(plan.n_particles, model.lam.tolist().index(level) + 1)
+        y = np.full(plan.n_particles, model.lam.tolist().index(level))
         for _ in range(10):
             x = rng.standard_normal(plan.n_particles)
             reg = cond_expect_f2(x, y, plan, model)
@@ -68,9 +68,9 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=100_000, seed=5)
         rng = np.random.default_rng(8)
         x = rng.standard_normal(plan.n_particles)
-        y = rng.integers(1, 3, plan.n_particles)
+        y = rng.integers(0, 2, plan.n_particles)
         reg = cond_expect_f2(x, y, plan, model)
-        sd_f2 = model.lam[y - 1].std()
+        sd_f2 = model.lam[y].std()
         delta = plan.bandwidth_c * x.std() * plan.n_particles ** (-0.2)
         inner = (reg.grid > -2.0) & (reg.grid < 2.0)
         # effective kernel mass per node from the same binning the estimator uses
@@ -86,10 +86,10 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=2000, bandwidth_c=1e3)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(plan.n_particles)
-        y = rng.integers(1, 3, plan.n_particles)
+        y = rng.integers(0, 2, plan.n_particles)
         reg = cond_expect_f2(x, y, plan, model)
         assert reg.values.shape == reg.grid.shape == (particles.REGRESSION_NODES,)
-        np.testing.assert_allclose(reg.values, model.lam[y - 1].mean(), rtol=1e-3)
+        np.testing.assert_allclose(reg.values, model.lam[y].mean(), rtol=1e-3)
 
     def test_nodes_without_kernel_mass_take_the_mean(self):
         # two clusters at -1 and 1, and a kernel that reaches 6 bandwidths =
@@ -98,11 +98,11 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=1000, bandwidth_c=0.2)
         rng = np.random.default_rng(6)
         x = np.repeat([-1.0, 1.0], 500) + 1e-3 * rng.standard_normal(1000)
-        y = rng.integers(1, 3, 1000)
+        y = rng.integers(0, 2, 1000)
         reg = cond_expect_f2(x, y, plan, model)
         middle = np.abs(reg.grid) < 0.5
         assert middle.sum() > 100
-        assert np.all(reg.values[middle] == model.lam[y - 1].mean())
+        assert np.all(reg.values[middle] == model.lam[y].mean())
 
     def test_needs_enough_particles(self):
         model = model_14()
@@ -116,7 +116,7 @@ class TestCondExpect:
         plan = SimPlan(dt=1e-2, n_particles=1000, seed=2)
         x, y = init_ensemble(model, plan)   # all particles at X = 0
         reg = cond_expect_f2(x, y, plan, model)
-        expected = model.lam[y - 1].mean()
+        expected = model.lam[y].mean()
         assert reg(0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_spread_is_a_floating_point_error(self):
@@ -155,7 +155,7 @@ class TestCondExpect:
         model = model_14()
         plan = SimPlan(dt=1e-2, n_particles=500, seed=1)
         x = np.linspace(-1e160, 1e160, plan.n_particles)
-        y = np.arange(x.size) % 2 + 1
+        y = np.arange(x.size) % 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reg = cond_expect_f2(x, y, plan, model)
@@ -275,6 +275,19 @@ class TestStepAndSimulate:
         with pytest.raises(KeyError):
             res.at_time(0.07)
 
+    def test_recorded_regimes_are_the_state_plus_one(self):
+        # the state counts regimes 0..d-1, like lam and alpha; SimResult.Y
+        # alone records them as the paper's 1..d
+        rates = np.array([[0.0, 3.0, 1.0], [0.5, 0.0, 2.0], [4.0, 0.2, 0.0]])
+        model = RegimeModel(lam=[1.0, 2.0, 4.0], alpha=[0.6, 0.3, 0.1],
+                            q=IntensityTable(rates=rates))
+        plan = SimPlan(dt=1e-2, n_particles=1000, checkpoints=(0.0, 0.1), seed=5)
+        res = simulate(model, plan, HorizonConfig(T=0.1))
+        assert np.array_equal(res.Y[0], init_ensemble(model, plan)[1] + 1)
+        assert np.unique(res.Y).tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(
+            res.occupancy[0], np.bincount(res.Y[0] - 1, minlength=3) / plan.n_particles)
+
 
 FLAT_VOL, FLAT_T, FLAT_R = 0.2, 0.5, 0.05
 
@@ -346,7 +359,7 @@ def ensembles(draw):
                         alpha=rng.dirichlet(np.ones(d)))
     plan = SimPlan(dt=1e-2, n_particles=n, bandwidth_c=draw(st.floats(0.2, 3.0)))
     x = offset + scale * rng.standard_normal(n)
-    y = rng.integers(1, d + 1, n)
+    y = rng.integers(0, d, n)
     if kind == "point":
         x[:] = offset
     elif kind == "nodes":
@@ -384,14 +397,14 @@ def test_at_samples_is_the_clamped_interpolant(case):
 
 def thinning_by_full_gather(x, y, model, dt, rng):
     """The reference thinning: an (N, d) rate gather, cumsum and argmax over all."""
-    rates = model.q.rates_from(y - 1, x)
+    rates = model.q.rates_from(y, x)
     rates = rates.copy()
-    rates[np.arange(y.size), y - 1] = 0.0
+    rates[np.arange(y.size), y] = 0.0
     cum = np.cumsum(rates * dt, axis=1)
     u = rng.random(y.size)
     switch = u < cum[:, -1]
     if np.any(switch):
-        target = np.argmax(u[:, None] < cum, axis=1) + 1
+        target = np.argmax(u[:, None] < cum, axis=1)
         y = y.copy()
         y[switch] = target[switch]
     return y
@@ -405,7 +418,7 @@ def intensity_case(case, d, rng):
         return IntensityTable(rates=rng.uniform(0.0, 5.0, (1, d, d)), x=np.array([0.4]))
     rates = rng.uniform(0.0, 5.0, (4, d, d))
     if case == "zero-row":
-        rates[:, 1] = 0.0       # regime 2 never leaves, at any node
+        rates[:, 1] = 0.0       # regime 1 never leaves, at any node
     return IntensityTable(rates=rates, x=np.array([-1.0, -0.2, 0.3, 1.0]))
 
 
@@ -420,25 +433,25 @@ def test_thinning_matches_the_full_gather(d, case):
     bound = _leaving_bound(q, dt)
     n = 4000
     x = rng.standard_normal(n)
-    y_ref = rng.integers(1, d + 1, n)
+    y_ref = rng.integers(0, d, n)
     y = y_ref.copy()
     rng_ref, rng_new = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
     switched = 0
-    bound_y = bound[y - 1]
+    bound_y = bound[y]
     for _ in range(50):
         before = y.copy()
         y_ref = thinning_by_full_gather(x, y_ref, model, dt, rng_ref)
         cand = _thinning(x, y, q, dt, rng_new.random(n), bound_y)
         assert np.array_equal(y, y_ref)
         # the candidates returned cover every particle that switched, so
-        # refreshing bound_y there keeps it bound[y - 1], as simulate does
+        # refreshing bound_y there keeps it bound[y], as simulate does
         assert np.isin(np.flatnonzero(y != before), cand).all()
-        bound_y[cand] = bound[y[cand] - 1]
+        bound_y[cand] = bound[y[cand]]
         switched += np.count_nonzero(y != before)
         if case == "zero-row":
-            assert np.all(before[y != before] != 2)
+            assert np.all(before[y != before] != 1)
         x += 0.2 * rng.standard_normal(n)
-    # regime 2 absorbs every particle of a zero row within a few steps
+    # regime 1 absorbs every particle of a zero row within a few steps
     assert switched > (n // 4 if case == "zero-row" else 50 * n // 10)
 
 
@@ -528,14 +541,15 @@ def test_rerun_under_fast_thread_switching_is_identical(dynamics, pools):
 
 def serial_reference(model, plan, horizon, surface):
     """(X, Y, qv) at T from the step loop written out serially: each step
-    regresses model.lam[Y - 1], then draws its normals and its uniforms."""
+    regresses model.lam[y], then draws its normals and its uniforms; Y is
+    the 0-based y plus one, as SimResult records it."""
     n_steps, dt = step_grid(horizon.T, plan.dt)
     x, y = init_ensemble(model, plan)
     _, gauss_rng, jump_rng = particles._make_rngs(plan.seed)
     bound = _leaving_bound(model.q, dt)
     qv = np.zeros(x.size)
     for n in range(n_steps):
-        ratio = model.lam[y - 1] / cond_expect_f2(x, y, plan, model).at_samples
+        ratio = model.lam[y] / cond_expect_f2(x, y, plan, model).at_samples
         diff2 = ratio
         if surface is not None:
             s = surface.sigma(n * dt, x)
@@ -544,8 +558,8 @@ def serial_reference(model, plan, horizon, surface):
         x += np.sqrt(diff2) * (gauss_rng.normal(size=x.size) * math.sqrt(dt))
         qv += diff2 * dt
         if bound.any():
-            _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound[y - 1])
-    return x, y, qv
+            _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound[y])
+    return x, y + 1, qv
 
 
 # the checkpoints a run records: the horizon alone, or a step halfway too

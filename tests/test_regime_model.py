@@ -223,8 +223,10 @@ class TestMeasure:
 
 class TestModelTypes:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one regime"):
             RegimeModel(lam=[], alpha=[])
+        with pytest.raises(ValueError, match=r"a flat \(1-d\) list"):
+            RegimeModel(lam=[[1.0, 4.0]], alpha=[0.5, 0.5])
         with pytest.raises(ValueError):
             RegimeModel(lam=[1.0, -2.0], alpha=[0.5, 0.5])
         with pytest.raises(ValueError):
@@ -331,10 +333,13 @@ def tabulated_case(draw):
     off = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0),
                                  min_size=k * d * d, max_size=k * d * d))).reshape(k, d, d)
     off[:, draw(st.integers(0, d - 1)), :] = 0.0          # an all-zero rate row
+    full, diag = off.copy(), np.arange(d)
+    full[:, diag, diag] = 0.0
+    full[:, diag, diag] = -full.sum(axis=2)               # the diagonal the table builds
     with np.errstate(over="ignore"):
-        slopes = np.diff(off, axis=0) / np.diff(nodes)[:, None, None]
-    # nodes 2.2e-308 apart overflow the slopes, and such a table is refused
-    # (test_tables_that_overflow_are_refused): draw another
+        slopes = np.diff(full, axis=0) / np.diff(nodes)[:, None, None]
+    # nodes 2.2e-308 apart overflow the slopes, of the rates or of the diagonal,
+    # and such a table is refused (test_tables_that_overflow_are_refused): draw another
     assume(np.isfinite(slopes).all())
     inside = draw(st.lists(st.floats(nodes[0], nodes[-1]), min_size=1, max_size=8))
     x = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), inside,
