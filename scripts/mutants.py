@@ -9,13 +9,16 @@ temporary directory, runs the tests outside tests/test_acceptance.py there
 once unmutated (a failure then stops the run), and then once per mutant
 applied to a fresh copy of src/.  It prints one line per mutant: killed or
 SURVIVED, how many of its expected killers failed, and every failing test.
-A full run takes about twenty minutes on 2 vCPU, so it stays out of the
-test suite; tests/test_scripts.py only checks that every old text still occurs
-exactly once.  Exit status 0 iff every mutant is killed by all of its
-expected killers.
+Names given on the command line restrict the run to those mutants; with no
+names every mutant runs.  An unknown name is refused with one error line and
+exit status 2 before anything is copied or run.  A full run takes about twenty
+minutes on 2 vCPU, so it stays out of the test suite; tests/test_scripts.py
+only checks that every old text still occurs exactly once.  Exit status 0 iff
+every mutant run is killed by all of its expected killers.
 
-Example:
+Examples:
     python scripts/mutants.py
+    python scripts/mutants.py a-eps-diagonal-sign a-eps-product-transposed
 """
 
 import os
@@ -129,10 +132,13 @@ MUTANTS = [
      "kappa_hat = min(kappa, 0.5 * lmin_pi)", "kappa_hat = kappa",
      [f"{COND}::TestCertificate::test_equal_levels_lower_bound"]),
     ("a-eps-diagonal-sign", "regime_model.py",
-     "m[:, idx, idx] = (s[:, None] - u) * (-c) / denom[:, None]",
-     "m[:, idx, idx] = (s[:, None] - u) * c / denom[:, None]",
+     "= (s - u) * (-c) / denom * 0.5 + 0.5", "= (s - u) * c / denom * 0.5 + 0.5",
      ["tests/test_regime_model.py::TestCoefficientMatrices::test_hand_evaluated_example",
       f"{FBM}::TestFbmSolver::test_heat_closure_matches_scalar_solver"]),
+    ("a-eps-product-transposed", "regime_model.py",
+     "np.multiply(u[:, None, :], c / denom", "np.multiply(u[None, :, :], c / denom",
+     ["tests/test_regime_model.py::TestCoefficientMatrices::"
+      "test_bit_equal_to_the_short_axis_formula"]),
     ("band-off-untransposed", "banded.py",
      "runs[1:, :, :d] = runs[:-1, :, 2 * d:] = off.transpose(0, 2, 1)",
      "runs[1:, :, :d] = runs[:-1, :, 2 * d:] = off",
@@ -203,7 +209,12 @@ def failing_tests(tree: Path) -> tuple[list, float]:
     return failed + [f"{t} (timed out)" for t in hung[1:]], time.perf_counter() - t0
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = sorted(set(names) - {m[0] for m in MUTANTS})
+    if unknown:
+        print(f"error: unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -215,6 +226,8 @@ def main() -> int:
             return 1
         ok = True
         for name, file, old, new, killers in MUTANTS:
+            if names and name not in names:
+                continue
             shutil.rmtree(tree / "src")
             shutil.copytree(ROOT / "src", tree / "src",
                             ignore=shutil.ignore_patterns("__pycache__"))

@@ -177,21 +177,24 @@ def a_eps_batch(rho: np.ndarray, lam: np.ndarray, eps: float) -> np.ndarray:
         M_ii = (s - u_i) * (-c_i) / (eps^2 v s^2)
     Column sums of M vanish identically and M is homogeneous of degree 0 in
     rho.  A_eps equals A where eps <= s, and I/2 at rho = 0.
+
+    Computed regime-major on (d, n) rows, written through the result's (d, d, n)
+    view; s and t sum in regime order, which is numpy's row sum for d <= 7 bit for
+    bit, and may differ from it by an ulp from d = 8 on (eight partial sums).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    lam = np.asarray(lam, dtype=float)
-    u = lam[None, :] * rho
-    s = u.sum(axis=1)
-    t = rho.sum(axis=1)
+    rho = np.maximum(np.asarray(rho, dtype=float).T, 0.0, order="C")   # (d, n)
+    lam = np.asarray(lam, dtype=float)[:, None]
+    u = lam * rho
+    s = u.sum(axis=0)
+    t = rho.sum(axis=0)
     denom = np.maximum(eps * eps, s * s)
-    c = (s[:, None] - u) - lam[None, :] * (t[:, None] - rho)
-    m = u[:, :, None] * (c[:, None, :] / denom[:, None, None])
-    idx = np.arange(lam.size)
-    m[:, idx, idx] = (s[:, None] - u) * (-c) / denom[:, None]
+    c = (s - u) - lam * (t - rho)
+    m = np.empty((s.size, lam.size, lam.size))
+    np.multiply(u[:, None, :], c / denom, out=m.transpose(1, 2, 0))   # (d, d, n) view
     m *= 0.5
-    m[:, idx, idx] += 0.5
+    np.einsum("nii->in", m)[...] = (s - u) * (-c) / denom * 0.5 + 0.5   # the diagonal
     return m
 
 

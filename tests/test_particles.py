@@ -457,9 +457,9 @@ def test_thinning_matches_the_full_gather(d, case):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_leaving_bound_dominates_every_row_between_the_nodes(d):
-    # each node permutes the same rates within a row, so every node has the
-    # same leaving probability and a row read between two nodes rounds
-    # above it about as often as below
+    # each node permutes the same rates within a row, the entry that lands on
+    # the diagonal included, which the table then replaces: the nodes' leaving
+    # rates differ, and the bound must take the largest of them
     rng = np.random.default_rng(10 + d)
     base = rng.uniform(0.0, 5.0, (d, d))
     q = IntensityTable(rates=np.stack([rng.permuted(base, axis=1) for _ in range(3)]),
@@ -470,6 +470,29 @@ def test_leaving_bound_dominates_every_row_between_the_nodes(d):
     rows = rng.integers(0, d, x.size)
     leave = _switch_table(q.rates_from(rows, x), rows, dt)[:, -1]
     assert np.all(leave < bound[rows])
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_leaving_bound_dominates_equal_leaving_rates_between_the_nodes(d):
+    # each node permutes only the off-diagonal rates within a row, so every node
+    # has the same leaving probability up to rounding, and a row read between
+    # two nodes rounds above it as well as below: the bound's pad must cover that
+    rng = np.random.default_rng(20 + d)
+    off = ~np.eye(d, dtype=bool)
+    base = rng.uniform(0.0, 5.0, (d, d - 1))
+    rates = np.zeros((3, d, d))
+    for node in rates:
+        node[off] = rng.permuted(base, axis=1).ravel()
+    q = IntensityTable(rates=rates, x=np.array([-0.5, 0.1, 0.7]))
+    dt = 0.9 / ((d - 1) * q.qbar)
+    bound = _leaving_bound(q, dt)
+    exact = -q.rates[0].diagonal() * dt
+    np.testing.assert_allclose(bound, exact, rtol=2e-12)
+    x = rng.uniform(-0.6, 0.8, 100_000)
+    rows = rng.integers(0, d, x.size)
+    leave = _switch_table(q.rates_from(rows, x), rows, dt)[:, -1]
+    assert np.all(leave < bound[rows])
+    assert np.any(leave > exact[rows]) and np.any(leave < exact[rows])
 
 
 @pytest.mark.parametrize("surface", [None, VolSurface.constant(0.2)], ids=["fbm", "rslv"])

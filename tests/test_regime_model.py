@@ -32,6 +32,49 @@ def ratio(rho, lam, eps=EPS_EXACT):
                                    np.asarray(lam, dtype=float), eps)[0])
 
 
+def short_axis_a_eps(rho, lam, eps):
+    """a_eps_batch as it was computed along the short regime axis of (n, d) rows,
+    kept as the oracle that the regime-major field must equal bit for bit."""
+    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    lam = np.asarray(lam, dtype=float)
+    u = lam[None, :] * rho
+    s = u.sum(axis=1)
+    t = rho.sum(axis=1)
+    denom = np.maximum(eps * eps, s * s)
+    c = (s[:, None] - u) - lam[None, :] * (t[:, None] - rho)
+    m = u[:, :, None] * (c[:, None, :] / denom[:, None, None])
+    idx = np.arange(lam.size)
+    m[:, idx, idx] = (s[:, None] - u) * (-c) / denom[:, None]
+    m *= 0.5
+    m[:, idx, idx] += 0.5
+    return m
+
+
+@st.composite
+def field_batch(draw):
+    """(rho, the same rows laid out C-ordered, F-ordered or as a strided column
+    slice, lam, eps): entries of both signs and zeros of both signs, rows scaled
+    to 0 or far below eps, n = 0..50 and d = 1..7."""
+    d, n = draw(st.integers(1, 7)), draw(st.integers(0, 50))
+    entry = st.sampled_from([0.0, -0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0)
+    rho = np.array(draw(st.lists(entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+    scale = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 7.5]),
+                          min_size=n, max_size=n))
+    rho *= np.array(scale).reshape(n, 1)
+    lam = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    eps = draw(st.sampled_from([1e-9, 1e-3, 0.5]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        given_rho = np.asfortranarray(rho)
+    elif layout == "strided":
+        wide = np.full((n, 2 * d), 99.0)
+        wide[:, ::2] = rho
+        given_rho = wide[:, ::2]
+    else:
+        given_rho = rho.copy()
+    return rho, given_rho, lam, eps
+
+
 def lam_rho_strategy(max_d=5):
     def build(draw):
         d = draw(st.integers(2, max_d))
@@ -103,6 +146,24 @@ class TestCoefficientMatrices:
         rho[rows, i] = 0.0
         a = a_eps_batch(rho, lam, eps=0.3)
         assert np.all(2.0 * a[rows, i, i] >= lam.min() / lam.max() - 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_batch())
+    def test_bit_equal_to_the_short_axis_formula(self, case):
+        rho, given_rho, lam, eps = case
+        before = given_rho.copy()
+        a = a_eps_batch(given_rho, lam, eps)
+        assert a.shape == (rho.shape[0], lam.size, lam.size) and a.flags.c_contiguous
+        assert same_bits(a, short_axis_a_eps(rho, lam, eps))
+        assert same_bits(given_rho, before)
+
+    def test_nine_regimes_agree_with_the_short_axis_formula(self):
+        # from d = 8 numpy sums a row with eight partial sums, so s and t may move
+        # by an ulp; an entry 0.5 + 0.5 M_ii near 0 keeps that as an absolute ulp
+        rng = np.random.default_rng(9)
+        rho, lam = rng.random((40, 9)), np.linspace(1.0, 9.0, 9)
+        np.testing.assert_allclose(a_eps_batch(rho, lam, 1e-9),
+                                   short_axis_a_eps(rho, lam, 1e-9), rtol=1e-14, atol=1e-15)
 
 
 class TestRatios:

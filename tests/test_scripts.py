@@ -71,7 +71,7 @@ def test_every_mutant_still_applies():
     # the runner takes minutes, so this suite checks only that each mutant
     # still applies and names tests that exist
     script = load_script("mutants")
-    assert len(script.MUTANTS) == 35
+    assert len(script.MUTANTS) == 36
     for name, file, old, new, killers in script.MUTANTS:
         assert (script.SRC / file).read_text().count(old) == 1, name
         for killer in killers:
@@ -97,3 +97,15 @@ def test_each_mutant_run_starts_without_saved_examples(tmp_path, monkeypatch):
     assert script.failing_tests(tmp_path)[0] == ["tests/test_x.py::test_y (timed out)"]
     assert script.failing_tests(tmp_path)[0] == []
     assert runs == [False, False, False]
+
+
+def test_an_unknown_mutant_is_refused_before_any_run(monkeypatch, capsys):
+    script = load_script("mutants")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be copied or run")
+    monkeypatch.setattr(script.shutil, "copytree", refuse)
+    monkeypatch.setattr(script, "failing_tests", refuse)
+    assert script.main(["a-eps-diagonal-sign", "no-such-mutant"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown mutant: no-such-mutant\n"
