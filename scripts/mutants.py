@@ -97,9 +97,10 @@ MUTANTS = [
     ("particles-q-at-zero", "particles.py",
      "q.rates_from(rows, x[cand])", "q.rates_from(rows, 0.0 * x[cand])",
      [f"{SWITCH}::test_grid_and_particles_agree_on_a_spot_dependent_q"]),
-    ("result-y-unshifted", "particles.py",
-     "ys.append(y + 1)", "ys.append(y.copy())",
-     [f"{PART}::TestStepAndSimulate::test_recorded_regimes_are_the_state_plus_one"]),
+    ("result-y-unshifted", "cli.py",
+     "res.Y[k] + 1", "res.Y[k]",
+     ["tests/test_cli.py::TestSimulateCommands::"
+      "test_checkpoint_y_column_is_the_paper_numbering"]),
     ("leaving-bound-smallest-rate", "particles.py",
      ".min(axis=0)", ".max(axis=0)",
      [f"{PART}::test_leaving_bound_dominates_every_row_between_the_nodes[2]",

@@ -278,14 +278,14 @@ def criterion_10_cross_validation(ctx: AcceptanceContext) -> list:
     for t in (0.5, 1.0):
         xt, yt, _ = res.at_time(t)
         pk = sol.at_time(t)
-        for i in (1, 2):
+        for i in (0, 1):
             xs = xt[yt == i]
-            dens = pk[i - 1]
+            dens = pk[i]
             mass = float(np.trapezoid(dens, grid.x))
             dist = l1_hist_distance(xs, lambda c, dv=dens, mm=mass:
                                     np.interp(c, grid.x, dv / mm), bins=100)
             reports.append(TestReport.check(dist, 0.05, xs.size,
-                                            f"t={t}, regime {i}: histogram L1"))
+                                            f"t={t}, regime {i + 1}: histogram L1"))
     return reports
 
 

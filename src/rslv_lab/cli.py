@@ -378,7 +378,7 @@ def _cmd_run(args) -> int:
         out = _out_dir(cfg, args)
         for k, t in enumerate(res.times):
             write_csv(os.path.join(out, f"checkpoint_{k:02d}.csv"), "particle_id,X,Y,qv",
-                      (np.arange(res.X.shape[1]), res.X[k], res.Y[k], res.qv[k]))
+                      (np.arange(res.X.shape[1]), res.X[k], res.Y[k] + 1, res.qv[k]))
         if prices:
             write_csv(os.path.join(out, "prices.csv"), "K,price,stderr", np.array(prices).T)
         name = f"simulate_{kind}_diagnostics.json"

@@ -64,7 +64,9 @@ class CoercivityCertificate:
     """Pi = J_d + eps * Gamma together with sampled coercivity evidence.
 
     kappa_hat is the smallest sampled value of xi' sym(Pi A(rho)) xi over
-    random unit xi and states rho, capped at l_min(Pi)/2.
+    random unit xi and states rho, capped at l_min(Pi)/2.  A minimum over
+    samples is an upper bound on the true constant kappa*, the infimum over
+    every state and direction, so it can only overstate kappa*.
     """
 
     pi: np.ndarray
@@ -120,21 +122,16 @@ def _as_gamma(gamma, model: RegimeModel) -> np.ndarray:
 def gamma_k_submatrix(gamma, model: RegimeModel, k: int) -> np.ndarray:
     """Gamma^(k)_ij = (lam_i + lam_j)/2 * (G_ij + G_kk - G_ik - G_jk) without row and column k.
 
-    k is 1-based, matching the regime index convention.  Positive
+    k is a regime in 0..d-1, like the indices of lam.  Positive
     definiteness of the returned (d-1) x (d-1) matrix on R^{d-1} is
     equivalent to positive definiteness of Gamma^(k) on e_k-perp.
     """
     g = _as_gamma(gamma, model)
-    if not 1 <= k <= model.d:
-        raise ValueError(f"regime index k={k} out of range 1..{model.d}")
-    return _deleted(g, model.lam, k - 1)
-
-
-def _deleted(g: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
-    """gamma_k_submatrix for a checked g and the 0-based index k."""
-    w = 0.5 * (lam[:, None] + lam[None, :])
+    if not 0 <= k < model.d:
+        raise ValueError(f"regime index k={k} is not in 0..d-1 (d = {model.d})")
+    w = 0.5 * (model.lam[:, None] + model.lam[None, :])
     full = w * (g + g[k, k] - g[k, :][None, :] - g[:, k][:, None])
-    keep = [i for i in range(lam.size) if i != k]
+    keep = [i for i in range(model.d) if i != k]
     return full[np.ix_(keep, keep)]
 
 
@@ -147,7 +144,7 @@ def _pd_tol(mat: np.ndarray) -> float:
 
 
 def _ztilde(g: np.ndarray, model: RegimeModel) -> np.ndarray | None:
-    """Smallest eigenvalue of each deleted Gamma^(k), k = 1..d, for a checked g.
+    """Smallest eigenvalue of each deleted Gamma^(k), k = 0..d-1, for a checked g.
 
     None unless g is SPD and every Gamma^(k) is PD.  The eigenvalue
     threshold is 1e-10 * ||matrix||_inf per tested matrix, which is robust
@@ -157,7 +154,7 @@ def _ztilde(g: np.ndarray, model: RegimeModel) -> np.ndarray | None:
         return None
     ztilde = np.empty(model.d)
     for k in range(model.d):
-        sub = _deleted(g, model.lam, k)
+        sub = gamma_k_submatrix(g, model, k)
         ztilde[k] = _smallest_eigenvalue(sub)
         if ztilde[k] <= _pd_tol(sub):
             return None

@@ -10,7 +10,7 @@ discretisation of a McKean-type SDE.  The inputs pick the dynamics:
 
 and Y, drawn from alpha at t = 0, switches with the model's intensities
 q_ij(X); under the zero Q of a model built without q it stays put.  Y is
-0..d-1, like the indices of lam and alpha; SimResult.Y records it as 1..d.
+0..d-1 like the indices of lam, in SimResult.Y too; the checkpoint CSV writes 1..d.
 
 Per-path quadratic variation accumulates the Riemann sum of the squared
 diffusion coefficient.  Randomness comes from three counter-based streams
@@ -229,11 +229,11 @@ def _thinning(x, y, q, dt, u, bound_y) -> np.ndarray:
 
 @dataclass
 class SimResult:
-    """Checkpoint samples, Y in the paper's regimes 1..d, plus per-step diagnostics."""
+    """Checkpoint samples, Y in regimes 0..d-1, plus per-step diagnostics."""
 
     times: np.ndarray            # (k,)
     X: np.ndarray                # (k, N)
-    Y: np.ndarray                # (k, N), regimes 1..d
+    Y: np.ndarray                # (k, N), regimes 0..d-1
     qv: np.ndarray               # (k, N)
     gyongy_ratio: np.ndarray     # (n_steps,) ensemble mean of lam_Y / Ehat
     occupancy: np.ndarray        # (k, d) fractions in regimes 0..d-1 at checkpoints
@@ -256,20 +256,20 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     trajectories.  One helper thread draws step n + 1's Gaussian increments
     and thinning uniforms while step n runs; each stream is consumed in step
     order, so the outputs do not depend on how the threads interleave.
-    Checkpoints must lie on the step grid k * T / n_steps, and
-    the step dt = T / n_steps must keep dt * (d - 1) * qbar below 1, so that
-    no switching probability of one step exceeds 1 (ValueError otherwise).
+    Checkpoints must lie on the step grid k * T / n_steps, and the step
+    dt = T / n_steps must keep each regime's _leaving_bound, the probability
+    that thinning screens against, below 1 (ValueError otherwise).
     Non-finite positions or ensemble spread raise NumericalError with the
     step index.
     """
     T, r = horizon.T, horizon.r
     n_steps, dt = step_grid(T, plan.dt)
-    if dt * (model.d - 1) * model.q.qbar >= 1.0:
-        raise ValueError(f"dt * (d - 1) * qbar must be < 1 for one-switch thinning "
-                         f"(step dt = {dt})")
+    bound = _leaving_bound(model.q, dt)
+    if bound.max() >= 1.0:
+        raise ValueError(f"a regime's leaving probability per step must be < 1 for "
+                         f"one-switch thinning (step dt = {dt})")
     x, y = init_ensemble(model, plan, initial)
     _, gauss_rng, jump_rng = _make_rngs(plan.seed)    # the first drew (x, y)
-    bound = _leaving_bound(model.q, dt)
     thin = bool(bound.any())    # a zero bound switches nobody: draw no uniforms
     # f^2(Y) and the leaving bound of Y; only thinning candidates can change them
     lam_y, bound_y = model.lam[y], bound[y]
@@ -281,7 +281,7 @@ def simulate(model: RegimeModel, plan: SimPlan, horizon: HorizonConfig,
     def record(step_idx):
         if step_idx in check_steps:
             xs.append(x.copy())
-            ys.append(y + 1)
+            ys.append(y.copy())
             qvs.append(qv.copy())
             occ.append(np.bincount(y, minlength=model.d) / y.size)
 

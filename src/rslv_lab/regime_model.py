@@ -98,11 +98,6 @@ class IntensityTable:
     def d(self) -> int:
         return self.rates.shape[-1]
 
-    @property
-    def qbar(self) -> float:
-        """Uniform bound on |q_ij| over the table."""
-        return float(np.max(np.abs(self.rates)))
-
     def value(self, x) -> np.ndarray:
         """Q(x): a d x d matrix, or one per entry of an array x."""
         return read_table(x, self.x, self.rates, self.slopes)
@@ -285,10 +280,17 @@ class Measure:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.atoms:
             return rng.choice(self.xs, size=n, p=self.masses)
-        # tabulated: inverse CDF on the piecewise-linear cumulative
-        dx = np.diff(self.xs)
-        seg = 0.5 * (self.weights[:-1] + self.weights[1:]) * dx
-        cdf = np.concatenate([[0.0], np.cumsum(seg)])
+        # tabulated: invert the CDF of the piecewise-linear density that
+        # density_on(x, 0) reads, a quadratic in each cell
+        f, h = self.weights, np.diff(self.xs)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[:-1] + f[1:]) * h)])
         cdf /= cdf[-1]      # 1 up to rounding
         u = rng.random(n)
-        return np.interp(u, cdf, self.xs)
+        j = np.searchsorted(cdf, u, side="right") - 1      # cdf[j] <= u < cdf[j + 1]
+        v = (u - cdf[j]) / (cdf[j + 1] - cdf[j])          # the cell's share below u
+        # the share below x_j + s h_j is (f0 s + (f1 - f0) s^2 / 2) / ((f0 + f1) / 2):
+        # its root s in the form that stays accurate as f0 or f1 - f0 vanishes
+        f0, f1 = f[j], f[j + 1]
+        root = f0 + np.hypot(np.sqrt(1.0 - v) * f0, np.sqrt(v) * f1)
+        s = np.divide(v * (f0 + f1), root, out=np.zeros_like(v), where=root > 0)
+        return self.xs[j] + np.minimum(s, 1.0) * h[j]

@@ -403,7 +403,7 @@ class TestSimulateCommands:
         assert cli.main(["simulate-fbm", str(cfg)]) == 2
 
     def test_jump_step_bound_holds_at_the_step_dt(self, tmp_path, capsys):
-        # dt = 0.4 on T = 1 steps at 0.5, where dt * (d - 1) * qbar = 1.1
+        # dt = 0.4 on T = 1 steps at 0.5, where the leaving probability 2.2 * dt is 1.1
         cfg = small_sim_config(tmp_path, extra={
             "model": {"lambda": [1.0, 4.0], "alpha": [0.5, 0.5],
                       "q": [[0.0, 2.2], [2.2, 0.0]]},
@@ -411,6 +411,49 @@ class TestSimulateCommands:
             "sim": {"dt": 0.4, "n_particles": 500, "seed": 5}})
         assert cli.main(["simulate-fbm", str(cfg)]) == 2
         assert "one-switch thinning (step dt = 0.5)" in capsys.readouterr().err
+
+    @staticmethod
+    def unit_rate_d3_config(tmp_path, dt):
+        """simulate-fbm on a d = 3 Q with unit off-diagonal rates, each regime
+        leaving at rate 2, in two steps of dt."""
+        return small_sim_config(tmp_path, extra={
+            "model": {"lambda": [1.0, 2.0, 4.0], "alpha": [0.4, 0.3, 0.3],
+                      "q": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+            "horizon": {"T": 2 * dt, "r": 0.0},
+            "sim": {"dt": dt, "n_particles": 500, "seed": 5}})
+
+    def test_step_leaving_with_probability_below_one_runs(self, tmp_path):
+        # each step leaves a regime with probability 2 * 0.3 = 0.6, below 1
+        cfg = self.unit_rate_d3_config(tmp_path, 0.3)
+        assert cli.main(["simulate-fbm", str(cfg)]) == 0
+        diag = json.loads((tmp_path / "sim" / "simulate_fbm_diagnostics.json").read_text())
+        assert diag["times"] == [0.6]
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0])
+    def test_step_leaving_with_probability_one_is_refused(self, tmp_path, capsys, dt):
+        # the leaving probability 2 * dt is 1 at dt = 0.5 and 2 at dt = 1
+        cfg = self.unit_rate_d3_config(tmp_path, dt)
+        assert cli.main(["simulate-fbm", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"one-switch thinning (step dt = {dt})" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_checkpoint_y_column_is_the_paper_numbering(self, tmp_path, monkeypatch):
+        # the CSV writes regimes 1..d, the recorded 0..d-1 state plus one
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(particles.simulate(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(cli, "simulate", recorded)
+        cfg = self.unit_rate_d3_config(tmp_path, 0.01)
+        assert cli.main(["simulate-fbm", str(cfg)]) == 0
+        rows = np.loadtxt(tmp_path / "sim" / "checkpoint_00.csv", delimiter=",",
+                          skiprows=1)
+        y = rows[:, 2]
+        assert np.unique(y).tolist() == [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(y, runs[0].Y[0] + 1)
 
     def test_refused_run_leaves_no_output_directory(self, tmp_path):
         # the thinning bound refuses this run inside simulate, after the

@@ -53,15 +53,15 @@ def levels(d_min, d_max, spread):
 class TestGammaK:
     def test_d2_identity(self):
         m = uniform_model([3.0, 5.0])
-        sub = gamma_k_submatrix(np.eye(2), m, k=2)
+        sub = gamma_k_submatrix(np.eye(2), m, k=1)
         np.testing.assert_allclose(sub, [[6.0]], atol=1e-15)
-        sub1 = gamma_k_submatrix(np.eye(2), m, k=1)
+        sub1 = gamma_k_submatrix(np.eye(2), m, k=0)
         np.testing.assert_allclose(sub1, [[10.0]], atol=1e-15)
 
     def test_equal_levels_spectrum(self):
         lam = 2.5
         m = uniform_model([lam] * 4)
-        for k in range(1, 5):
+        for k in range(4):
             sub = gamma_k_submatrix(np.eye(4), m, k)
             np.testing.assert_allclose(sub, lam * (np.eye(3) + np.ones((3, 3))), atol=1e-12)
             eig = np.linalg.eigvalsh(sub)
@@ -76,21 +76,21 @@ class TestGammaK:
             keep = [i for i in range(3) if i != k]
             want = [[(lam[i] + lam[j]) / 2 * (g[i, j] + g[k, k] - g[i, k] - g[j, k])
                      for j in keep] for i in keep]
-            np.testing.assert_allclose(gamma_k_submatrix(g, uniform_model(lam), k + 1),
+            np.testing.assert_allclose(gamma_k_submatrix(g, uniform_model(lam), k),
                                        want, rtol=1e-15)
 
     def test_zero_matrix_is_not_definite(self):
         m = uniform_model([1.0, 2.0])
-        sub = gamma_k_submatrix(np.zeros((2, 2)), m, 1)
+        sub = gamma_k_submatrix(np.zeros((2, 2)), m, 0)
         np.testing.assert_array_equal(sub, [[0.0]])
         assert not satisfies_condition_c(np.zeros((2, 2)), m)
 
     def test_k_out_of_range(self):
         m = uniform_model([1.0, 2.0])
-        with pytest.raises(ValueError):
-            gamma_k_submatrix(np.eye(2), m, 0)
-        with pytest.raises(ValueError):
-            gamma_k_submatrix(np.eye(2), m, 3)
+        with pytest.raises(ValueError, match="not in 0..d-1"):
+            gamma_k_submatrix(np.eye(2), m, -1)
+        with pytest.raises(ValueError, match="not in 0..d-1"):
+            gamma_k_submatrix(np.eye(2), m, 2)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestGammaK:
         # every deleted Gamma^(k) of a one-regime model is empty
         m = uniform_model([2.0])
         for decide in (satisfies_condition_c, coercivity_certificate,
-                       lambda g, model: gamma_k_submatrix(g, model, 1),
+                       lambda g, model: gamma_k_submatrix(g, model, 0),
                        lambda g, model: criterion_diag(model, np.ones(1)),
                        lambda g, model: grid_search_diag(model, 10)):
             with pytest.raises(ValueError, match="needs at least two regimes"):

@@ -241,8 +241,8 @@ class TestStepAndSimulate:
             simulate(model_14(q=fast), plan, HorizonConfig(T=0.1))
 
     def test_thinning_bound_is_checked_at_the_step_dt(self):
-        # dt = 0.4 on T = 1 steps at T / round(2.5) = 0.5, where
-        # dt * (d - 1) * qbar = 1.1: the requested dt alone would pass (0.88)
+        # dt = 0.4 on T = 1 steps at T / round(2.5) = 0.5, where the leaving
+        # probability 2.2 * dt is 1.1: the requested dt alone would pass (0.88)
         q = IntensityTable(rates=np.array([[0.0, 2.2], [2.2, 0.0]]))
         for dt in (0.4, 0.5):
             with pytest.raises(ValueError, match="one-switch thinning"):
@@ -275,18 +275,18 @@ class TestStepAndSimulate:
         with pytest.raises(KeyError):
             res.at_time(0.07)
 
-    def test_recorded_regimes_are_the_state_plus_one(self):
-        # the state counts regimes 0..d-1, like lam and alpha; SimResult.Y
-        # alone records them as the paper's 1..d
+    def test_recorded_regimes_are_the_state(self):
+        # the state counts regimes 0..d-1, like lam and alpha, and SimResult.Y
+        # records it so; only the CLI's checkpoint CSV writes 1..d
         rates = np.array([[0.0, 3.0, 1.0], [0.5, 0.0, 2.0], [4.0, 0.2, 0.0]])
         model = RegimeModel(lam=[1.0, 2.0, 4.0], alpha=[0.6, 0.3, 0.1],
                             q=IntensityTable(rates=rates))
         plan = SimPlan(dt=1e-2, n_particles=1000, checkpoints=(0.0, 0.1), seed=5)
         res = simulate(model, plan, HorizonConfig(T=0.1))
-        assert np.array_equal(res.Y[0], init_ensemble(model, plan)[1] + 1)
-        assert np.unique(res.Y).tolist() == [1, 2, 3]
+        assert np.array_equal(res.Y[0], init_ensemble(model, plan)[1])
+        assert np.unique(res.Y).tolist() == [0, 1, 2]
         np.testing.assert_array_equal(
-            res.occupancy[0], np.bincount(res.Y[0] - 1, minlength=3) / plan.n_particles)
+            res.occupancy[0], np.bincount(res.Y[0], minlength=3) / plan.n_particles)
 
 
 FLAT_VOL, FLAT_T, FLAT_R = 0.2, 0.5, 0.05
@@ -429,7 +429,7 @@ def test_thinning_matches_the_full_gather(d, case):
     q = intensity_case(case, d, rng)
     model = RegimeModel(lam=np.arange(1.0, d + 1.0), alpha=np.full(d, 1.0 / d), q=q)
     # almost every particle is a candidate
-    dt = 0.9 / ((d - 1) * q.qbar)
+    dt = 0.9 / ((d - 1) * np.abs(q.rates).max())
     bound = _leaving_bound(q, dt)
     n = 4000
     x = rng.standard_normal(n)
@@ -464,7 +464,7 @@ def test_leaving_bound_dominates_every_row_between_the_nodes(d):
     base = rng.uniform(0.0, 5.0, (d, d))
     q = IntensityTable(rates=np.stack([rng.permuted(base, axis=1) for _ in range(3)]),
                        x=np.array([-0.5, 0.1, 0.7]))
-    dt = 0.9 / ((d - 1) * q.qbar)
+    dt = 0.9 / ((d - 1) * np.abs(q.rates).max())
     bound = _leaving_bound(q, dt)
     x = rng.uniform(-0.6, 0.8, 100_000)
     rows = rng.integers(0, d, x.size)
@@ -484,7 +484,7 @@ def test_leaving_bound_dominates_equal_leaving_rates_between_the_nodes(d):
     for node in rates:
         node[off] = rng.permuted(base, axis=1).ravel()
     q = IntensityTable(rates=rates, x=np.array([-0.5, 0.1, 0.7]))
-    dt = 0.9 / ((d - 1) * q.qbar)
+    dt = 0.9 / ((d - 1) * np.abs(q.rates).max())
     bound = _leaving_bound(q, dt)
     exact = -q.rates[0].diagonal() * dt
     np.testing.assert_allclose(bound, exact, rtol=2e-12)
@@ -564,8 +564,7 @@ def test_rerun_under_fast_thread_switching_is_identical(dynamics, pools):
 
 def serial_reference(model, plan, horizon, surface):
     """(X, Y, qv) at T from the step loop written out serially: each step
-    regresses model.lam[y], then draws its normals and its uniforms; Y is
-    the 0-based y plus one, as SimResult records it."""
+    regresses model.lam[y], then draws its normals and its uniforms."""
     n_steps, dt = step_grid(horizon.T, plan.dt)
     x, y = init_ensemble(model, plan)
     _, gauss_rng, jump_rng = particles._make_rngs(plan.seed)
@@ -582,7 +581,7 @@ def serial_reference(model, plan, horizon, surface):
         qv += diff2 * dt
         if bound.any():
             _thinning(x, y, model.q, dt, jump_rng.random(x.size), bound[y])
-    return x, y + 1, qv
+    return x, y, qv
 
 
 # the checkpoints a run records: the horizon alone, or a step halfway too

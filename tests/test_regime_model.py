@@ -10,6 +10,7 @@ from rslv_lab.dupire import VolSurface
 from rslv_lab.regime_model import (
     HorizonConfig, IntensityTable, Measure, RegimeModel, a_eps_batch, ratio_r_eps_batch,
 )
+from rslv_lab.stats import ks_statistic
 
 INV_SQRT_2PI = 0.3989422804014327
 # below every sum lam*rho drawn here, where A_eps and R_eps equal A and R exactly
@@ -280,6 +281,13 @@ class TestMeasure:
         s = mu.sample(20_000, rng)
         assert abs(s.mean()) < 0.02
         assert abs(s.var() - 1 / 3) < 0.01
+        # the triangle on three nodes: the law is the piecewise-linear density
+        # (variance 1/6), not the histogram of its two cells (variance 1/3)
+        hat = Measure.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        s = hat.sample(200_000, rng)
+        assert abs(s.var() - 1 / 6) < 0.005
+        assert ks_statistic(s, lambda v: np.where(v <= 0.0, 0.5 * (1.0 + v) ** 2,
+                                                  1.0 - 0.5 * (1.0 - v) ** 2)) < 0.01
 
 
 class TestModelTypes:
@@ -301,7 +309,7 @@ class TestModelTypes:
 
     def test_one_regime_is_the_scalar_lv_model(self):
         model = RegimeModel(lam=[2.0], alpha=[1.0])
-        assert model.d == 1 and model.q.qbar == 0.0
+        assert model.d == 1 and not model.q.rates.any()
         rho = np.array([[0.0], [1e-300], [0.3], [7.0]])
         np.testing.assert_array_equal(a_eps_batch(rho, model.lam, 1e-9), np.full((4, 1, 1), 0.5))
         np.testing.assert_array_equal(ratio_r_eps_batch(rho[2:], model.lam, 1e-9), [0.5, 0.5])
@@ -335,7 +343,7 @@ class TestModelTypes:
         for model in (model2(), RegimeModel(lam=[1.0, 2.0, 3.0], alpha=[0.5, 0.25, 0.25],
                                             q=None)):
             q = model.q
-            assert isinstance(q, IntensityTable) and q.qbar == 0.0
+            assert isinstance(q, IntensityTable) and not q.rates.any()
             assert q.x.tolist() == [0.0] and q.rates.shape == (1, model.d, model.d)
             np.testing.assert_array_equal(q.value(np.array([-1.0, 2.0])), 0.0)
         with pytest.raises(ValueError):
